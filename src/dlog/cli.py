@@ -1,9 +1,15 @@
 """Command-line surface.
 
-Exit codes: 0 ok/proved, 2 parse or validation error, 3 queried conclusion
-not derivable, 4 enumeration cap exceeded, 5 internal invariant breach
-(including any divergence between the three semantics, which falsifies the
-correspondence the artifact is built on).
+Exit codes: 0 ok/proved, 2 bad input, 3 queried conclusion not derivable,
+4 enumeration cap exceeded, 5 internal invariant breach (including any
+divergence between the three semantics, which falsifies the correspondence
+the artifact is built on).
+
+Bad input (exit 2, one `error:` line on stderr) is a file that cannot be read
+or is not UTF-8, a parse error, a rule whose variables cannot be grounded, a
+failed validation (duplicate labels, undeclared superiority labels, a
+superiority cycle without --allow-cycles), or an invalid option value, which
+argparse reports after its usage line.
 
 The environment variable DLOG_CAP overrides the default model-enumeration
 cap.
@@ -18,11 +24,11 @@ import sys
 from . import differential, engine, metaprogram, modelcheck
 from .core import (
     GroundTheory,
+    GroundingError,
     InternalError,
     Tag,
     TAG_ORDER,
     ValidationError,
-    conclusion_sort_key,
     ground,
     validate,
 )
@@ -49,16 +55,16 @@ def _load(path: str) -> GroundTheory:
 
 
 def _print_conclusions(g: GroundTheory, conclusions, out, as_json: bool) -> None:
-    ordered = sorted(conclusions, key=conclusion_sort_key)
+    # a ConclusionSet iterates in tag order, then by literal text
     undefined = [
-        (l, conclusions.undefined_levels(l))
+        (l, levels)
         for l in sorted(g.herbrand_base, key=str)
-        if conclusions.undefined_levels(l)
+        if (levels := conclusions.undefined_levels(l))
     ]
     if as_json:
         doc = {
             "conclusions": [
-                {"tag": c.tag.value, "literal": str(c.literal)} for c in ordered
+                {"tag": c.tag.value, "literal": str(c.literal)} for c in conclusions
             ],
             "undefined": [
                 {"literal": str(l), "levels": levels} for l, levels in undefined
@@ -66,7 +72,7 @@ def _print_conclusions(g: GroundTheory, conclusions, out, as_json: bool) -> None
         }
         out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return
-    for c in ordered:
+    for c in conclusions:
         out.write(f"{c.tag.value} {c.literal}\n")
     if undefined:
         out.write("undefined:\n")
@@ -75,7 +81,7 @@ def _print_conclusions(g: GroundTheory, conclusions, out, as_json: bool) -> None
 
 
 def cmd_check(args, out) -> int:
-    g = _load(args.file)
+    g = ground(parse_theory(_read(args.file)))
     report = validate(g, allow_cyclic_superiority=args.allow_cycles)
     out.write(
         f"ok: {len(g.facts)} facts, {len(g.rules)} rules, "
@@ -150,8 +156,7 @@ def cmd_fuzz(args, out) -> int:
 
 
 def cmd_bench(args, out) -> int:
-    sizes = tuple(int(s) for s in args.sizes.split(","))
-    points = differential.bench_chain(sizes)
+    points = differential.bench_chain(args.sizes)
     for p in points:
         out.write(
             f"chain {p.size}: {p.seconds:.3f}s, {p.conclusions} conclusions\n"
@@ -162,6 +167,23 @@ def cmd_bench(args, out) -> int:
             f"scaling ratio ({points[-1].size}/{points[0].size}): {ratio:.2f}\n"
         )
     return EXIT_OK
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _sizes(text: str) -> tuple[int, ...]:
+    return tuple(map(_int_at_least(1), text.split(",")))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,15 +228,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="differential-test the three semantics")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-atoms", type=int, default=3)
-    p.add_argument("--max-rules", type=int, default=10)
+    p.add_argument("--max-atoms", type=_int_at_least(1), default=3)
+    p.add_argument("--max-rules", type=_int_at_least(0), default=10)
     p.add_argument("--no-models", action="store_true",
                    help="skip model enumeration, compare engine vs metaprogram only")
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(fn=cmd_fuzz)
 
     p = sub.add_parser("bench", help="chain-theory scaling report")
-    p.add_argument("--sizes", default="50000,100000")
+    p.add_argument("--sizes", type=_sizes, default="50000,100000",
+                   help="comma-separated chain lengths, each at least 1")
     p.set_defaults(fn=cmd_bench)
 
     return parser
@@ -234,7 +257,7 @@ def main(argv=None, out=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args, out)
-    except (ParseError, ValidationError) as e:
+    except (ParseError, GroundingError, ValidationError, UnicodeDecodeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except modelcheck.CapExceededError as e:
@@ -243,9 +266,6 @@ def main(argv=None, out=None) -> int:
     except InternalError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":

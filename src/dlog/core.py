@@ -169,13 +169,6 @@ class SourceTheory:
     superiority: tuple[tuple[str, str], ...] = ()
 
     @property
-    def predicates(self) -> dict[str, int]:
-        sig: dict[str, int] = {}
-        for literal in self._all_literals():
-            sig.setdefault(literal.atom.predicate, literal.atom.arity)
-        return sig
-
-    @property
     def constants(self) -> frozenset[str]:
         consts = set()
         for literal in self._all_literals():
@@ -200,10 +193,6 @@ class GroundTheory:
     superiority: frozenset[tuple[str, str]]
     constants: frozenset[str]
     herbrand_base: frozenset[Literal]
-
-    @cached_property
-    def rules_by_label(self) -> dict[str, Rule]:
-        return {r.label: r for r in self.rules}
 
     @cached_property
     def _head_index(self) -> dict[Literal, tuple[Rule, ...]]:
@@ -439,10 +428,6 @@ class TaggedConclusion:
 
     def __str__(self) -> str:
         return f"{self.tag.value} {self.literal}"
-
-
-def conclusion_sort_key(c: TaggedConclusion) -> tuple[int, str]:
-    return (TAG_ORDER.index(c.tag), str(c.literal))
 
 
 class ConclusionSet:

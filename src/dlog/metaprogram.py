@@ -19,6 +19,8 @@ from functools import cached_property
 from typing import Iterable
 
 from .core import (
+    ALL_KINDS,
+    SUPPORTIVE,
     ConclusionSet,
     GroundTheory,
     InternalError,
@@ -133,8 +135,7 @@ def translate(g: GroundTheory) -> GroundMetaProgram:
             )
     for q in sorted(g.herbrand_base, key=str):
         clauses.append(Clause(MetaAtom(DEFEASIBLY, q), (_pos(DEFINITELY, q),)))
-    supportive = [r for r in g.rules if r.kind is not RuleKind.DEFEATER]
-    for r in supportive:
+    for r in g.rules_for(SUPPORTIVE):
         q = r.head
         comp = q.complement()
         clauses.append(
@@ -145,9 +146,7 @@ def translate(g: GroundTheory) -> GroundMetaProgram:
                 + (_naf(OVERRULED, q, r.label),),
             )
         )
-        for s in g.rules:
-            if s.head != comp:
-                continue
+        for s in g.rules_for(ALL_KINDS, comp):
             clauses.append(
                 Clause(
                     MetaAtom(OVERRULED, q, r.label),
@@ -156,12 +155,11 @@ def translate(g: GroundTheory) -> GroundMetaProgram:
                 )
             )
     for s in g.rules:
-        comp_head = s.head
-        for t in supportive:
-            if t.head == comp_head.complement() and (t.label, s.label) in g.superiority:
+        for t in g.rules_for(SUPPORTIVE, s.head.complement()):
+            if (t.label, s.label) in g.superiority:
                 clauses.append(
                     Clause(
-                        MetaAtom(DEFEATED, comp_head, s.label),
+                        MetaAtom(DEFEATED, s.head, s.label),
                         tuple(_pos(DEFEASIBLY, v) for v in t.body),
                     )
                 )

@@ -12,23 +12,24 @@ Concrete syntax (`.dl` files):
 `~` is classical negation, `%` starts a line comment, constants begin with a
 lowercase letter and variables with an uppercase one.  Labels are optional;
 unlabeled rules get generated labels `_r1`, `_r2`, ... in file order.
+
+A token is a `(text, offset)` pair and its text is its kind.  The line and
+column of a `ParseError` are worked out from the offending token's offset
+only when the error is raised.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .core import (
     Atom,
     Literal,
     Rule,
-    RuleKind,
     SourceTheory,
     Tag,
     TaggedConclusion,
     ARROWS,
-    is_variable,
 )
 
 
@@ -41,174 +42,134 @@ class ParseError(Exception):
         self.token = token
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<WS>\s+)
-  | (?P<COMMENT>%[^\n]*)
-  | (?P<ARROW>->|=>|~>)
-  | (?P<TILDE>~)
-  | (?P<LPAREN>\()
-  | (?P<RPAREN>\))
-  | (?P<COMMA>,)
-  | (?P<DOT>\.)
-  | (?P<COLON>:)
-  | (?P<GT>>)
-  | (?P<LIDENT>[a-z]\w*)
-  | (?P<UIDENT>[A-Z]\w*)
-    """,
-    re.VERBOSE,
-)
+# group 1 is a token, group 2 a character no token starts with; whitespace
+# and comments match neither
+_TOKEN_RE = re.compile(r"\s+|%[^\n]*|([-=~]>|[~().,:>]|[A-Za-z]\w*)|(.)")
 
 _ARROW_KIND = {arrow: kind for kind, arrow in ARROWS.items()}
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _is_name(text: str) -> bool:
+    return text[:1].islower()
+
+
+def _is_term(text: str) -> bool:
+    return text[:1].isalpha()
+
+
+def _location(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of `offset` in `text`."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col, text[pos])
-        kind = m.lastgroup
-        value = m.group()
-        if kind not in ("WS", "COMMENT"):
-            tokens.append(_Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(_Token("EOF", "", line, col))
+    for m in _TOKEN_RE.finditer(text):
+        token, bad = m.groups()
+        if bad:
+            raise ParseError(f"unexpected character {bad!r}", *_location(text, m.start()), bad)
+        if token:
+            tokens.append((token, m.start()))
+    tokens.append(("", len(text)))  # end of input
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.arities: dict[str, tuple[int, _Token]] = {}
+        self.arities: dict[str, tuple[int, int]] = {}  # arity, offset of first use
         self.auto_label = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self, ahead: int = 0) -> str:
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)][0]
 
-    def next(self) -> _Token:
+    def expect(self, what: str, accept) -> tuple[str, int]:
+        """Consume the next token, failing unless `accept(text)` holds; no
+        `accept` holds for the end of input."""
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
+        if not accept(tok[0]):
+            self.fail(f"expected {what}, found {tok[0] or 'end of input'!r}", tok)
+        self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {what}, found {tok.text or 'end of input'!r}",
-                tok.line, tok.column, tok.text,
-            )
-        return tok
-
-    def fail(self, message: str, tok: _Token):
-        raise ParseError(message, tok.line, tok.column, tok.text)
+    def fail(self, message: str, tok: tuple[str, int]):
+        raise ParseError(message, *_location(self.text, tok[1]), tok[0])
 
     def theory(self) -> SourceTheory:
         facts: list[Literal] = []
         rules: list[Rule] = []
         sup: list[tuple[str, str]] = []
-        while self.peek().kind != "EOF":
+        while self.peek():
             self.statement(facts, rules, sup)
         return SourceTheory(tuple(facts), tuple(rules), tuple(sup))
 
     def statement(self, facts, rules, sup):
-        tok = self.peek()
-        if tok.kind == "ARROW":
+        start = self.tokens[self.pos]
+        text = start[0]
+        if text in _ARROW_KIND:
             rules.append(self.rule_tail(None, []))
             return
-        if tok.kind == "LIDENT" and self.peek(1).kind == "COLON":
-            label = self.next().text
-            self.next()  # colon
-            body = [] if self.peek().kind == "ARROW" else self.body()
-            rules.append(self.rule_tail(label, body))
+        if _is_name(text) and self.peek(1) == ":":
+            self.pos += 2
+            body = [] if self.peek() in _ARROW_KIND else self.sequence(self.literal)
+            rules.append(self.rule_tail(text, body))
             return
-        if tok.kind == "LIDENT" and self.peek(1).kind == "GT":
-            hi = self.next().text
-            self.next()  # >
-            lo = self.expect("LIDENT", "a rule label").text
-            self.expect("DOT", "'.'")
-            sup.append((hi, lo))
+        if _is_name(text) and self.peek(1) == ">":
+            self.pos += 2
+            lo = self.expect("a rule label", _is_name)[0]
+            self.expect("'.'", ".".__eq__)
+            sup.append((text, lo))
             return
-        first = self.literal()
-        nxt = self.peek()
-        if nxt.kind == "DOT":
-            self.next()
-            if not first.is_ground():
-                self.fail(f"fact {first} contains a variable", tok)
-            facts.append(first)
+        body = self.sequence(self.literal)
+        if len(body) == 1 and self.peek() == ".":
+            self.pos += 1
+            if not body[0].is_ground():
+                self.fail(f"fact {body[0]} contains a variable", start)
+            facts.append(body[0])
             return
-        body = [first]
-        while self.peek().kind == "COMMA":
-            self.next()
-            body.append(self.literal())
         rules.append(self.rule_tail(None, body))
 
     def rule_tail(self, label, body) -> Rule:
-        arrow = self.expect("ARROW", "an arrow ('->', '=>' or '~>')")
+        arrow = self.expect("an arrow ('->', '=>' or '~>')", _ARROW_KIND.__contains__)[0]
         head = self.literal()
-        self.expect("DOT", "'.'")
+        self.expect("'.'", ".".__eq__)
         if label is None:
             self.auto_label += 1
             label = f"_r{self.auto_label}"
-        return Rule(label, _ARROW_KIND[arrow.text], tuple(body), head)
+        return Rule(label, _ARROW_KIND[arrow], tuple(body), head)
 
-    def body(self) -> list[Literal]:
-        out = [self.literal()]
-        while self.peek().kind == "COMMA":
-            self.next()
-            out.append(self.literal())
+    def sequence(self, item) -> list:
+        """One or more comma-separated `item()`s."""
+        out = [item()]
+        while self.peek() == ",":
+            self.pos += 1
+            out.append(item())
         return out
 
     def literal(self) -> Literal:
-        positive = True
-        if self.peek().kind == "TILDE":
-            self.next()
-            positive = False
+        positive = self.peek() != "~"
+        if not positive:
+            self.pos += 1
         return Literal(positive, self.atom())
 
     def atom(self) -> Atom:
-        name = self.expect("LIDENT", "a predicate name")
+        tok = self.expect("a predicate name", _is_name)
+        name = tok[0]
         args: list[str] = []
-        if self.peek().kind == "LPAREN":
-            self.next()
-            args.append(self.term())
-            while self.peek().kind == "COMMA":
-                self.next()
-                args.append(self.term())
-            self.expect("RPAREN", "')'")
-        known = self.arities.get(name.text)
-        if known is not None and known[0] != len(args):
-            self.fail(
-                f"arity clash for {name.text}: {len(args)} here, "
-                f"{known[0]} at {known[1].line}:{known[1].column}",
-                name,
-            )
-        self.arities.setdefault(name.text, (len(args), name))
-        return Atom(name.text, tuple(args))
+        if self.peek() == "(":
+            self.pos += 1
+            args = self.sequence(self.term)
+            self.expect("')'", ")".__eq__)
+        arity, first = self.arities.setdefault(name, (len(args), tok[1]))
+        if arity != len(args):
+            line, column = _location(self.text, first)
+            self.fail(f"arity clash for {name}: {len(args)} here, {arity} at {line}:{column}", tok)
+        return Atom(name, tuple(args))
 
     def term(self) -> str:
-        tok = self.next()
-        if tok.kind not in ("LIDENT", "UIDENT"):
-            self.fail(f"expected a term, found {tok.text or 'end of input'!r}", tok)
-        return tok.text
+        return self.expect("a term", _is_term)[0]
 
 
 def parse_theory(text: str) -> SourceTheory:
@@ -227,9 +188,9 @@ def parse_conclusion(text: str) -> TaggedConclusion:
     tag = _TAGS[stripped[:2]]
     p = _Parser(stripped[2:])
     literal = p.literal()
-    trailing = p.peek()
-    if trailing.kind != "EOF":
-        p.fail(f"unexpected {trailing.text!r} after literal", trailing)
+    trailing = p.tokens[p.pos]
+    if trailing[0]:
+        p.fail(f"unexpected {trailing[0]!r} after literal", trailing)
     if not literal.is_ground():
         raise ParseError(f"conclusion literal {literal} is not ground", 1, 3, str(literal))
     return TaggedConclusion(tag, literal)

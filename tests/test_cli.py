@@ -62,6 +62,67 @@ def test_derive_reports_undefined_literals(tmp_path):
     assert "p (partial)" in out
 
 
+BIRD_DERIVE = """\
++D bird(ethel)
++D bird(tweety)
++D emu(ethel)
+-D brokenWing(ethel)
+-D brokenWing(tweety)
+-D emu(tweety)
+-D flies(ethel)
+-D flies(tweety)
+-D heavy(ethel)
+-D heavy(tweety)
+-D ~bird(ethel)
+-D ~bird(tweety)
+-D ~brokenWing(ethel)
+-D ~brokenWing(tweety)
+-D ~emu(ethel)
+-D ~emu(tweety)
+-D ~flies(ethel)
+-D ~flies(tweety)
+-D ~heavy(ethel)
+-D ~heavy(tweety)
++d bird(ethel)
++d bird(tweety)
++d emu(ethel)
++d flies(tweety)
++d heavy(ethel)
+-d brokenWing(ethel)
+-d brokenWing(tweety)
+-d emu(tweety)
+-d flies(ethel)
+-d heavy(tweety)
+-d ~bird(ethel)
+-d ~bird(tweety)
+-d ~brokenWing(ethel)
+-d ~brokenWing(tweety)
+-d ~emu(ethel)
+-d ~emu(tweety)
+-d ~flies(ethel)
+-d ~flies(tweety)
+-d ~heavy(ethel)
+-d ~heavy(tweety)
+"""
+
+LOOP_DERIVE = """\
+-D p
+-D ~p
+-d ~p
+undefined:
+  p (partial)
+"""
+
+
+def test_derive_text_golden(bird_path, tmp_path):
+    # the exact output, order included: tags in +D -D +d -d order, literals
+    # by their text, then the undefined section
+    assert run(["derive", str(bird_path)]) == (EXIT_OK, BIRD_DERIVE)
+    f = tmp_path / "loop.dl"
+    f.write_text("r: p => p.\n")
+    assert run(["derive", str(f)]) == (EXIT_OK, LOOP_DERIVE)
+
+
 def test_derive_json(bird_path):
     code, out = run(["derive", "--json", str(bird_path)])
     assert code == EXIT_OK
@@ -153,6 +214,53 @@ def test_validation_error_exit(tmp_path):
     f.write_text("r: => p. r: => q.\n")
     code, _ = run(["check", str(f)])
     assert code == EXIT_PARSE
+
+
+def test_check_allow_cycles(tmp_path, capsys):
+    f = tmp_path / "cycle.dl"
+    f.write_text("r1: => p. r2: => ~p. r1 > r2. r2 > r1.\n")
+    code, _ = run(["check", str(f)])
+    assert code == EXIT_PARSE
+    assert "superiority cycle" in capsys.readouterr().err
+    code, out = run(["check", "--allow-cycles", str(f)])
+    assert code == EXIT_OK
+    assert "warning: superiority cycle: r1 > r2 > r1" in out
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"r: p(X) => q(X).\n", "rule r has variables but the theory has no constants"),
+        (b"p.\xff\n", "can't decode byte 0xff"),
+    ],
+    ids=["grounding-error", "not-utf8"],
+)
+def test_bad_input_is_one_line_error(tmp_path, capsys, content, message):
+    f = tmp_path / "bad.dl"
+    f.write_bytes(content)
+    code, _ = run(["derive", str(f)])
+    assert code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fuzz", "--max-atoms", "0"],
+        ["fuzz", "--max-rules", "-1"],
+        ["bench", "--sizes", "x"],
+    ],
+    ids=["max-atoms-0", "max-rules-negative", "sizes-not-a-number"],
+)
+def test_bad_option_value_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"dlog {argv[0]}: error: argument {argv[1]}: expected an integer" in err.splitlines()[-1]
+    assert "Traceback" not in err
 
 
 def test_fuzz_command():

@@ -74,6 +74,27 @@ def test_error_positions():
         parse_theory("? p.")
 
 
+@pytest.mark.parametrize(
+    "parse, text, message, line, column, token",
+    [
+        (parse_theory, "p. % note\nq => .\n",
+         "expected a predicate name, found '.'", 2, 6, "."),
+        (parse_theory, "p.\nq.\nr: s => t u.\n", "expected '.', found 'u'", 3, 11, "u"),
+        (parse_theory, "q.\n  p(a).\nr: p(X,Y) => s.\n",
+         "arity clash for p: 2 here, 1 at 2:3", 3, 4, "p"),
+        (parse_theory, "p.\nr: a & b => c.\n", "unexpected character '&'", 2, 6, "&"),
+        (parse_conclusion, "+d p(a) q", "unexpected 'q' after literal", 1, 7, "q"),
+    ],
+    ids=["after-comment", "line-3", "arity-clash", "bad-character", "conclusion-trailing"],
+)
+def test_error_locations(parse, text, message, line, column, token):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    e = info.value
+    assert (e.message, e.line, e.column, e.token) == (message, line, column, token)
+    assert str(e) == f"{line}:{column}: {message}"
+
+
 def test_missing_dot():
     with pytest.raises(ParseError):
         parse_theory("p => q")
