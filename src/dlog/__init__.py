@@ -22,7 +22,6 @@ from .core import (
     TaggedConclusion,
     ValidationError,
     ValidationReport,
-    complement,
     ground,
     herbrand_base,
     lit,

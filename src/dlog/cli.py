@@ -8,8 +8,9 @@ the artifact is built on).
 Bad input (exit 2, one `error:` line on stderr) is a file that cannot be read
 or is not UTF-8, a parse error, a rule whose variables cannot be grounded, a
 failed validation (duplicate labels, undeclared superiority labels, a
-superiority cycle without --allow-cycles), or an invalid option value, which
-argparse reports after its usage line.
+superiority cycle without --allow-cycles), an invalid option value, which
+argparse reports after its usage line, or a DLOG_CAP value that is not an
+integer of at least 1.
 
 The environment variable DLOG_CAP overrides the default model-enumeration
 cap.
@@ -130,10 +131,9 @@ def cmd_meta(args, out) -> int:
 
 def cmd_models(args, out) -> int:
     g = _load(args.file)
-    cap = args.cap if args.cap is not None else modelcheck.default_cap()
-    out.write(f"models: {modelcheck.count_models(g, cap)}\n")
+    out.write(f"models: {modelcheck.count_models(g, args.cap)}\n")
     if args.consequences:
-        _print_conclusions(g, modelcheck.logical_consequences(g, cap), out, args.json)
+        _print_conclusions(g, modelcheck.logical_consequences(g, args.cap), out, args.json)
     return EXIT_OK
 
 
@@ -222,17 +222,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--consequences", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_int_at_least(1), default=None)
     p.set_defaults(fn=cmd_models)
 
     p = sub.add_parser("fuzz", help="differential-test the three semantics")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_int_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-atoms", type=_int_at_least(1), default=3)
     p.add_argument("--max-rules", type=_int_at_least(0), default=10)
     p.add_argument("--no-models", action="store_true",
                    help="skip model enumeration, compare engine vs metaprogram only")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_int_at_least(1), default=None)
     p.set_defaults(fn=cmd_fuzz)
 
     p = sub.add_parser("bench", help="chain-theory scaling report")
@@ -257,7 +257,10 @@ def main(argv=None, out=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args, out)
-    except (ParseError, GroundingError, ValidationError, UnicodeDecodeError, OSError) as e:
+    except (
+        ParseError, GroundingError, ValidationError, modelcheck.UsageError,
+        UnicodeDecodeError, OSError,
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except modelcheck.CapExceededError as e:

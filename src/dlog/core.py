@@ -5,6 +5,12 @@ three kinds: strict (->), defeasible (=>), and defeaters (~>).  Theories may
 be written with rule schemas containing variables; `ground` instantiates the
 schemas over the theory's constants to obtain a purely propositional theory,
 which is what the engine and the two semantic oracles operate on.
+
+`Atom`, `Literal` and `TaggedConclusion` are named tuples, so equality and
+hashing are those of the tuple of their fields: an instance also equals a
+plain tuple of its field values, and it can be iterated and unpacked.
+The same holds for `metaprogram.MetaAtom`, `BodyLiteral` and `Clause`.
+`Rule` stays a dataclass because its constructor deduplicates the body.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 
 class GroundingError(Exception):
@@ -34,19 +40,9 @@ def is_variable(term: str) -> bool:
     return bool(term) and term[0].isupper()
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+class Atom(NamedTuple):
     predicate: str
     args: tuple[str, ...] = ()
-    # hashed on every index lookup in the engine; caching keeps large
-    # propositional theories from paying for nested tuple hashing
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.predicate, self.args)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def arity(self) -> int:
@@ -72,17 +68,9 @@ class Atom:
         return f"{self.predicate}({','.join(self.args)})"
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(NamedTuple):
     positive: bool
     atom: Atom
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.positive, self.atom)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def complement(self) -> "Literal":
         return Literal(not self.positive, self.atom)
@@ -108,10 +96,6 @@ def lit(predicate: str, *args: str, positive: bool = True) -> Literal:
 
 def neg(predicate: str, *args: str) -> Literal:
     return lit(predicate, *args, positive=False)
-
-
-def complement(literal: Literal) -> Literal:
-    return literal.complement()
 
 
 class RuleKind(Enum):
@@ -267,28 +251,21 @@ def ground(theory: SourceTheory) -> GroundTheory:
         rules=tuple(instances),
         superiority=frozenset(expanded),
         constants=frozenset(constants),
-        herbrand_base=_build_base(facts, instances, constants),
+        herbrand_base=_build_base(theory, constants),
     )
 
 
-def _build_base(facts, rules, constants) -> frozenset[Literal]:
-    predicates: dict[str, int] = {}
-    occurring: set[Literal] = set(facts)
-    for r in rules:
-        occurring.update(r.body)
-        occurring.add(r.head)
-    for literal in occurring:
-        predicates.setdefault(literal.atom.predicate, literal.atom.arity)
-    base: set[Literal] = set()
-    for pred, arity in predicates.items():
-        for args in itertools.product(constants, repeat=arity):
-            atom = Atom(pred, args)
-            base.add(Literal(True, atom))
-            base.add(Literal(False, atom))
-    for literal in occurring:
-        base.add(literal)
-        base.add(literal.complement())
-    return frozenset(base)
+def _build_base(theory: SourceTheory, constants: list[str]) -> frozenset[Literal]:
+    """Both signs of every atom whose predicate and arity are written in the
+    theory, over its constants.  Every ground fact, body and head literal is
+    among them: it instantiates a written literal over the same constants."""
+    signatures = {(l.atom.predicate, l.atom.arity) for l in theory._all_literals()}
+    return frozenset(
+        Literal(positive, Atom(predicate, args))
+        for predicate, arity in signatures
+        for args in itertools.product(constants, repeat=arity)
+        for positive in (True, False)
+    )
 
 
 def herbrand_base(g: GroundTheory, extra: Iterable[Literal] = ()) -> frozenset[Literal]:
@@ -421,8 +398,7 @@ _DISPLAY = {
 TAG_ORDER = (Tag.PLUS_DELTA, Tag.MINUS_DELTA, Tag.PLUS_PARTIAL, Tag.MINUS_PARTIAL)
 
 
-@dataclass(frozen=True, slots=True)
-class TaggedConclusion:
+class TaggedConclusion(NamedTuple):
     tag: Tag
     literal: Literal
 

@@ -14,7 +14,6 @@ Status codes used throughout: 0 = +D, 1 = -D, 2 = +d, 3 = -d.
 from __future__ import annotations
 
 import gc
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -137,7 +136,6 @@ class _Propagation:
 
         self.status = [[False] * n for _ in range(4)]
         self.order: list[int] = []  # packed steps (q << 2) | code
-        self.queue: deque[int] = deque()
         self._by_head: Optional[list[list[int]]] = None
         self._run()
 
@@ -177,7 +175,6 @@ class _Propagation:
         flags[q] = True
         step = (q << 2) | code  # packed; tuples here would dominate allocation
         self.order.append(step)
-        self.queue.append(step)
 
     def _run(self) -> None:
         for q in range(len(self.literals)):
@@ -190,9 +187,9 @@ class _Propagation:
                 self.establish(_PD, self.head[ri])
             if self.partial_remaining[ri] == 0:
                 self.on_supported(ri)
-        queue = self.queue
-        while queue:
-            step = queue.popleft()
+        # `order` is the worklist too: steps appended while it is read are
+        # reached by the same loop, first in first out
+        for step in self.order:
             code, q = step & 3, step >> 2
             if code == _PD:
                 self.on_plus_delta(q)

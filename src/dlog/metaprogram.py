@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import (
     ALL_KINDS,
@@ -38,8 +38,7 @@ OVERRULED = "overruled"
 DEFEATED = "defeated"
 
 
-@dataclass(frozen=True, slots=True)
-class MetaAtom:
+class MetaAtom(NamedTuple):
     predicate: str
     literal: Literal
     label: str = ""  # rule label, for overruled/defeated only
@@ -50,8 +49,7 @@ class MetaAtom:
         return f"{self.predicate}({self.literal})"
 
 
-@dataclass(frozen=True, slots=True)
-class BodyLiteral:
+class BodyLiteral(NamedTuple):
     atom: MetaAtom
     positive: bool = True  # False marks negation-as-failure
 
@@ -59,8 +57,7 @@ class BodyLiteral:
         return str(self.atom) if self.positive else f"not {self.atom}"
 
 
-@dataclass(frozen=True, slots=True)
-class Clause:
+class Clause(NamedTuple):
     head: MetaAtom
     body: tuple[BodyLiteral, ...]
 
@@ -123,7 +120,7 @@ def translate(g: GroundTheory) -> GroundMetaProgram:
                                defeated(s, ~q) :- defeasibly(v1), ...
     """
     clauses: list[Clause] = []
-    for q in g.facts:
+    for q in sorted(g.facts, key=str):
         clauses.append(Clause(MetaAtom(DEFINITELY, q), ()))
     for r in g.rules:
         if r.kind is RuleKind.STRICT:

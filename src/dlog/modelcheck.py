@@ -59,7 +59,16 @@ DEFAULT_CAP = 2_000_000
 
 
 def default_cap() -> int:
-    return int(os.environ.get("DLOG_CAP", DEFAULT_CAP))
+    text = os.environ.get("DLOG_CAP")
+    if text is None:
+        return DEFAULT_CAP
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise UsageError(f"DLOG_CAP must be an integer of at least 1, got {text!r}")
+    return cap
 
 
 def conj_value(f: dict[Literal, ThreeVal], body: Iterable[Literal]) -> ThreeVal:
@@ -193,24 +202,16 @@ _EXTRA_PAIRS = ((_T, _F), (_T, _U), (_U, _F))
 
 
 def enumerate_interpretations(
-    g: GroundTheory,
-    cap: Optional[int] = None,
-    well_formed_only: bool = True,
+    g: GroundTheory, cap: Optional[int] = None
 ) -> Iterator[DefeasibleInterpretation]:
-    """Yield every interpretation over the base exactly once.
-
-    With `well_formed_only` (the default) only the 6 epistemically admissible
-    status pairs per literal are enumerated; otherwise all 9, which is only
-    useful for demonstrating that the closure conditions already force the
-    epistemic conditions.
-    """
+    """Yield every interpretation over the base exactly once, using the 6
+    epistemically admissible status pairs per literal."""
     cap = default_cap() if cap is None else cap
     base = sorted(g.herbrand_base, key=str)
-    pairs = _WELL_FORMED_PAIRS if well_formed_only else _WELL_FORMED_PAIRS + _EXTRA_PAIRS
-    required = len(pairs) ** len(base)
+    required = len(_WELL_FORMED_PAIRS) ** len(base)
     if required > cap:
         raise CapExceededError(required, cap)
-    for assignment in itertools.product(pairs, repeat=len(base)):
+    for assignment in itertools.product(_WELL_FORMED_PAIRS, repeat=len(base)):
         yield DefeasibleInterpretation(
             base=g.herbrand_base,
             delta={q: a[0] for q, a in zip(base, assignment)},

@@ -251,8 +251,14 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, content, message):
         ["fuzz", "--max-atoms", "0"],
         ["fuzz", "--max-rules", "-1"],
         ["bench", "--sizes", "x"],
+        ["fuzz", "--count", "-1"],
+        ["models", "--cap", "0", "x.dl"],
+        ["fuzz", "--cap", "-5"],
     ],
-    ids=["max-atoms-0", "max-rules-negative", "sizes-not-a-number"],
+    ids=[
+        "max-atoms-0", "max-rules-negative", "sizes-not-a-number",
+        "count-negative", "models-cap-0", "fuzz-cap-negative",
+    ],
 )
 def test_bad_option_value_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as info:
@@ -260,6 +266,18 @@ def test_bad_option_value_exits_2(capsys, argv):
     assert info.value.code == EXIT_PARSE
     err = capsys.readouterr().err
     assert f"dlog {argv[0]}: error: argument {argv[1]}: expected an integer" in err.splitlines()[-1]
+    assert "Traceback" not in err
+
+
+def test_bad_cap_env_is_one_line_error(tmp_path, monkeypatch, capsys):
+    f = tmp_path / "p.dl"
+    f.write_text("p.\n")
+    monkeypatch.setenv("DLOG_CAP", "abc")
+    code, _ = run(["models", str(f)])
+    assert code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "DLOG_CAP" in err and "'abc'" in err
     assert "Traceback" not in err
 
 

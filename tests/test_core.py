@@ -1,5 +1,7 @@
 """Domain types, grounding, validation, and the conclusion-set invariants."""
 
+import itertools
+
 import pytest
 
 from dlog.core import (
@@ -113,6 +115,37 @@ def test_herbrand_base_closed_under_complement():
     assert extended == g.herbrand_base  # already covered
     extra = herbrand_base(g, (lit("newpred"),))
     assert lit("newpred") in extra and neg("newpred") in extra
+
+
+FIRST_ORDER = """
+edge(a,b).  rain.
+r1: edge(X,Y), rain => wet(Y).
+d1: dry(X) ~> blocked(X).
+"""
+
+PROPOSITIONAL = "p. r1: p => q. r2: ~q ~> ~p. r3: q -> s."
+
+
+def reference_base(g):
+    """Every fact and ground body/head literal, closed under complement,
+    plus both signs of every atom over the constants, per predicate."""
+    occurring = set(g.facts)
+    for r in g.rules:
+        occurring.update(r.body)
+        occurring.add(r.head)
+    base = occurring | {l.complement() for l in occurring}
+    for predicate, arity in {(l.atom.predicate, l.atom.arity) for l in occurring}:
+        for args in itertools.product(sorted(g.constants), repeat=arity):
+            base |= {lit(predicate, *args), neg(predicate, *args)}
+    return base
+
+
+@pytest.mark.parametrize(
+    "text", [BIRD, FIRST_ORDER, PROPOSITIONAL], ids=["bird", "first-order", "propositional"]
+)
+def test_herbrand_base_matches_reference(text):
+    g = ground(parse_theory(text))
+    assert g.herbrand_base == reference_base(g)
 
 
 def test_validate_ok_with_warning_on_nonconflicting_pairs():

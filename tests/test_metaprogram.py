@@ -1,5 +1,10 @@
 """The logic-program translation and its 3-valued fixpoint semantics."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from dlog import engine
@@ -121,3 +126,31 @@ def test_clause_str_forms():
     a = MetaAtom(DEFINITELY, lit("p"))
     assert str(Clause(a, ())) == "definitely(p)."
     assert str(MetaAtom("overruled", lit("p"), "r")) == "overruled(r, p)"
+
+
+TRANSLATE_CLAUSES = """
+import sys
+from dlog.core import ground
+from dlog.metaprogram import translate
+from dlog.parser import parse_theory
+for c in translate(ground(parse_theory(sys.argv[1]))).clauses:
+    print(c)
+"""
+
+
+def test_clause_order_does_not_depend_on_hash_seed():
+    # the clause tuple, fact clauses included, comes out in the same order
+    # in processes with different string-hash seeds
+    src = pathlib.Path(__file__).parent.parent / "src"
+    theory = "e. d. c. b. a. r: a, b => q."
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", TRANSLATE_CLAUSES, theory],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        outputs.append(result.stdout)
+    assert outputs[0].startswith("definitely(a).\ndefinitely(b).")
+    assert outputs[0] == outputs[1]
