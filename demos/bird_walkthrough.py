@@ -16,8 +16,10 @@ def main():
     print("theory:")
     print(text)
     g = ground(parse_theory(text))
-    print(f"grounded to {len(g.rules)} rules over constants {sorted(g.constants)};")
-    print(f"superiority expands to {len(g.superiority)} pairs\n")
+    print(f"grounded to {len(g.rules)} rules over constants {sorted(g.constants)}")
+    print("(an instance is built only if each body literal is a fact or the head")
+    print("of a strict or defeasible rule, so brokenWing(X) leaves r4 out);")
+    print(f"superiority keeps {len(g.superiority)} pairs of instances with conflicting heads\n")
 
     print("all conclusions:")
     for c in sorted(derive_all(g), key=str):

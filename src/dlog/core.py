@@ -4,7 +4,10 @@ A defeasible theory is a triple (facts, rules, superiority).  Rules come in
 three kinds: strict (->), defeasible (=>), and defeaters (~>).  Theories may
 be written with rule schemas containing variables; `ground` instantiates the
 schemas over the theory's constants to obtain a purely propositional theory,
-which is what the engine and the two semantic oracles operate on.
+which is what the engine and the two semantic oracles operate on.  It prunes:
+an instance with a body literal that is no fact and no supportive head could
+never apply, so it is not built, and superiority keeps only the pairs whose
+heads conflict.  Neither changes a conclusion or a model (see `ground`).
 
 `Atom`, `Literal` and `TaggedConclusion` are named tuples, so equality and
 hashing are those of the tuple of their fields: an instance also equals a
@@ -170,13 +173,16 @@ class SourceTheory:
 
 @dataclass(frozen=True)
 class GroundTheory:
-    """A fully instantiated propositional theory plus its Herbrand base."""
+    """A propositional theory instantiated from the written one, its Herbrand
+    base, and the written rule labels and superiority statements."""
 
     facts: frozenset[Literal]
     rules: tuple[Rule, ...]
     superiority: frozenset[tuple[str, str]]
     constants: frozenset[str]
     herbrand_base: frozenset[Literal]
+    written_labels: tuple[str, ...]  # rule labels as written, one per schema
+    written_superiority: tuple[tuple[str, str], ...]  # statements as written
 
     @cached_property
     def _head_index(self) -> dict[Literal, tuple[Rule, ...]]:
@@ -203,56 +209,161 @@ SUPPORTIVE = frozenset({RuleKind.STRICT, RuleKind.DEFEASIBLE})
 
 
 def ground(theory: SourceTheory) -> GroundTheory:
-    """Instantiate every rule schema over the theory's constants.
+    """Instantiate the rule schemas over the theory's constants, building only
+    the instances whose body can hold.
+
+    A ground body literal is *dead* when it is not a fact and matches the head
+    of no strict or defeasible schema (a match respects constants and repeated
+    variables; defeater heads do not count).  No instance with a dead body
+    literal is built.  This is sound: in the full grounding a dead literal has
+    no fact and no supportive rule, so it is -D and -d and False at both
+    levels in every model; a rule with it in the body is then discarded at
+    both levels, so it supports nothing, no attack of it succeeds and it
+    beats no attacker, and leaving it out changes no conclusion and no model.
+    The pruning is one round on the schema heads, not a fixpoint over the
+    surviving rules: `r: p => p` keeps `r`, because `p` matches its own head,
+    so `p` stays undefined.
+
+    Each schema's instances are found by a join: its variables are bound
+    first from the facts of the body literals that no supportive head can
+    match, the other body literals are checked, and variables occurring only
+    in the head range over the constants.
 
     Instance labels are `<schema>#<c1,...,ck>` with variables taken in first
-    occurrence order; variable-free schemas keep their label unchanged.  The
-    superiority relation is expanded to the cross product of the instances of
-    the related schemas.  Deterministic: constants are instantiated in sorted
-    order, schemas in written order.
+    occurrence order; variable-free schemas keep their label unchanged.
+    Instances come in the order of the full grounding: schemas in written
+    order, each one's assignments in sorted order of the constants.  The
+    superiority relation holds the pairs of instances of related schemas
+    whose heads conflict, the only pairs inference consults.  The written
+    labels and superiority statements are kept for `validate`.
     """
     constants = sorted(theory.constants)
     for f in theory.facts:
         if not f.is_ground():
             raise GroundingError(f"fact {f} contains a variable")
+    facts = frozenset(theory.facts)
+    fact_args: dict[tuple, list[tuple[str, ...]]] = {}
+    for f in facts:
+        fact_args.setdefault(_signature(f), []).append(f.atom.args)
+    variables_of = [schema.variables for schema in theory.rules]
+    heads = {schema.head for schema in theory.rules if schema.kind is not RuleKind.DEFEATER}
+    open_heads: dict[tuple, list[tuple[str, ...]]] = {}  # signature -> argument patterns
+    for schema, variables in zip(theory.rules, variables_of):
+        if variables and schema.kind is not RuleKind.DEFEATER and not schema.head.is_ground():
+            open_heads.setdefault(_signature(schema.head), []).append(schema.head.atom.args)
+    # only the join of variable-bearing schemas reads the head signatures
+    head_signatures = {_signature(h) for h in heads} if any(variables_of) else set()
+    known_live = facts | heads
+
+    def is_live(literal: Literal) -> bool:
+        return literal in known_live or any(
+            _match(pattern, literal.atom.args, {}) is not None
+            for pattern in open_heads.get(_signature(literal), ())
+        )
+
     instances: list[Rule] = []
-    instances_of: dict[str, list[str]] = {}
-    for schema in theory.rules:
-        variables = schema.variables
+    schemas: list[str] = []  # the schema label of each instance
+    for schema, variables in zip(theory.rules, variables_of):
         if variables and not constants:
             raise GroundingError(
                 f"rule {schema.label} has variables but the theory has no constants"
             )
-        labels = instances_of.setdefault(schema.label, [])
         if not variables:
-            instances.append(schema)
-            labels.append(schema.label)
+            if known_live.issuperset(schema.body) or all(map(is_live, schema.body)):
+                instances.append(schema)
+                schemas.append(schema.label)
             continue
-        for assignment in itertools.product(constants, repeat=len(variables)):
+        for assignment in _live_assignments(schema, variables, constants, fact_args, head_signatures, is_live):
             binding = dict(zip(variables, assignment))
-            label = f"{schema.label}#{','.join(assignment)}"
             instances.append(
                 Rule(
-                    label=label,
+                    label=f"{schema.label}#{','.join(assignment)}",
                     kind=schema.kind,
                     body=tuple(l.substitute(binding) for l in schema.body),
                     head=schema.head.substitute(binding),
                 )
             )
-            labels.append(label)
-    expanded = set()
-    for hi, lo in theory.superiority:
-        for a in instances_of.get(hi, [hi]):
-            for b in instances_of.get(lo, [lo]):
-                expanded.add((a, b))
-    facts = frozenset(theory.facts)
+            schemas.append(schema.label)
     return GroundTheory(
         facts=facts,
         rules=tuple(instances),
-        superiority=frozenset(expanded),
+        superiority=_conflicting_pairs(theory.superiority, zip(schemas, instances)),
         constants=frozenset(constants),
         herbrand_base=_build_base(theory, constants),
+        written_labels=tuple(r.label for r in theory.rules),
+        written_superiority=tuple(theory.superiority),
     )
+
+
+def _conflicting_pairs(statements, instances) -> frozenset[tuple[str, str]]:
+    """The pairs of instance labels that a superiority statement relates and
+    whose heads are complementary, found through an index of the heads of
+    each related schema's instances; `instances` holds (schema label, rule)."""
+    related = {label for statement in statements for label in statement}
+    # schema label -> head atom -> (sign, label) of each instance with that head atom
+    by_atom: dict[str, dict[Atom, list[tuple[bool, str]]]] = {}
+    for schema, rule in instances:
+        if schema in related:
+            by_atom.setdefault(schema, {}).setdefault(rule.head.atom, []).append(
+                (rule.head.positive, rule.label)
+            )
+    pairs = set()
+    for hi, lo in statements:
+        superior, inferior = by_atom.get(hi), by_atom.get(lo)
+        if superior and inferior:
+            for atom, ours in superior.items():
+                for sign, a in ours:
+                    for other, b in inferior.get(atom, ()):
+                        if other != sign:
+                            pairs.add((a, b))
+    return frozenset(pairs)
+
+
+def _signature(literal: Literal) -> tuple[bool, str, int]:
+    return literal.positive, literal.atom.predicate, len(literal.atom.args)
+
+
+def _match(pattern: tuple[str, ...], args: tuple[str, ...], binding: dict[str, str]) -> Optional[dict[str, str]]:
+    """`binding` extended so that `pattern` instantiates to the ground `args`,
+    or None when no extension does."""
+    extended = dict(binding)
+    for term, value in zip(pattern, args):
+        if is_variable(term):
+            if extended.setdefault(term, value) != value:
+                return None
+        elif term != value:
+            return None
+    return extended
+
+
+def _live_assignments(schema, variables, constants, fact_args, head_signatures, is_live) -> list[tuple[str, ...]]:
+    """The assignments to the schema's `variables`, in sorted order, under
+    which no body literal is dead."""
+    fact_only = [l for l in schema.body if _signature(l) not in head_signatures]
+    # a literal that some supportive head matches as written, its variables
+    # taken as constants, is live in every instance and needs no check
+    rest = [l for l in schema.body if _signature(l) in head_signatures and not is_live(l)]
+    bindings: list[dict[str, str]] = [{}]
+    for l in fact_only:
+        bindings = [
+            extended
+            for binding in bindings
+            for args in fact_args.get(_signature(l), ())
+            if (extended := _match(l.atom.args, args, binding)) is not None
+        ]
+    bound = {v for l in fact_only for v in l.variables}
+    body_free = [v for v in dict.fromkeys(v for l in rest for v in l.variables) if v not in bound]
+    unchecked = [v for v in variables if v not in bound and v not in body_free]
+    found = []
+    for binding in bindings:
+        for values in itertools.product(constants, repeat=len(body_free)):
+            binding.update(zip(body_free, values))
+            if all(is_live(l.substitute(binding)) for l in rest):
+                for more in itertools.product(constants, repeat=len(unchecked)):
+                    binding.update(zip(unchecked, more))
+                    found.append(tuple(binding[v] for v in variables))
+    found.sort()
+    return found
 
 
 def _build_base(theory: SourceTheory, constants: list[str]) -> frozenset[Literal]:
@@ -296,31 +407,37 @@ class ValidationReport:
 
 
 def validate(g: GroundTheory, allow_cyclic_superiority: bool = False) -> ValidationReport:
-    """Structural checks on a ground theory.
+    """Structural checks on the theory as written.
 
-    Raises ValidationError on duplicate labels, dangling superiority labels,
-    or superiority cycles (unless `allow_cyclic_superiority`).  Superiority
-    pairs over non-conflicting heads are retained with a warning: inference
-    consults the relation only for conflicting pairs, so they have no effect.
+    Raises ValidationError on duplicate rule labels, superiority statements
+    naming an undeclared label, or superiority cycles (unless
+    `allow_cyclic_superiority`).  These are checked on the written labels and
+    statements, so a schema without surviving instances still counts.  A
+    cycle among the statements exists iff one exists among the instance pairs
+    of the full grounding, which relates every instance of the superior schema
+    to every instance of the inferior one, and every schema has an instance
+    there.  A statement that leaves no pair of instances with conflicting
+    heads gets a warning: inference consults the relation only for
+    conflicting pairs, so it has no effect.
     """
     report = ValidationReport()
-    seen: set[str] = set()
-    for r in g.rules:
-        if r.label in seen:
-            report.errors.append(f"duplicate rule label {r.label}")
-        seen.add(r.label)
-    by_label = {r.label: r for r in g.rules}
+    declared: set[str] = set()
+    for label in g.written_labels:
+        if label in declared:
+            report.errors.append(f"duplicate rule label {label}")
+        declared.add(label)
+    # an instance label is its schema's label, or that label, "#" and the bindings
+    effective = {(hi.partition("#")[0], lo.partition("#")[0]) for hi, lo in g.superiority}
     edges: dict[str, list[str]] = {}
-    for hi, lo in sorted(g.superiority):
-        for l in (hi, lo):
-            if l not in by_label:
-                report.errors.append(f"superiority references undeclared label {l}")
+    for hi, lo in sorted(set(g.written_superiority)):
+        undeclared = [l for l in (hi, lo) if l not in declared]
+        for l in undeclared:
+            report.errors.append(f"superiority references undeclared label {l}")
         edges.setdefault(hi, []).append(lo)
-        if hi in by_label and lo in by_label:
-            if by_label[hi].head != by_label[lo].head.complement():
-                report.warnings.append(
-                    f"superiority {hi} > {lo} relates rules without conflicting heads"
-                )
+        if not undeclared and (hi, lo) not in effective:
+            report.warnings.append(
+                f"superiority {hi} > {lo} relates no instances with conflicting heads"
+            )
     cycle = _find_cycle(edges)
     if cycle is not None:
         message = "superiority cycle: " + " > ".join(cycle)

@@ -26,6 +26,7 @@ import numpy as np
 from .core import (
     ConclusionSet,
     GroundTheory,
+    InternalError,
     Literal,
     Rule,
     RuleKind,
@@ -325,7 +326,7 @@ def logical_consequences(g: GroundTheory, cap: Optional[int] = None) -> Conclusi
     models_d = delta[mask]
     models_p = partial[mask]
     if models_d.shape[0] == 0:
-        raise UsageError("theory has no models; the model conditions are broken")
+        raise InternalError("theory has no models; the model conditions are broken")
     out: list[TaggedConclusion] = []
     for j, q in enumerate(base):
         dcol, pcol = models_d[:, j], models_p[:, j]

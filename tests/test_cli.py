@@ -13,6 +13,8 @@ from dlog.cli import (
     EXIT_PARSE,
     main,
 )
+from dlog.parser import parse_theory
+from test_grounding import naive_ground
 
 
 def run(argv):
@@ -21,12 +23,17 @@ def run(argv):
     return code, out.getvalue()
 
 
-def test_check(bird_path):
+def test_check(bird_path, bird_text):
+    # the naive grounding's counts, which check printed before relevance grounding
+    naive = naive_ground(parse_theory(bird_text))
+    counts = f"{len(naive.facts)} facts, {len(naive.rules)} rules, {len(naive.superiority)} superiority pairs"
+    assert counts == "2 facts, 9 rules, 4 superiority pairs"
     code, out = run(["check", str(bird_path)])
     assert code == EXIT_OK
-    assert "2 facts, 9 rules, 4 superiority pairs" in out
-    assert "base 20" in out
-    assert "warning" in out  # the two non-conflicting superiority pairs
+    assert out.splitlines() == [
+        "ok: 2 facts, 5 rules, 0 superiority pairs, base 20",
+        "warning: superiority r4 > r2 relates no instances with conflicting heads",
+    ]
 
 
 def test_check_parse_error(tmp_path, capsys):
@@ -306,3 +313,24 @@ def test_bench_command():
     assert code == EXIT_OK
     assert "chain 200:" in out and "chain 400:" in out
     assert "scaling ratio" in out
+
+
+def test_no_models_is_internal_error(tmp_path, monkeypatch, capsys):
+    # a theory without models breaches the semantics: exit 5, not bad input
+    import numpy as np
+
+    import dlog.modelcheck as mc
+
+    real = mc._model_mask
+
+    def empty_mask(*args, **kwargs):
+        base, delta, partial, mask = real(*args, **kwargs)
+        return base, delta, partial, np.zeros_like(mask)
+
+    monkeypatch.setattr(mc, "_model_mask", empty_mask)
+    f = tmp_path / "p.dl"
+    f.write_text("p.\n")
+    code, out = run(["models", "--consequences", str(f)])
+    assert code == EXIT_INTERNAL
+    assert out == "models: 0\n"
+    assert capsys.readouterr().err == "internal error: theory has no models; the model conditions are broken\n"

@@ -23,6 +23,7 @@ from dlog.core import (
     validate,
 )
 from dlog.parser import parse_theory
+from test_grounding import naive_ground
 
 
 BIRD = """
@@ -75,24 +76,37 @@ def test_rule_variables_first_occurrence_order():
 
 
 def test_ground_bird_counts():
-    # [PAPER] the five schemas give nine propositional rules over two
-    # constants, and the single superiority statement expands to four pairs
-    g = ground(parse_theory(BIRD))
-    assert len(g.rules) == 9
-    assert len(g.superiority) == 4
-    assert g.constants == {"ethel", "tweety"}
+    # [PAPER] in the naive grounding the five schemas give nine propositional
+    # rules over two constants, and the single superiority statement expands
+    # to four pairs
+    naive = naive_ground(parse_theory(BIRD))
+    assert len(naive.rules) == 9
+    assert len(naive.superiority) == 4
+    assert naive.constants == {"ethel", "tweety"}
     # [PAPER] base: 5 predicates x 2 constants x 2 signs
+    assert len(naive.herbrand_base) == 20
+    # relevance grounding leaves out r1#tweety (emu(tweety) is no fact and no
+    # head), r3#tweety (heavy(tweety) is no head of r5) and both r4
+    # instances (brokenWing has no fact and no rule), so r4 > r2 leaves no pair
+    g = ground(parse_theory(BIRD))
+    assert [r.label for r in g.rules] == ["r1#ethel", "r2#ethel", "r2#tweety", "r3#ethel", "r5"]
+    assert len(g.superiority) == 0
+    assert g.constants == {"ethel", "tweety"}
     assert len(g.herbrand_base) == 20
 
 
 def test_ground_instance_labels():
     # instance labels carry the bindings in variable first-occurrence order
-    g = ground(parse_theory(BIRD))
-    labels = {r.label for r in g.rules}
+    naive = naive_ground(parse_theory(BIRD))
+    labels = {r.label for r in naive.rules}
     assert "r1#ethel" in labels and "r1#tweety" in labels
     assert "r5" in labels  # variable-free schema keeps its label
-    assert ("r4#ethel", "r2#ethel") in g.superiority
-    assert ("r4#ethel", "r2#tweety") in g.superiority
+    assert ("r4#ethel", "r2#ethel") in naive.superiority
+    assert ("r4#ethel", "r2#tweety") in naive.superiority
+    # relevance grounding builds some of these instances, in the same order
+    g = ground(parse_theory(BIRD))
+    assert {r.label for r in g.rules} <= labels
+    assert g.rules == tuple(r for r in naive.rules if r in g.rules)
 
 
 def test_ground_requires_ground_facts():
@@ -144,27 +158,48 @@ def reference_base(g):
     "text", [BIRD, FIRST_ORDER, PROPOSITIONAL], ids=["bird", "first-order", "propositional"]
 )
 def test_herbrand_base_matches_reference(text):
-    g = ground(parse_theory(text))
-    assert g.herbrand_base == reference_base(g)
+    naive = naive_ground(parse_theory(text))
+    assert naive.herbrand_base == reference_base(naive)
+    # relevance grounding keeps the base of the naive grounding
+    assert ground(parse_theory(text)).herbrand_base == naive.herbrand_base
 
 
 def test_validate_ok_with_warning_on_nonconflicting_pairs():
-    # [PAPER] r4#ethel > r2#tweety relates rules without conflicting heads
-    g = ground(parse_theory(BIRD))
-    report = validate(g)
+    # [PAPER] in the naive grounding r4#ethel > r2#tweety and r4#tweety >
+    # r2#ethel relate rules without conflicting heads
+    naive = naive_ground(parse_theory(BIRD))
+    heads = {r.label: r.head for r in naive.rules}
+    nonconflicting = [(hi, lo) for hi, lo in naive.superiority if heads[hi] != heads[lo].complement()]
+    assert len(nonconflicting) == 2
+    # relevance grounding keeps no pair of r4 > r2, so the statement warns once
+    report = validate(ground(parse_theory(BIRD)))
     assert report.ok
-    assert any("without conflicting heads" in w for w in report.warnings)
-    assert len(report.warnings) == 2
+    assert report.warnings == ["superiority r4 > r2 relates no instances with conflicting heads"]
 
 
-def test_validate_duplicate_labels():
-    t = SourceTheory(
-        rules=(
-            Rule("r", RuleKind.STRICT, (), lit("p")),
-            Rule("r", RuleKind.DEFEASIBLE, (), lit("q")),
+@pytest.mark.parametrize(
+    "text",
+    [
+        None,
+        "p(a). r: p(X) => q(X). r: => s.",
+        "p(a). r: p(X), p(Y) => s(X,Y). r: => t.",
+        "p(a). r: p(X) => q(X). r: p(Y) => s(Y).",
+    ],
+    ids=["variable-free", "schema-and-rule", "two-variables", "same-instance-labels"],
+)
+def test_validate_duplicate_labels(text):
+    # written labels are checked, not instance labels: a schema r next to a
+    # rule r is a duplicate, and two schemas r are reported as r, not r#a
+    if text is None:
+        t = SourceTheory(
+            rules=(
+                Rule("r", RuleKind.STRICT, (), lit("p")),
+                Rule("r", RuleKind.DEFEASIBLE, (), lit("q")),
+            )
         )
-    )
-    with pytest.raises(ValidationError, match="duplicate"):
+    else:
+        t = parse_theory(text)
+    with pytest.raises(ValidationError, match="^duplicate rule label r$"):
         validate(ground(t))
 
 
@@ -247,11 +282,16 @@ def test_undefined_levels():
 
 def test_rules_for_selections():
     # [PAPER] defeaters belong to R[q] but not to R_sd or R_d
-    g = ground(parse_theory(BIRD))
+    naive = naive_ground(parse_theory(BIRD))
     nf_ethel = neg("flies", "ethel")
-    sd = g.rules_for({RuleKind.STRICT, RuleKind.DEFEASIBLE}, nf_ethel)
-    allk = g.rules_for(RuleKind, nf_ethel)
+    sd = naive.rules_for({RuleKind.STRICT, RuleKind.DEFEASIBLE}, nf_ethel)
+    allk = naive.rules_for(RuleKind, nf_ethel)
     assert {r.label for r in sd} == {"r4#ethel"}
     assert {r.label for r in allk} == {"r3#ethel", "r4#ethel"}
-    strict = g.rules_for({RuleKind.STRICT})
+    strict = naive.rules_for({RuleKind.STRICT})
     assert {r.label for r in strict} == {"r1#ethel", "r1#tweety"}
+    # relevance grounding has no r4 instance and no r1#tweety
+    g = ground(parse_theory(BIRD))
+    assert g.rules_for({RuleKind.STRICT, RuleKind.DEFEASIBLE}, nf_ethel) == ()
+    assert {r.label for r in g.rules_for(RuleKind, nf_ethel)} == {"r3#ethel"}
+    assert {r.label for r in g.rules_for({RuleKind.STRICT})} == {"r1#ethel"}

@@ -1,0 +1,229 @@
+"""Relevance grounding against the naive reference grounding.
+
+`naive_ground` instantiates every schema over all assignments of the
+constants and expands each superiority statement to the cross product of the
+instances of its two schemas.  `core.ground` builds only the instances whose
+body can hold and keeps only the superiority pairs with conflicting heads.
+The two must agree on validation and on every conclusion.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from dlog import engine, metaprogram, modelcheck
+from dlog.core import (
+    GroundingError,
+    GroundTheory,
+    Rule,
+    RuleKind,
+    SourceTheory,
+    ValidationError,
+    _build_base,
+    ground,
+    lit,
+    validate,
+)
+from dlog.differential import generate_random_theory
+from dlog.parser import parse_theory, render_theory
+
+
+def naive_ground(theory: SourceTheory) -> GroundTheory:
+    """Every schema over `constants^vars`, superiority as the cross product."""
+    constants = sorted(theory.constants)
+    for f in theory.facts:
+        if not f.is_ground():
+            raise GroundingError(f"fact {f} contains a variable")
+    instances: list[Rule] = []
+    instances_of: dict[str, list[str]] = {}
+    for schema in theory.rules:
+        variables = schema.variables
+        if variables and not constants:
+            raise GroundingError(
+                f"rule {schema.label} has variables but the theory has no constants"
+            )
+        labels = instances_of.setdefault(schema.label, [])
+        if not variables:
+            instances.append(schema)
+            labels.append(schema.label)
+            continue
+        for assignment in itertools.product(constants, repeat=len(variables)):
+            binding = dict(zip(variables, assignment))
+            label = f"{schema.label}#{','.join(assignment)}"
+            instances.append(
+                Rule(
+                    label=label,
+                    kind=schema.kind,
+                    body=tuple(l.substitute(binding) for l in schema.body),
+                    head=schema.head.substitute(binding),
+                )
+            )
+            labels.append(label)
+    expanded = set()
+    for hi, lo in theory.superiority:
+        for a in instances_of.get(hi, [hi]):
+            for b in instances_of.get(lo, [lo]):
+                expanded.add((a, b))
+    return GroundTheory(
+        facts=frozenset(theory.facts),
+        rules=tuple(instances),
+        superiority=frozenset(expanded),
+        constants=frozenset(constants),
+        herbrand_base=_build_base(theory, constants),
+        written_labels=tuple(r.label for r in theory.rules),
+        written_superiority=tuple(theory.superiority),
+    )
+
+
+CONSTANTS = ("a", "b", "c")
+VARIABLES = ("X", "Y", "Z")
+PREDICATES = ("p", "q", "r", "s")
+
+
+def random_first_order_theory(seed: int) -> SourceTheory:
+    """A small theory with variables, fully determined by the seed: 1-3
+    constants, predicates of arity 0-2, both signs, all three rule kinds,
+    head-only variables, and superiority statements between random labels
+    (cycles included, so validation can fail)."""
+    rng = random.Random(seed)
+    constants = CONSTANTS[: rng.randint(1, 3)]
+    arity = {p: rng.randint(0, 2) for p in PREDICATES[: rng.randint(2, 4)]}
+
+    def literal(terms):
+        predicate = rng.choice(sorted(arity))
+        args = tuple(rng.choice(terms) for _ in range(arity[predicate]))
+        return lit(predicate, *args, positive=rng.random() < 0.6)
+
+    # every constant is written somewhere, so schemas can always be grounded
+    facts = {lit("dom", c) for c in constants}
+    facts.update(literal(constants) for _ in range(rng.randint(0, 4)))
+    rules = []
+    for i in range(rng.randint(1, 6)):
+        terms = constants + VARIABLES[: rng.randint(1, 3)]
+        body = tuple(literal(terms) for _ in range(rng.randint(0, 2)))
+        rules.append(Rule(f"r{i}", rng.choice(list(RuleKind)), body, literal(terms)))
+    labels = [r.label for r in rules]
+    superiority = tuple(
+        (rng.choice(labels), rng.choice(labels)) for _ in range(rng.randint(0, 3))
+    )
+    return SourceTheory(tuple(sorted(facts)), tuple(rules), superiority)
+
+
+def outcome(grounder, theory):
+    """The grounding, or the text of the error grounding or validation raised."""
+    try:
+        g = grounder(theory)
+        validate(g)
+    except (GroundingError, ValidationError) as e:
+        return None, f"{type(e).__name__}: {e}"
+    return g, None
+
+
+def is_subsequence(short, long) -> bool:
+    rest = iter(long)
+    return all(any(x == y for y in rest) for x in short)
+
+
+THEORIES = 2000
+
+
+def test_relevance_grounding_matches_naive_grounding():
+    checked = pruned = 0
+    for seed in range(THEORIES):
+        theory = random_first_order_theory(seed)
+        naive, naive_error = outcome(naive_ground, theory)
+        g, error = outcome(ground, theory)
+        context = render_theory(theory)
+        assert error == naive_error, context
+        if error is not None:
+            continue
+        checked += 1
+        pruned += len(naive.rules) - len(g.rules)
+        assert is_subsequence(g.rules, naive.rules), context
+        assert g.herbrand_base == naive.herbrand_base
+        heads = {r.label: r.head for r in g.rules}
+        assert g.superiority == {
+            (hi, lo)
+            for hi, lo in naive.superiority
+            if hi in heads and lo in heads and heads[hi] == heads[lo].complement()
+        }, context
+        conclusions = engine.derive_all(g)
+        assert conclusions == engine.derive_all(naive), context
+        assert metaprogram.conclusions(g) == conclusions, context
+        rng = random.Random(seed)
+        for c in rng.sample(list(conclusions), min(2, len(conclusions))):
+            assert engine.check_derivation(g, engine.explain(g, c)).valid, (context, c)
+    # the corpus exercises both validation outcomes and the pruning
+    assert 0 < checked < THEORIES
+    assert pruned > 0
+
+
+def test_pruning_keeps_the_models():
+    # a pruned instance is discarded in every model, so the model set is the
+    # same; checked where enumeration is cheap (at most 4 base literals)
+    pruned = 0
+    for seed in range(400):
+        theory = generate_random_theory(seed, max_atoms=2, max_rules=8)
+        naive, g = naive_ground(theory), ground(theory)
+        pruned += len(g.rules) < len(naive.rules)
+        assert modelcheck.count_models(g) == modelcheck.count_models(naive), render_theory(theory)
+    assert pruned > 0
+
+
+def test_positive_loop_is_kept():
+    # p matches its own head, so r survives and p stays undefined at the
+    # defeasible level instead of turning into -d p
+    g = ground(parse_theory("r: p => p."))
+    assert [r.label for r in g.rules] == ["r"]
+    assert g.rules == naive_ground(parse_theory("r: p => p.")).rules
+
+
+@pytest.mark.parametrize(
+    "text, labels",
+    [
+        ("e: => q(X,X). r: q(a,b) => t. s: q(a,a) => u.", ["e#a", "e#b", "s"]),
+        ("h: => q(a). r: q(X) => t(X).", ["h", "r#a"]),
+        ("h: => ~q. r: q => t. s: ~q => u.", ["h", "s"]),
+        ("d: ~> p. r: p => q.", ["d"]),
+        ("p(a). e(a,b). r: p(X), e(X,Y), s(Y) => s(X). f: => s(b).", ["r#a,b", "f"]),
+    ],
+    ids=["repeated-variable", "constant", "sign", "defeater-head", "join"],
+)
+def test_dead_body_literals_are_pruned(text, labels):
+    # a body literal is live when it is a fact or matches a strict or
+    # defeasible head, respecting constants, repeated variables and sign
+    theory = parse_theory(text)
+    g = ground(theory)
+    assert [r.label for r in g.rules] == labels
+    assert engine.derive_all(g) == engine.derive_all(naive_ground(theory))
+
+
+def reach_theory(n_constants: int, edges, blocked) -> str:
+    c = [f"c{i:03d}" for i in range(n_constants)]
+    lines = [f"node({x})." for x in c]
+    lines += [f"edge({c[x]},{c[y]})." for x, y in edges]
+    lines += [f"blocked({c[x]},{c[y]})." for x, y in blocked]
+    lines += [
+        "r1: edge(X,Y) => reach(X,Y).",
+        "r2: reach(X,Y), edge(Y,Z) => reach(X,Z).",
+        "d1: blocked(X,Y) ~> ~reach(X,Y).",
+        "cyc: reach(X,X) => cyclic(X).",
+        "acyc: node(X) => ~cyclic(X).",
+        "cyc > acyc.",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [5, 201])
+def test_reachability_instance_count(n):
+    # r1 per edge, r2 per constant and edge, d1 per blocked pair, cyc and
+    # acyc per constant: |E| + |C|.|E| + |B| + 2|C|, against |C|^3 for r2 alone
+    rng = random.Random(n)
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    edges = rng.sample(pairs, n // 2)
+    blocked = rng.sample(pairs, n // 2)
+    g = ground(parse_theory(reach_theory(n, edges, blocked)))
+    assert len(g.rules) == len(edges) + n * len(edges) + len(blocked) + 2 * n
+    # cyc > acyc leaves one effective pair per constant
+    assert len(g.superiority) == n

@@ -3,7 +3,7 @@
 import pytest
 
 from dlog import engine
-from dlog.core import ground, lit, neg
+from dlog.core import InternalError, ground, lit, neg
 from dlog.modelcheck import (
     CapExceededError,
     DefeasibleInterpretation,
@@ -168,7 +168,7 @@ def test_no_models_is_an_error():
     # an unsatisfiable condition set would falsify the semantics; the
     # consequence operator refuses to average over nothing
     theory = g("p.")
-    with pytest.raises(UsageError):
+    with pytest.raises(InternalError):
         # impossible cap path is exercised above; force the zero-model branch
         # by asking for consequences of a doctored mask
         import numpy as np
