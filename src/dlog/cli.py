@@ -1,9 +1,10 @@
 """Command-line surface.
 
-Exit codes: 0 ok/proved, 2 bad input, 3 queried conclusion not derivable,
-4 enumeration cap exceeded, 5 internal invariant breach (including any
-divergence between the three semantics, which falsifies the correspondence
-the artifact is built on).
+Exit codes: 0 ok/proved, 1 output closed by its reader before it was all
+written (`dlog derive f.dl | head`; nothing is printed on stderr), 2 bad
+input, 3 queried conclusion not derivable, 4 enumeration cap exceeded,
+5 internal invariant breach (including any divergence between the three
+semantics, which falsifies the correspondence the artifact is built on).
 
 Bad input (exit 2, one `error:` line on stderr) is a file that cannot be read
 or is not UTF-8, a parse error, a rule whose variables cannot be grounded, a
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import differential, engine, metaprogram, modelcheck
@@ -28,7 +30,6 @@ from .core import (
     GroundingError,
     InternalError,
     Tag,
-    TAG_ORDER,
     ValidationError,
     ground,
     validate,
@@ -36,6 +37,7 @@ from .core import (
 from .parser import ParseError, parse_conclusion, parse_theory, render_theory
 
 EXIT_OK = 0
+EXIT_CLOSED_OUTPUT = 1
 EXIT_PARSE = 2
 EXIT_NOT_DERIVABLE = 3
 EXIT_CAP = 4
@@ -203,13 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_derive)
 
     p = sub.add_parser("query", help="prove a single tagged conclusion")
-    p.add_argument("tag", choices=[t.value for t in TAG_ORDER])
+    p.add_argument("tag", choices=[t.value for t in Tag])
     p.add_argument("literal")
     p.add_argument("file")
     p.set_defaults(fn=cmd_query)
 
     p = sub.add_parser("explain", help="print a replayable derivation")
-    p.add_argument("tag", choices=[t.value for t in TAG_ORDER])
+    p.add_argument("tag", choices=[t.value for t in Tag])
     p.add_argument("literal")
     p.add_argument("file")
     p.set_defaults(fn=cmd_explain)
@@ -256,7 +258,14 @@ def main(argv=None, out=None) -> int:
         argv.insert(1, "--")
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args, out)
+        code = args.fn(args, out)
+        out.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away; send what is still buffered to devnull so
+        # the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_OUTPUT
     except (
         ParseError, GroundingError, ValidationError, modelcheck.UsageError,
         UnicodeDecodeError, OSError,

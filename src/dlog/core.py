@@ -137,9 +137,6 @@ class Rule:
                     seen.append(v)
         return tuple(seen)
 
-    def is_ground(self) -> bool:
-        return all(l.is_ground() for l in self.body) and self.head.is_ground()
-
     def __str__(self) -> str:
         body = ", ".join(str(l) for l in self.body)
         arrow = ARROWS[self.kind]
@@ -492,27 +489,16 @@ class Tag(Enum):
     MINUS_PARTIAL = "-d"
 
     @property
-    def opposite(self) -> "Tag":
-        return _OPPOSITE[self]
-
-    @property
     def display(self) -> str:
         return _DISPLAY[self]
 
 
-_OPPOSITE = {
-    Tag.PLUS_DELTA: Tag.MINUS_DELTA,
-    Tag.MINUS_DELTA: Tag.PLUS_DELTA,
-    Tag.PLUS_PARTIAL: Tag.MINUS_PARTIAL,
-    Tag.MINUS_PARTIAL: Tag.PLUS_PARTIAL,
-}
 _DISPLAY = {
     Tag.PLUS_DELTA: "+Δ",
     Tag.MINUS_DELTA: "−Δ",
     Tag.PLUS_PARTIAL: "+∂",
     Tag.MINUS_PARTIAL: "−∂",
 }
-TAG_ORDER = (Tag.PLUS_DELTA, Tag.MINUS_DELTA, Tag.PLUS_PARTIAL, Tag.MINUS_PARTIAL)
 
 
 class TaggedConclusion(NamedTuple):
@@ -572,7 +558,7 @@ class ConclusionSet:
         return c.literal in self._by_tag[c.tag]
 
     def __iter__(self) -> Iterator[TaggedConclusion]:
-        for tag in TAG_ORDER:
+        for tag in Tag:
             for literal in sorted(self._by_tag[tag], key=str):
                 yield TaggedConclusion(tag, literal)
 
@@ -585,7 +571,7 @@ class ConclusionSet:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(self._by_tag[tag] for tag in TAG_ORDER))
+        return hash(tuple(self._by_tag[tag] for tag in Tag))
 
     def __repr__(self) -> str:
         return f"ConclusionSet({[str(c) for c in self]})"

@@ -8,7 +8,8 @@ size of the theory plus the superiority relation.  Negative tags are derived
 by the same worklist: the inference rules are monotone in the derived set, so
 no separate failure search is needed.
 
-Status codes used throughout: 0 = +D, 1 = -D, 2 = +d, 3 = -d.
+Status codes used throughout: 0 = +D, 1 = -D, 2 = +d, 3 = -d, the position
+of each tag in `Tag`.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from .core import (
 )
 
 _PD, _MD, _Pd, _Md = 0, 1, 2, 3
-_TAGS = (Tag.PLUS_DELTA, Tag.MINUS_DELTA, Tag.PLUS_PARTIAL, Tag.MINUS_PARTIAL)
-_CODE = {tag: code for code, tag in enumerate(_TAGS)}
+_CODE = {tag: code for code, tag in enumerate(Tag)}
 
 
 class NoDerivationError(Exception):
@@ -60,8 +60,10 @@ class _Propagation:
     """One worklist run over a ground theory.  Holds the interned state."""
 
     def __init__(self, g: GroundTheory, extra: Iterable[Literal] = ()):
-        # cyclic-gc passes over the millions of live tuples of a large theory
-        # would make the run superlinear; nothing cyclic is created here
+        # the build allocates a list per rule and per body literal, and each
+        # cyclic-GC collection rescans everything live: with the GC on, a
+        # 100k-rule chain took 3.0-3.5x as long as a 50k one, about 2x with
+        # it paused.  Nothing cyclic is created here
         resume_gc = gc.isenabled()
         gc.disable()
         try:
@@ -71,7 +73,6 @@ class _Propagation:
                 gc.enable()
 
     def _build(self, g: GroundTheory, extra: Iterable[Literal]) -> None:
-        self.theory = g
         base = herbrand_base(g, extra)
         # literals are stored in complement pairs (positive at even indices)
         # so the complement map is index arithmetic rather than hashing
@@ -93,12 +94,14 @@ class _Propagation:
         self.is_strict = [r.kind is RuleKind.STRICT for r in rules]
         self.is_sd = [r.kind is not RuleKind.DEFEATER for r in rules]
 
-        # occurrence maps literal -> rules mentioning it in the body, stored
-        # flat with offsets; per-literal lists would mean 2n allocations
-        self.body_occ, self.body_off = self._occurrences(n, self.body, None)
-        self.strict_body_occ, self.strict_body_off = self._occurrences(
-            n, self.body, self.is_strict
-        )
+        # literal -> rules mentioning it in the body, in ascending rule order
+        self.body_occ: dict[int, list[int]] = {}
+        self.strict_body_occ: dict[int, list[int]] = {}
+        for ri, body in enumerate(self.body):
+            for a in body:
+                self.body_occ.setdefault(a, []).append(ri)
+                if self.is_strict[ri]:
+                    self.strict_body_occ.setdefault(a, []).append(ri)
 
         self.n_strict_unblocked = [0] * n
         self.n_sd_undiscarded = [0] * n
@@ -136,31 +139,8 @@ class _Propagation:
 
         self.status = [[False] * n for _ in range(4)]
         self.order: list[int] = []  # packed steps (q << 2) | code
-        self._by_head: Optional[list[list[int]]] = None
+        self._by_head: Optional[dict[int, list[int]]] = None
         self._run()
-
-    @staticmethod
-    def _occurrences(n, bodies, keep):
-        """Flat occurrence index: rules mentioning literal q in the body sit at
-        flat[off[q]:off[q+1]].  `keep` optionally restricts to a rule subset."""
-        deg = [0] * n
-        for ri, body in enumerate(bodies):
-            if keep is None or keep[ri]:
-                for a in body:
-                    deg[a] += 1
-        off = [0] * (n + 1)
-        total = 0
-        for i, d in enumerate(deg):
-            total += d
-            off[i + 1] = total
-        flat = [0] * total
-        cursor = off[:n]
-        for ri, body in enumerate(bodies):
-            if keep is None or keep[ri]:
-                for a in body:
-                    flat[cursor[a]] = ri
-                    cursor[a] += 1
-        return flat, off
 
     # -- event plumbing ----------------------------------------------------
 
@@ -202,16 +182,14 @@ class _Propagation:
 
     def on_plus_delta(self, q: int) -> None:
         self.establish(_Pd, q)  # +d clause (1)
-        off = self.strict_body_off
-        for ri in self.strict_body_occ[off[q]:off[q + 1]]:
+        for ri in self.strict_body_occ.get(q, ()):
             self.delta_remaining[ri] -= 1
             if self.delta_remaining[ri] == 0:
                 self.establish(_PD, self.head[ri])
         self.check_minus_partial(q ^ 1)  # -d clause (2.2)
 
     def on_minus_delta(self, q: int) -> None:
-        off = self.strict_body_off
-        for ri in self.strict_body_occ[off[q]:off[q + 1]]:
+        for ri in self.strict_body_occ.get(q, ()):
             if not self.delta_blocked[ri]:
                 self.delta_blocked[ri] = True
                 h = self.head[ri]
@@ -222,15 +200,13 @@ class _Propagation:
         self.check_plus_partial(q ^ 1)  # +d clause (2.2)
 
     def on_plus_partial(self, q: int) -> None:
-        off = self.body_off
-        for ri in self.body_occ[off[q]:off[q + 1]]:
+        for ri in self.body_occ.get(q, ()):
             self.partial_remaining[ri] -= 1
             if self.partial_remaining[ri] == 0:
                 self.on_supported(ri)
 
     def on_minus_partial(self, q: int) -> None:
-        off = self.body_off
-        for ri in self.body_occ[off[q]:off[q + 1]]:
+        for ri in self.body_occ.get(q, ()):
             if not self.discarded[ri]:
                 self.on_discarded(ri)
 
@@ -299,7 +275,7 @@ class _Propagation:
                 tag: frozenset(
                     literals[q] for q, on in enumerate(self.status[code]) if on
                 )
-                for code, tag in enumerate(_TAGS)
+                for code, tag in enumerate(Tag)
             }
         )
 
@@ -310,11 +286,11 @@ class _Propagation:
     # head-indexed rule lookups, used only when slicing out justifications
     def heads(self, q: int) -> list[int]:
         if self._by_head is None:
-            by_head: list[list[int]] = [[] for _ in self.literals]
+            by_head: dict[int, list[int]] = {}
             for ri, h in enumerate(self.head):
-                by_head[h].append(ri)
+                by_head.setdefault(h, []).append(ri)
             self._by_head = by_head
-        return self._by_head[q]
+        return self._by_head.get(q, [])
 
     def strict_heads(self, q: int) -> list[int]:
         return [ri for ri in self.heads(q) if self.is_strict[ri]]
@@ -323,13 +299,13 @@ class _Propagation:
         return [ri for ri in self.heads(q) if self.is_sd[ri]]
 
 
-def derive_all(g: GroundTheory, extra: Iterable[Literal] = ()) -> ConclusionSet:
+def derive_all(g: GroundTheory) -> ConclusionSet:
     """All tagged conclusions derivable from the theory over its base.
 
     Literals whose status is settled neither positively nor negatively at a
     level (circular support, for instance) simply carry no conclusion there.
     """
-    return _Propagation(g, extra).conclusions()
+    return _Propagation(g).conclusions()
 
 
 def prove(g: GroundTheory, c: TaggedConclusion) -> bool:
@@ -356,9 +332,8 @@ def explain(g: GroundTheory, c: TaggedConclusion) -> Derivation:
         needed.add(step)
         stack.extend(_justify(prop, position, step))
     ordered = sorted(needed, key=position.__getitem__)
-    return tuple(
-        TaggedConclusion(_TAGS[code], prop.literals[q]) for code, q in ordered
-    )
+    tags = tuple(Tag)
+    return tuple(TaggedConclusion(tags[code], prop.literals[q]) for code, q in ordered)
 
 
 def _justify(prop: _Propagation, position, step) -> list[tuple[int, int]]:

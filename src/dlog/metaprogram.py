@@ -70,7 +70,6 @@ class Clause(NamedTuple):
 @dataclass(frozen=True)
 class GroundMetaProgram:
     clauses: tuple[Clause, ...]
-    base: frozenset[Literal]
 
     @cached_property
     def clauses_by_head(self) -> dict[MetaAtom, tuple[Clause, ...]]:
@@ -81,10 +80,9 @@ class GroundMetaProgram:
 
     @cached_property
     def atoms(self) -> frozenset[MetaAtom]:
+        # every base literal q has the clause defeasibly(q) :- definitely(q),
+        # so both of its atoms are among the clauses' atoms
         universe: set[MetaAtom] = set()
-        for q in self.base:
-            universe.add(MetaAtom(DEFINITELY, q))
-            universe.add(MetaAtom(DEFEASIBLY, q))
         for c in self.clauses:
             universe.add(c.head)
             universe.update(b.atom for b in c.body)
@@ -160,7 +158,7 @@ def translate(g: GroundTheory) -> GroundMetaProgram:
                         tuple(_pos(DEFEASIBLY, v) for v in t.body),
                     )
                 )
-    return GroundMetaProgram(tuple(clauses), g.herbrand_base)
+    return GroundMetaProgram(tuple(clauses))
 
 
 def _eval_body(body: Iterable[BodyLiteral], i: ThreeValuedInterpretation) -> str:

@@ -237,8 +237,9 @@ def _conj_columns(values: np.ndarray, idx: list[int]) -> np.ndarray:
 
 
 def _model_mask(
-    g: GroundTheory, cap: int, well_formed_only: bool = True
+    g: GroundTheory, cap: Optional[int], well_formed_only: bool = True
 ) -> tuple[list[Literal], np.ndarray, np.ndarray, np.ndarray]:
+    cap = default_cap() if cap is None else cap
     base = sorted(g.herbrand_base, key=str)
     index = {q: i for i, q in enumerate(base)}
     pairs = _WELL_FORMED_PAIRS if well_formed_only else _WELL_FORMED_PAIRS + _EXTRA_PAIRS
@@ -304,7 +305,6 @@ def closure_forces_epistemic(g: GroundTheory, cap: Optional[int] = None) -> bool
     """Enumerate the unrestricted status space (9 pairs per literal), keep
     only interpretations satisfying the four closure conditions, and report
     whether every one of them also satisfies the epistemic conditions."""
-    cap = default_cap() if cap is None else cap
     _, delta, partial, mask = _model_mask(g, cap, well_formed_only=False)
     d, p = delta[mask], partial[mask]
     breach_1 = ((d == 1) & (p != 1)).any()
@@ -313,7 +313,6 @@ def closure_forces_epistemic(g: GroundTheory, cap: Optional[int] = None) -> bool
 
 
 def count_models(g: GroundTheory, cap: Optional[int] = None) -> int:
-    cap = default_cap() if cap is None else cap
     _, _, _, mask = _model_mask(g, cap)
     return int(mask.sum())
 
@@ -321,7 +320,6 @@ def count_models(g: GroundTheory, cap: Optional[int] = None) -> int:
 def logical_consequences(g: GroundTheory, cap: Optional[int] = None) -> ConclusionSet:
     """Conclusions holding in every model: +Δq iff the definite status of q
     is True in all models, and so on for the other three tags."""
-    cap = default_cap() if cap is None else cap
     base, delta, partial, mask = _model_mask(g, cap)
     models_d = delta[mask]
     models_p = partial[mask]

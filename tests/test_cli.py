@@ -2,11 +2,16 @@
 
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from dlog.cli import (
     EXIT_CAP,
+    EXIT_CLOSED_OUTPUT,
     EXIT_INTERNAL,
     EXIT_NOT_DERIVABLE,
     EXIT_OK,
@@ -334,3 +339,24 @@ def test_no_models_is_internal_error(tmp_path, monkeypatch, capsys):
     assert code == EXIT_INTERNAL
     assert out == "models: 0\n"
     assert capsys.readouterr().err == "internal error: theory has no models; the model conditions are broken\n"
+
+
+def test_closed_output_pipe_exits_1(tmp_path):
+    # the answer (about 200 KB) outgrows the 64 KiB pipe buffer, so the
+    # writer is still writing when the reader closes its end after one line
+    chain = tmp_path / "chain.dl"
+    chain.write_text("p0.\n" + "".join(f"r{i}: p{i} -> p{i + 1}.\n" for i in range(5000)))
+    src = pathlib.Path(__file__).parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dlog.cli", "derive", str(chain)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_CLOSED_OUTPUT
+    assert first == b"+D p0\n"
+    assert stderr == b""

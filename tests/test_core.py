@@ -228,8 +228,6 @@ def test_validate_superiority_cycle():
 
 def test_tag_opposites_and_display():
     # [TRIVIAL]
-    assert Tag.PLUS_DELTA.opposite is Tag.MINUS_DELTA
-    assert Tag.MINUS_PARTIAL.opposite is Tag.PLUS_PARTIAL
     assert Tag.PLUS_DELTA.value == "+D"
     assert Tag.PLUS_PARTIAL.display == "+∂"
 

@@ -1,9 +1,11 @@
 """Cross-semantics fuzzing and the chain-theory scaling family."""
 
+import random
+
 import pytest
 
-from dlog import engine
-from dlog.core import RuleKind, Tag, TaggedConclusion, lit, neg, validate
+from dlog import engine, metaprogram
+from dlog.core import RuleKind, Tag, TaggedConclusion, ground, lit, neg, validate
 from dlog.differential import (
     bench_chain,
     chain_theory,
@@ -106,3 +108,61 @@ def test_bench_chain_reports_points():
     assert [p.size for p in pts] == [100, 200]
     assert all(p.seconds >= 0 for p in pts)
     assert all(p.conclusions > 0 for p in pts)
+
+
+def circle_text(rng: random.Random, atoms: int, loops: int) -> str:
+    """Disjoint cycles pa => pb over `atoms` atoms.  A cycle is left alone
+    (its atoms stay undefined; two chances in five), given a fact, given an
+    unconditional attacker of one member, or both."""
+    cuts = sorted(rng.sample(range(1, atoms), loops - 1))
+    names = list(range(atoms))
+    rng.shuffle(names)
+    statements = []
+    for lo, hi in zip([0] + cuts, cuts + [atoms]):
+        ring = names[lo:hi]
+        for j, a in enumerate(ring):
+            statements.append(f"c{a}: p{a} => p{ring[(j + 1) % len(ring)]}.")
+        fact, attacked = rng.choice(
+            [(False, False), (False, False), (True, False), (False, True), (True, True)]
+        )
+        if fact:
+            statements.append(f"p{rng.choice(ring)}.")
+        if attacked:
+            a = rng.choice(ring)
+            statements.append(f"x{a}: => ~p{a}.")
+    return "\n".join(statements)
+
+
+def teams_text(rng: random.Random, nodes: int) -> str:
+    """A 4-ary tree of disputed literals: every qk has two supporting and two
+    attacking rules whose bodies are its children (empty at the leaves); each
+    supporter is superior to each attacker with probability 3/4."""
+    statements = []
+    for k in range(nodes):
+        for j in range(1, 5):
+            child = 4 * k + j
+            body = f"q{child} " if child < nodes else ""
+            head = f"q{k}" if j <= 2 else f"~q{k}"
+            statements.append(f"t{k}_{j}: {body}=> {head}.")
+        statements += [
+            f"t{k}_{s} > t{k}_{a}." for s in (1, 2) for a in (3, 4) if rng.random() < 0.75
+        ]
+    return "\n".join(statements)
+
+
+MID_SIZE = {
+    "chain": lambda rng: chain_theory(rng.randint(120, 140), attack_every=rng.randint(2, 10)),
+    "circle": lambda rng: ground(parse_theory(circle_text(rng, 150, rng.randint(8, 16)))),
+    "teams": lambda rng: ground(parse_theory(teams_text(rng, 37))),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("family", sorted(MID_SIZE))
+def test_engine_matches_metaprogram_mid_size(family, seed):
+    # [DERIVED] the undefined-loop and superiority paths against the
+    # fixpoint oracle on theories of about 150 rules
+    g = MID_SIZE[family](random.Random(seed))
+    validate(g)
+    assert 120 <= len(g.rules) <= 220
+    assert engine.derive_all(g) == metaprogram.conclusions(g)

@@ -1,9 +1,14 @@
 """The conclusion engine: fixpoint results, explanations, derivation replay."""
 
+import gc
+
 import pytest
 
 from dlog.core import (
+    GroundTheory,
     InternalError,
+    Rule,
+    RuleKind,
     Tag,
     TaggedConclusion,
     ground,
@@ -184,3 +189,31 @@ def test_coherence_guard():
         from dlog.core import ConclusionSet
 
         ConclusionSet([c("+d q"), c("-d q"), c("-D q")])
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_gc_state_is_restored(bird, enabled):
+    # the engine pauses the cyclic GC while it builds its indexes; it must
+    # leave it as it found it, also when the build raises (here: a rule head
+    # missing from the hand-built base)
+    broken = GroundTheory(
+        facts=frozenset(),
+        rules=(Rule("r", RuleKind.DEFEASIBLE, (), lit("q")),),
+        superiority=frozenset(),
+        constants=frozenset(),
+        herbrand_base=frozenset({lit("p"), neg("p")}),
+        written_labels=("r",),
+        written_superiority=(),
+    )
+    calls = [lambda g, target: derive_all(g), prove, explain]
+    resume = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for call in calls:
+            call(bird, c("+d flies(tweety)"))
+            assert gc.isenabled() is enabled
+            with pytest.raises(KeyError):
+                call(broken, c("+d p"))
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if resume else gc.disable)()
