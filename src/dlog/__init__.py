@@ -23,7 +23,6 @@ from .core import (
     ValidationError,
     ValidationReport,
     ground,
-    herbrand_base,
     lit,
     neg,
     validate,
@@ -64,7 +63,6 @@ from .modelcheck import (
     enumerate_interpretations,
     is_model,
     logical_consequences,
-    well_formed,
 )
 from .parser import ParseError, parse_conclusion, parse_theory, render_theory
 

@@ -9,6 +9,11 @@ an instance with a body literal that is no fact and no supportive head could
 never apply, so it is not built, and superiority keeps only the pairs whose
 heads conflict.  Neither changes a conclusion or a model (see `ground`).
 
+`GroundTheory.literals` is the one ordered view of the Herbrand base: the
+positive literals in text order, each followed by its complement.  The
+engine indexes it, the model checker and the metaprogram translation iterate
+it, and the command line renders from it, so the base is sorted only there.
+
 `Atom`, `Literal` and `TaggedConclusion` are named tuples, so equality and
 hashing are those of the tuple of their fields: an instance also equals a
 plain tuple of its field values, and it can be iterated and unpacked.
@@ -18,6 +23,7 @@ The same holds for `metaprogram.MetaAtom`, `BodyLiteral` and `Clause`.
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -187,6 +193,21 @@ class GroundTheory:
         for r in self.rules:
             index.setdefault(r.head, []).append(r)
         return {h: tuple(rs) for h, rs in index.items()}
+
+    @cached_property
+    def literals(self) -> tuple[Literal, ...]:
+        """The base as a table of complement pairs: the positive literals
+        sorted by text, each followed by its complement, so `literals[i ^ 1]`
+        is the complement of `literals[i]`.
+
+        `literals[0::2] + literals[1::2]` is the base in text order when every
+        predicate starts with a lowercase ASCII letter, as the parser
+        requires: `~` sorts after all of them.
+        """
+        table: list[Literal] = []
+        for positive in sorted((l for l in self.herbrand_base if l.positive), key=str):
+            table += (positive, positive.complement())
+        return tuple(table)
 
     def rules_for(self, kinds: Iterable[RuleKind], head: Optional[Literal] = None) -> tuple[Rule, ...]:
         """Select rules by kind and (optionally) head literal.
@@ -376,23 +397,6 @@ def _build_base(theory: SourceTheory, constants: list[str]) -> frozenset[Literal
     )
 
 
-def herbrand_base(g: GroundTheory, extra: Iterable[Literal] = ()) -> frozenset[Literal]:
-    """The theory's base, optionally extended with further ground literals.
-
-    The result is closed under complement and contains every literal occurring
-    in the theory's facts, bodies, and heads.
-    """
-    base = g.herbrand_base
-    new: set[Literal] = set()
-    for literal in extra:
-        if not literal.is_ground():
-            raise GroundingError(f"extra literal {literal} is not ground")
-        if literal not in base:
-            new.add(literal)
-            new.add(literal.complement())
-    return base | new if new else base
-
-
 @dataclass
 class ValidationReport:
     errors: list[str] = field(default_factory=list)
@@ -425,19 +429,22 @@ def validate(g: GroundTheory, allow_cyclic_superiority: bool = False) -> Validat
         declared.add(label)
     # an instance label is its schema's label, or that label, "#" and the bindings
     effective = {(hi.partition("#")[0], lo.partition("#")[0]) for hi, lo in g.superiority}
-    edges: dict[str, list[str]] = {}
+    graph = graphlib.TopologicalSorter()
     for hi, lo in sorted(set(g.written_superiority)):
         undeclared = [l for l in (hi, lo) if l not in declared]
         for l in undeclared:
             report.errors.append(f"superiority references undeclared label {l}")
-        edges.setdefault(hi, []).append(lo)
+        graph.add(hi, lo)
         if not undeclared and (hi, lo) not in effective:
             report.warnings.append(
                 f"superiority {hi} > {lo} relates no instances with conflicting heads"
             )
-    cycle = _find_cycle(edges)
-    if cycle is not None:
-        message = "superiority cycle: " + " > ".join(cycle)
+    try:
+        graph.prepare()
+    except graphlib.CycleError as e:
+        # the cycle comes as a list in which each label precedes the next,
+        # that is, each is inferior to the next
+        message = "superiority cycle: " + " > ".join(reversed(e.args[1]))
         if allow_cyclic_superiority:
             report.warnings.append(message)
         else:
@@ -445,39 +452,6 @@ def validate(g: GroundTheory, allow_cyclic_superiority: bool = False) -> Validat
     if report.errors:
         raise ValidationError(report)
     return report
-
-
-def _find_cycle(edges: dict[str, list[str]]) -> Optional[list[str]]:
-    WHITE, GREY, BLACK = 0, 1, 2
-    color: dict[str, int] = {}
-    parent: dict[str, str] = {}
-    for start in edges:
-        if color.get(start, WHITE) != WHITE:
-            continue
-        stack = [(start, iter(edges.get(start, ())))]
-        color[start] = GREY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                c = color.get(nxt, WHITE)
-                if c == GREY:
-                    # walk parents back to nxt to report the cycle
-                    cycle = [node]
-                    while cycle[-1] != nxt:
-                        cycle.append(parent[cycle[-1]])
-                    cycle.reverse()
-                    return cycle + [nxt]
-                if c == WHITE:
-                    color[nxt] = GREY
-                    parent[nxt] = node
-                    stack.append((nxt, iter(edges.get(nxt, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return None
 
 
 class Tag(Enum):

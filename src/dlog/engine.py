@@ -21,13 +21,13 @@ from typing import Iterable, Optional
 from .core import (
     ConclusionSet,
     GroundTheory,
+    GroundingError,
     InternalError,
     Literal,
     Rule,
     RuleKind,
     Tag,
     TaggedConclusion,
-    herbrand_base,
 )
 
 _PD, _MD, _Pd, _Md = 0, 1, 2, 3
@@ -59,7 +59,7 @@ class CheckResult:
 class _Propagation:
     """One worklist run over a ground theory.  Holds the interned state."""
 
-    def __init__(self, g: GroundTheory, extra: Iterable[Literal] = ()):
+    def __init__(self, g: GroundTheory, query: Optional[Literal] = None):
         # the build allocates a list per rule and per body literal, and each
         # cyclic-GC collection rescans everything live: with the GC on, a
         # 100k-rule chain took 3.0-3.5x as long as a 50k one, about 2x with
@@ -67,21 +67,22 @@ class _Propagation:
         resume_gc = gc.isenabled()
         gc.disable()
         try:
-            self._build(g, extra)
+            self._build(g, query)
         finally:
             if resume_gc:
                 gc.enable()
 
-    def _build(self, g: GroundTheory, extra: Iterable[Literal]) -> None:
-        base = herbrand_base(g, extra)
-        # literals are stored in complement pairs (positive at even indices)
-        # so the complement map is index arithmetic rather than hashing
-        self.literals: list[Literal] = []
-        for positive in sorted((l for l in base if l.positive), key=str):
-            self.literals.append(positive)
-            self.literals.append(positive.complement())
-        self.index = {l: i for i, l in enumerate(self.literals)}
-        n = len(self.literals)
+    def _build(self, g: GroundTheory, query: Optional[Literal]) -> None:
+        literals = g.literals
+        if query is not None:
+            if not query.is_ground():
+                raise GroundingError(f"queried literal {query} is not ground")
+            if query not in g.herbrand_base:  # one more pair, after the table
+                positive = Literal(True, query.atom)
+                literals += (positive, positive.complement())
+        self.literals = literals
+        self.index = {l: i for i, l in enumerate(literals)}
+        n = len(literals)
         self.fact = [False] * n
         for f in g.facts:
             self.fact[self.index[f]] = True
@@ -311,14 +312,14 @@ def derive_all(g: GroundTheory) -> ConclusionSet:
 def prove(g: GroundTheory, c: TaggedConclusion) -> bool:
     """Whether the conclusion is derivable; the base is extended with the
     queried literal if it is not already covered."""
-    return _Propagation(g, (c.literal,)).holds(c)
+    return _Propagation(g, c.literal).holds(c)
 
 
 def explain(g: GroundTheory, c: TaggedConclusion) -> Derivation:
     """A derivation ending with `c`, built by backward-slicing the worklist
     run to the justification cone of `c`.  Effort-minimal, not length-minimal;
     always passes `check_derivation`."""
-    prop = _Propagation(g, (c.literal,))
+    prop = _Propagation(g, c.literal)
     if not prop.holds(c):
         raise NoDerivationError(f"{c} is not derivable")
     position = {(s & 3, s >> 2): i for i, s in enumerate(prop.order)}

@@ -128,7 +128,7 @@ def translate(g: GroundTheory) -> GroundMetaProgram:
                     tuple(_pos(DEFINITELY, a) for a in r.body),
                 )
             )
-    for q in sorted(g.herbrand_base, key=str):
+    for q in g.literals:
         clauses.append(Clause(MetaAtom(DEFEASIBLY, q), (_pos(DEFINITELY, q),)))
     for r in g.rules_for(SUPPORTIVE):
         q = r.head

@@ -97,17 +97,6 @@ class DefeasibleInterpretation:
     partial: dict[Literal, ThreeVal]
 
 
-def well_formed(m: DefeasibleInterpretation) -> bool:
-    """Both epistemic conditions: known implies believed, disbelieved implies
-    not known."""
-    for q in m.base:
-        if m.delta[q] is _T and m.partial[q] is not _T:
-            return False
-        if m.partial[q] is _F and m.delta[q] is not _F:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class ModelReport:
     violations: tuple[tuple[str, Literal, str], ...]  # (condition, literal, direction)
@@ -138,7 +127,7 @@ def is_model(g: GroundTheory, m: DefeasibleInterpretation) -> ModelReport:
         elif status and not rhs:
             violations.append((condition, q, "only-if"))
 
-    for q in sorted(m.base, key=str):
+    for q in g.literals:
         comp = q.complement()
         strict = g.rules_for({RuleKind.STRICT}, q)
         sd = g.rules_for({RuleKind.STRICT, RuleKind.DEFEASIBLE}, q)
@@ -208,7 +197,7 @@ def enumerate_interpretations(
     """Yield every interpretation over the base exactly once, using the 6
     epistemically admissible status pairs per literal."""
     cap = default_cap() if cap is None else cap
-    base = sorted(g.herbrand_base, key=str)
+    base = g.literals
     required = len(_WELL_FORMED_PAIRS) ** len(base)
     if required > cap:
         raise CapExceededError(required, cap)
@@ -238,9 +227,9 @@ def _conj_columns(values: np.ndarray, idx: list[int]) -> np.ndarray:
 
 def _model_mask(
     g: GroundTheory, cap: Optional[int], well_formed_only: bool = True
-) -> tuple[list[Literal], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[tuple[Literal, ...], np.ndarray, np.ndarray, np.ndarray]:
     cap = default_cap() if cap is None else cap
-    base = sorted(g.herbrand_base, key=str)
+    base = g.literals
     index = {q: i for i, q in enumerate(base)}
     pairs = _WELL_FORMED_PAIRS if well_formed_only else _WELL_FORMED_PAIRS + _EXTRA_PAIRS
     width = len(pairs)
@@ -261,12 +250,11 @@ def _model_mask(
     sup = g.superiority
     mask = np.ones(n, dtype=bool)
     for j, q in enumerate(base):
-        comp = index[q.complement()]
         strict = g.rules_for({RuleKind.STRICT}, q)
         sd = g.rules_for({RuleKind.STRICT, RuleKind.DEFEASIBLE}, q)
-        attackers = g.rules_for(RuleKind, q.complement())
+        attackers = g.rules_for(RuleKind, base[j ^ 1])
         dq, pq = delta[:, j], partial[:, j]
-        dcomp = delta[:, comp]
+        dcomp = delta[:, j ^ 1]
 
         rhs = np.zeros(n, dtype=bool) if q not in g.facts else np.ones(n, dtype=bool)
         for r in strict:

@@ -18,6 +18,8 @@ from dlog.cli import (
     EXIT_PARSE,
     main,
 )
+from dlog.core import Tag, ground
+from dlog.engine import derive_all
 from dlog.parser import parse_theory
 from test_grounding import naive_ground
 
@@ -133,6 +135,40 @@ def test_derive_text_golden(bird_path, tmp_path):
     f = tmp_path / "loop.dl"
     f.write_text("r: p => p.\n")
     assert run(["derive", str(f)]) == (EXIT_OK, LOOP_DERIVE)
+
+
+NAMES = """
+p_1(a_b,c2).  pA(c2,aB).  p(x).
+r_1: p_1(X,Y) => q(Y,X).
+rB: pA(X,Y) => ~q(Y,X).
+r2: q(X,Y) -> p_1(Y,X).
+r3: p(X) => p2(X).
+loop: wA_b(X) => wA_b(X).
+"""
+
+
+def test_derive_lists_literals_in_text_order(tmp_path):
+    # `_`, digits and inner capitals sort by character code, not as written
+    f = tmp_path / "names.dl"
+    f.write_text(NAMES)
+    g = ground(parse_theory(NAMES))
+    cs = derive_all(g)
+    listed = [(tag.value, str(l)) for tag in Tag for l in sorted(cs.with_tag(tag), key=str)]
+    undefined = [str(l) for l in sorted(g.herbrand_base, key=str) if cs.undefined_levels(l)]
+    assert all(len(cs.with_tag(tag)) > 1 for tag in Tag) and len(undefined) > 1
+
+    code, out = run(["derive", str(f)])
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[:len(listed)] == [f"{tag} {l}" for tag, l in listed]
+    assert lines[len(listed)] == "undefined:"
+    assert [line.split()[0] for line in lines[len(listed) + 1:]] == undefined
+
+    code, out = run(["derive", "--json", str(f)])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["conclusions"] == [{"tag": tag, "literal": l} for tag, l in listed]
+    assert [u["literal"] for u in doc["undefined"]] == undefined
 
 
 def test_derive_json(bird_path):
@@ -360,3 +396,30 @@ def test_closed_output_pipe_exits_1(tmp_path):
     assert proc.wait(timeout=60) == EXIT_CLOSED_OUTPUT
     assert first == b"+D p0\n"
     assert stderr == b""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_output_pipe_leaks_no_descriptor(bird_path):
+    # stdout is a pipe whose reader is already gone; main must leave the
+    # process with the descriptors it had before the call
+    script = (
+        "import json, os, sys\n"
+        "from dlog.cli import main\n"
+        "r, w = os.pipe()\n"
+        "os.close(r)\n"
+        "os.dup2(w, sys.stdout.fileno())\n"
+        "os.close(w)\n"
+        "before = set(os.listdir('/proc/self/fd'))\n"
+        "code = main(['derive', sys.argv[1]])\n"
+        "after = set(os.listdir('/proc/self/fd'))\n"
+        "json.dump([code, sorted(after - before)], sys.stderr)\n"
+    )
+    src = pathlib.Path(__file__).parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(bird_path)],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr) == [EXIT_CLOSED_OUTPUT, []]

@@ -17,7 +17,6 @@ from dlog.core import (
     TaggedConclusion,
     ValidationError,
     ground,
-    herbrand_base,
     lit,
     neg,
     validate,
@@ -125,10 +124,6 @@ def test_herbrand_base_closed_under_complement():
     g = ground(parse_theory(BIRD))
     for q in g.herbrand_base:
         assert q.complement() in g.herbrand_base
-    extended = herbrand_base(g, (lit("flies", "ethel"),))
-    assert extended == g.herbrand_base  # already covered
-    extra = herbrand_base(g, (lit("newpred"),))
-    assert lit("newpred") in extra and neg("newpred") in extra
 
 
 FIRST_ORDER = """
@@ -162,6 +157,21 @@ def test_herbrand_base_matches_reference(text):
     assert naive.herbrand_base == reference_base(naive)
     # relevance grounding keeps the base of the naive grounding
     assert ground(parse_theory(text)).herbrand_base == naive.herbrand_base
+
+
+@pytest.mark.parametrize(
+    "text", [BIRD, FIRST_ORDER, PROPOSITIONAL, ""], ids=["bird", "first-order", "propositional", "empty"]
+)
+def test_literal_table(text):
+    g = ground(parse_theory(text))
+    table = g.literals
+    assert set(table) == g.herbrand_base
+    assert len(table) == len(g.herbrand_base)  # no duplicates
+    for i, q in enumerate(table):
+        assert q.positive == (i % 2 == 0)
+        assert table[i ^ 1] == q.complement()
+    assert table[0::2] + table[1::2] == tuple(sorted(g.herbrand_base, key=str))
+    assert g.literals is table  # built once
 
 
 def test_validate_ok_with_warning_on_nonconflicting_pairs():
@@ -224,6 +234,20 @@ def test_validate_superiority_cycle():
         validate(ground(t))
     report = validate(ground(t), allow_cyclic_superiority=True)
     assert any("cycle" in w for w in report.warnings)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a: => p. b: => ~p. c: => p. a > b. b > c. c > a.", "superiority cycle: a > b > c > a"),
+        ("a: => p. b: => ~p. a > a. a > b.", "superiority cycle: a > a"),
+    ],
+    ids=["3-cycle", "self-loop"],
+)
+def test_validate_superiority_cycle_message(text, message):
+    with pytest.raises(ValidationError) as raised:
+        validate(ground(parse_theory(text)))
+    assert raised.value.report.errors == [message]
 
 
 def test_tag_opposites_and_display():

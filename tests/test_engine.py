@@ -6,6 +6,7 @@ import pytest
 
 from dlog.core import (
     GroundTheory,
+    GroundingError,
     InternalError,
     Rule,
     RuleKind,
@@ -133,11 +134,25 @@ def test_prove_matches_derive_all(bird):
     assert not prove(bird, c("+d ~flies(ethel)"))
 
 
-def test_prove_extends_base():
+def test_prove_extends_base(bird):
     g = ground(parse_theory("p."))
     # zebra is not in the theory's base; the query adds it
     assert prove(g, c("-D zebra"))
     assert prove(g, c("-d zebra"))
+    # the same for a literal outside the bird base, of either sign
+    for text in ("-D newpred", "-d newpred", "-D ~newpred", "-d ~newpred"):
+        target = c(text)
+        assert prove(bird, target)
+        d = explain(bird, target)
+        assert d[-1] == target
+        assert check_derivation(bird, d)
+    assert not prove(bird, c("+d newpred"))
+    with pytest.raises(NoDerivationError):
+        explain(bird, c("+d newpred"))
+    assert lit("newpred") not in bird.literals  # the table is left as it was
+    for query in (prove, explain):
+        with pytest.raises(GroundingError):
+            query(bird, TaggedConclusion(Tag.MINUS_DELTA, lit("flies", "X")))
 
 
 def test_explain_produces_replayable_derivations(bird):

@@ -16,7 +16,6 @@ from dlog.modelcheck import (
     enumerate_interpretations,
     is_model,
     logical_consequences,
-    well_formed,
 )
 from dlog.parser import parse_conclusion as c
 from dlog.parser import parse_theory
@@ -38,14 +37,20 @@ def test_conj_value():
 
 
 def test_well_formed():
-    base = frozenset({lit("p"), neg("p")})
+    # is_model checks both epistemic conditions
+    theory = g("p.")
+    base = theory.herbrand_base
     good = DefeasibleInterpretation(base, {lit("p"): T, neg("p"): F},
                                     {lit("p"): T, neg("p"): F})
-    assert well_formed(good)
+    assert is_model(theory, good).is_model
     # known definitely but not believed defeasibly
     bad = DefeasibleInterpretation(base, {lit("p"): T, neg("p"): F},
                                    {lit("p"): U, neg("p"): F})
-    assert not well_formed(bad)
+    assert ("epistemic-1", lit("p"), "if") in is_model(theory, bad).violations
+    # disbelieved defeasibly but not refuted definitely
+    bad = DefeasibleInterpretation(base, {lit("p"): T, neg("p"): U},
+                                   {lit("p"): T, neg("p"): F})
+    assert ("epistemic-2", neg("p"), "if") in is_model(theory, bad).violations
 
 
 def test_is_model_requires_matching_base():
