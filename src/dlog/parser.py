@@ -13,13 +13,18 @@ Concrete syntax (`.dl` files):
 lowercase letter and variables with an uppercase one.  Labels are optional;
 unlabeled rules get generated labels `_r1`, `_r2`, ... in file order.
 
-A token is a `(text, offset)` pair and its text is its kind.  The line and
-column of a `ParseError` are worked out from the offending token's offset
-only when the error is raised.
+Lexing is one `findall`: each token is a plain string, which is also its
+kind, and the end of input is the empty string.  The parser keeps no
+offsets.  The line and column of a `ParseError` are worked out only when one
+is raised, by lexing the text again up to the offending token.  A character
+no token starts with lexes as a token of its own that the parser never
+accepts; it is reported before any other error, as if the text had been
+checked for such characters first.  Equal literals are one object per parse.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .core import (
@@ -30,6 +35,7 @@ from .core import (
     Tag,
     TaggedConclusion,
     ARROWS,
+    gc_paused,
 )
 
 
@@ -42,136 +48,135 @@ class ParseError(Exception):
         self.token = token
 
 
-# group 1 is a token, group 2 a character no token starts with; whitespace
-# and comments match neither
-_TOKEN_RE = re.compile(r"\s+|%[^\n]*|([-=~]>|[~().,:>]|[A-Za-z]\w*)|(.)")
+_TOKEN = r"[-=~]>|[~().,:>]|[A-Za-z]\w*"
+# group 1 is a token, a character no token starts with, or the end of input;
+# the whitespace and comments before it are skipped
+_TOKEN_RE = re.compile(rf"\s*(?:%[^\n]*\s*)*({_TOKEN}|.|\Z)")
+_WELL_FORMED = re.compile(_TOKEN)
 
 _ARROW_KIND = {arrow: kind for kind, arrow in ARROWS.items()}
-
-
-def _is_name(text: str) -> bool:
-    return text[:1].islower()
-
-
-def _is_term(text: str) -> bool:
-    return text[:1].isalpha()
-
-
-def _location(text: str, offset: int) -> tuple[int, int]:
-    """1-based line and column of `offset` in `text`."""
-    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
-
-
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        token, bad = m.groups()
-        if bad:
-            raise ParseError(f"unexpected character {bad!r}", *_location(text, m.start()), bad)
-        if token:
-            tokens.append((token, m.start()))
-    tokens.append(("", len(text)))  # end of input
-    return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _TOKEN_RE.findall(text)  # the last is '', the end of input
         self.pos = 0
-        self.arities: dict[str, tuple[int, int]] = {}  # arity, offset of first use
+        self.interned: dict[tuple, Literal] = {}  # (positive, name, args) -> literal
+        self.arities: dict[str, tuple[int, int]] = {}  # arity, token index of first use
         self.auto_label = 0
 
-    def peek(self, ahead: int = 0) -> str:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)][0]
+    def where(self, index: int) -> tuple[int, int]:
+        """1-based line and column of token `index`, by lexing the text again."""
+        offset = next(itertools.islice(_TOKEN_RE.finditer(self.text), index, None)).start(1)
+        return self.text.count("\n", 0, offset) + 1, offset - self.text.rfind("\n", 0, offset)
 
-    def expect(self, what: str, accept) -> tuple[str, int]:
-        """Consume the next token, failing unless `accept(text)` holds; no
-        `accept` holds for the end of input."""
-        tok = self.tokens[self.pos]
-        if not accept(tok[0]):
-            self.fail(f"expected {what}, found {tok[0] or 'end of input'!r}", tok)
-        self.pos += 1
-        return tok
+    def fail(self, index: int, message: str):
+        """Raise a located ParseError at token `index`, or at the first
+        character no token starts with, wherever it is."""
+        tokens = self.tokens
+        bad = next((i for i, t in enumerate(tokens) if t and not _WELL_FORMED.match(t)), None)
+        if bad is not None:
+            index, message = bad, f"unexpected character {tokens[bad]!r}"
+        raise ParseError(message, *self.where(index), tokens[index])
 
-    def fail(self, message: str, tok: tuple[str, int]):
-        raise ParseError(message, *_location(self.text, tok[1]), tok[0])
+    def expected(self, index: int, what: str):
+        self.fail(index, f"expected {what}, found {self.tokens[index] or 'end of input'!r}")
 
     def theory(self) -> SourceTheory:
         facts: list[Literal] = []
         rules: list[Rule] = []
         sup: list[tuple[str, str]] = []
-        while self.peek():
-            self.statement(facts, rules, sup)
+        tokens = self.tokens
+        while tokens[self.pos]:
+            start = self.pos
+            first, second = tokens[start], tokens[start + 1]
+            label = None
+            if "a" <= first < "{" and second == ">":
+                lo = tokens[start + 2]
+                if not "a" <= lo < "{":
+                    self.expected(start + 2, "a rule label")
+                if tokens[start + 3] != ".":
+                    self.expected(start + 3, "'.'")
+                self.pos = start + 4
+                sup.append((first, lo))
+                continue
+            if "a" <= first < "{" and second == ":":
+                label = first
+                self.pos = start + 2
+                body = [] if tokens[self.pos] in _ARROW_KIND else self.body()
+            else:
+                body = [] if first in _ARROW_KIND else self.body()
+                if len(body) == 1 and tokens[self.pos] == ".":
+                    self.pos += 1
+                    if not body[0].is_ground():
+                        self.fail(start, f"fact {body[0]} contains a variable")
+                    facts.append(body[0])
+                    continue
+            rules.append(self.rule_tail(label, body))
         return SourceTheory(tuple(facts), tuple(rules), tuple(sup))
 
-    def statement(self, facts, rules, sup):
-        start = self.tokens[self.pos]
-        text = start[0]
-        if text in _ARROW_KIND:
-            rules.append(self.rule_tail(None, []))
-            return
-        if _is_name(text) and self.peek(1) == ":":
-            self.pos += 2
-            body = [] if self.peek() in _ARROW_KIND else self.sequence(self.literal)
-            rules.append(self.rule_tail(text, body))
-            return
-        if _is_name(text) and self.peek(1) == ">":
-            self.pos += 2
-            lo = self.expect("a rule label", _is_name)[0]
-            self.expect("'.'", ".".__eq__)
-            sup.append((text, lo))
-            return
-        body = self.sequence(self.literal)
-        if len(body) == 1 and self.peek() == ".":
+    def body(self) -> list[Literal]:
+        """One or more comma-separated literals."""
+        body = [self.literal()]
+        while self.tokens[self.pos] == ",":
             self.pos += 1
-            if not body[0].is_ground():
-                self.fail(f"fact {body[0]} contains a variable", start)
-            facts.append(body[0])
-            return
-        rules.append(self.rule_tail(None, body))
+            body.append(self.literal())
+        return body
 
     def rule_tail(self, label, body) -> Rule:
-        arrow = self.expect("an arrow ('->', '=>' or '~>')", _ARROW_KIND.__contains__)[0]
+        tokens = self.tokens
+        kind = _ARROW_KIND.get(tokens[self.pos])
+        if kind is None:
+            self.expected(self.pos, "an arrow ('->', '=>' or '~>')")
+        self.pos += 1
         head = self.literal()
-        self.expect("'.'", ".".__eq__)
+        if tokens[self.pos] != ".":
+            self.expected(self.pos, "'.'")
+        self.pos += 1
         if label is None:
             self.auto_label += 1
             label = f"_r{self.auto_label}"
-        return Rule(label, _ARROW_KIND[arrow], tuple(body), head)
-
-    def sequence(self, item) -> list:
-        """One or more comma-separated `item()`s."""
-        out = [item()]
-        while self.peek() == ",":
-            self.pos += 1
-            out.append(item())
-        return out
+        return Rule(label, kind, tuple(body), head)
 
     def literal(self) -> Literal:
-        positive = self.peek() != "~"
+        """`[~]name` or `[~]name(term, ...)`.  The arity of a name is checked
+        when a literal is first seen, which a clash always is."""
+        tokens, pos = self.tokens, self.pos
+        positive = tokens[pos] != "~"
         if not positive:
-            self.pos += 1
-        return Literal(positive, self.atom())
+            pos += 1
+        name_at, name = pos, tokens[pos]
+        if not "a" <= name < "{":  # a lowercase ASCII letter first
+            self.expected(pos, "a predicate name")
+        pos += 1
+        args: tuple[str, ...] = ()
+        if tokens[pos] == "(":
+            terms = []
+            while not terms or tokens[pos] == ",":
+                pos += 1
+                term = tokens[pos]
+                if not ("a" <= term < "{" or "A" <= term < "["):
+                    self.expected(pos, "a term")
+                terms.append(term)
+                pos += 1
+            if tokens[pos] != ")":
+                self.expected(pos, "')'")
+            pos += 1
+            args = tuple(terms)
+        self.pos = pos
+        key = (positive, name, args)
+        literal = self.interned.get(key)
+        if literal is None:
+            arity, first = self.arities.setdefault(name, (len(args), name_at))
+            if arity != len(args):
+                line, column = self.where(first)
+                self.fail(name_at, f"arity clash for {name}: {len(args)} here, {arity} at {line}:{column}")
+            literal = self.interned[key] = Literal(positive, Atom(name, args))
+        return literal
 
-    def atom(self) -> Atom:
-        tok = self.expect("a predicate name", _is_name)
-        name = tok[0]
-        args: list[str] = []
-        if self.peek() == "(":
-            self.pos += 1
-            args = self.sequence(self.term)
-            self.expect("')'", ")".__eq__)
-        arity, first = self.arities.setdefault(name, (len(args), tok[1]))
-        if arity != len(args):
-            line, column = _location(self.text, first)
-            self.fail(f"arity clash for {name}: {len(args)} here, {arity} at {line}:{column}", tok)
-        return Atom(name, tuple(args))
 
-    def term(self) -> str:
-        return self.expect("a term", _is_term)[0]
-
-
+@gc_paused
 def parse_theory(text: str) -> SourceTheory:
     """Parse a `.dl` document.  Malformed input raises a located ParseError."""
     return _Parser(text).theory()
@@ -188,9 +193,8 @@ def parse_conclusion(text: str) -> TaggedConclusion:
     tag = _TAGS[stripped[:2]]
     p = _Parser(stripped[2:])
     literal = p.literal()
-    trailing = p.tokens[p.pos]
-    if trailing[0]:
-        p.fail(f"unexpected {trailing[0]!r} after literal", trailing)
+    if p.tokens[p.pos]:
+        p.fail(p.pos, f"unexpected {p.tokens[p.pos]!r} after literal")
     if not literal.is_ground():
         raise ParseError(f"conclusion literal {literal} is not ground", 1, 3, str(literal))
     return TaggedConclusion(tag, literal)

@@ -23,7 +23,7 @@ from dlog.engine import (
     explain,
     prove,
 )
-from dlog.parser import parse_conclusion, parse_theory
+from dlog.parser import ParseError, parse_conclusion, parse_theory
 
 
 def conclude(text: str):
@@ -229,6 +229,31 @@ def test_gc_state_is_restored(bird, enabled):
             assert gc.isenabled() is enabled
             with pytest.raises(KeyError):
                 call(broken, c("+d p"))
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if resume else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_front_end_restores_gc_state(bird_text, enabled):
+    # parse_theory and ground pause the cyclic GC too; each must leave it as
+    # it found it, also when it raises
+    calls = [
+        (lambda: parse_theory(bird_text), None),
+        (lambda: parse_theory("p(a).\nr: p(X,Y) => q."), ParseError),
+        (lambda: parse_theory("p _ q."), ParseError),
+        (lambda: ground(parse_theory(bird_text)), None),
+        (lambda: ground(parse_theory("r: p(X) => q(X).")), GroundingError),
+    ]
+    resume = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for call, error in calls:
+            if error is None:
+                call()
+            else:
+                with pytest.raises(error):
+                    call()
             assert gc.isenabled() is enabled
     finally:
         (gc.enable if resume else gc.disable)()

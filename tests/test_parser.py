@@ -10,6 +10,7 @@ from dlog.parser import (
     parse_theory,
     render_theory,
 )
+from test_grounding import random_first_order_theory
 
 
 def test_parse_bird_fixture(bird_text):
@@ -95,6 +96,98 @@ def test_error_locations(parse, text, message, line, column, token):
     assert str(e) == f"{line}:{column}: {message}"
 
 
+
+# Every distinct ParseError message, with the position and token it is
+# reported at.  Recorded from the earlier parser, which lexed the whole text
+# into (text, offset) pairs before parsing: an unexpected character anywhere
+# is reported before any other error, and a conclusion is located within the
+# text after its tag.
+GOLDEN_ERRORS = [
+    pytest.param(parse_theory, 'p.\nr: a & b => c.\n',
+                 "unexpected character '&'", 2, 6, '&', id='char-ampersand'),
+    pytest.param(parse_theory, 'p.\nr: ré => q ü.\n',
+                 "unexpected character 'ü'", 2, 12, 'ü', id='char-non-ascii'),
+    pytest.param(parse_theory, 'p.\n  é(a).\n',
+                 "unexpected character 'é'", 2, 3, 'é', id='char-non-ascii-start'),
+    pytest.param(parse_theory, 'p(a).\n_q(a).\n',
+                 "unexpected character '_'", 2, 1, '_', id='char-underscore'),
+    pytest.param(parse_theory, 'p(1).\n',
+                 "unexpected character '1'", 1, 3, '1', id='char-digit'),
+    pytest.param(parse_theory, 'p - q.\n',
+                 "unexpected character '-'", 1, 3, '-', id='char-lone-minus'),
+    pytest.param(parse_theory, 'a = b.\n',
+                 "unexpected character '='", 1, 3, '=', id='char-lone-equals'),
+    pytest.param(parse_theory, 'p => .\nq => r 7.\n',
+                 "unexpected character '7'", 2, 8, '7', id='char-after-structural-error'),
+    pytest.param(parse_theory, '? p.',
+                 "unexpected character '?'", 1, 1, '?', id='char-first-line'),
+    pytest.param(parse_theory, 'a > b.\nc > .\n',
+                 "expected a rule label, found '.'", 2, 5, '.', id='label-found'),
+    pytest.param(parse_theory, 'a >',
+                 "expected a rule label, found 'end of input'", 1, 4, '', id='label-end'),
+    pytest.param(parse_theory, 'p.\nq.\nr: s => t u.\n',
+                 "expected '.', found 'u'", 3, 11, 'u', id='dot-found'),
+    pytest.param(parse_theory, 'p => q',
+                 "expected '.', found 'end of input'", 1, 7, '', id='dot-end'),
+    pytest.param(parse_theory, 'a > b c.\n',
+                 "expected '.', found 'c'", 1, 7, 'c', id='dot-superiority'),
+    pytest.param(parse_theory, 'p q.\n',
+                 "expected an arrow ('->', '=>' or '~>'), found 'q'", 1, 3, 'q', id='arrow-found'),
+    pytest.param(parse_theory, 'p, q',
+                 "expected an arrow ('->', '=>' or '~>'), found 'end of input'", 1, 5, '', id='arrow-end'),
+    pytest.param(parse_theory, 'r: p, q.\n',
+                 "expected an arrow ('->', '=>' or '~>'), found '.'", 1, 8, '.', id='arrow-after-label'),
+    pytest.param(parse_theory, 'p. % note\nq => .\n',
+                 "expected a predicate name, found '.'", 2, 6, '.', id='name-found'),
+    pytest.param(parse_theory, 'p.\n q =>',
+                 "expected a predicate name, found 'end of input'", 2, 6, '', id='name-end'),
+    pytest.param(parse_theory, 'r: P => q.\n',
+                 "expected a predicate name, found 'P'", 1, 4, 'P', id='name-uppercase'),
+    pytest.param(parse_theory, '~(a).\n',
+                 "expected a predicate name, found '('", 1, 2, '(', id='name-after-negation'),
+    pytest.param(parse_theory, 'p(a b).\n',
+                 "expected ')', found 'b'", 1, 5, 'b', id='paren-found'),
+    pytest.param(parse_theory, 'p(a',
+                 "expected ')', found 'end of input'", 1, 4, '', id='paren-end'),
+    pytest.param(parse_theory, 'p(,).\n',
+                 "expected a term, found ','", 1, 3, ',', id='term-found'),
+    pytest.param(parse_theory, 'p(',
+                 "expected a term, found 'end of input'", 1, 3, '', id='term-end'),
+    pytest.param(parse_theory, 'q.\n  p(a).\nr: p(X,Y) => s.\n',
+                 'arity clash for p: 2 here, 1 at 2:3', 3, 4, 'p', id='arity-clash'),
+    pytest.param(parse_theory, 'p.\nr: q => ~p(a).\n',
+                 'arity clash for p: 1 here, 0 at 1:1', 2, 10, 'p', id='arity-clash-zero'),
+    pytest.param(parse_theory, 'r: ~p(X) => q.\ns: p => q.\n',
+                 'arity clash for p: 0 here, 1 at 1:5', 2, 4, 'p', id='arity-clash-negated-first'),
+    pytest.param(parse_theory, 'p(a).\n  p(X).\n',
+                 'fact p(X) contains a variable', 2, 3, 'p', id='fact-variable'),
+    pytest.param(parse_theory, 'q.\n~p(a,Y).\n',
+                 'fact ~p(a,Y) contains a variable', 2, 1, '~', id='fact-variable-negated'),
+    pytest.param(parse_conclusion, '+d p(a) q',
+                 "unexpected 'q' after literal", 1, 7, 'q', id='conclusion-trailing'),
+    pytest.param(parse_conclusion, '*D p',
+                 "unknown tag in '*D p' (expected +D, -D, +d or -d)", 1, 1, '*D', id='conclusion-unknown-tag'),
+    pytest.param(parse_conclusion, ' +',
+                 "unknown tag in '+' (expected +D, -D, +d or -d)", 1, 1, '+', id='conclusion-short-tag'),
+    pytest.param(parse_conclusion, '-D ~p(a,X)',
+                 'conclusion literal ~p(a,X) is not ground', 1, 3, '~p(a,X)', id='conclusion-not-ground'),
+    pytest.param(parse_conclusion, '+d p(é)',
+                 "unexpected character 'é'", 1, 4, 'é', id='conclusion-bad-char'),
+    pytest.param(parse_conclusion, '+d (a)',
+                 "expected a predicate name, found '('", 1, 2, '(', id='conclusion-name'),
+    pytest.param(parse_conclusion, '+d ~',
+                 "expected a predicate name, found 'end of input'", 1, 3, '', id='conclusion-end'),
+]
+
+
+@pytest.mark.parametrize("parse, text, message, line, column, token", GOLDEN_ERRORS)
+def test_parse_error_golden(parse, text, message, line, column, token):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    e = info.value
+    assert (e.message, e.line, e.column, e.token) == (message, line, column, token)
+    assert str(e) == f"{line}:{column}: {message}"
+
 def test_missing_dot():
     with pytest.raises(ParseError):
         parse_theory("p => q")
@@ -131,3 +224,10 @@ def test_render_round_trip_random():
     for seed in range(50):
         t = generate_random_theory(seed, max_atoms=4, max_rules=8)
         assert parse_theory(render_theory(t)) == t
+
+
+def test_render_round_trip_first_order():
+    # variables, constants, arities 0-2 and superiority between labels
+    for seed in range(300):
+        t = random_first_order_theory(seed)
+        assert parse_theory(render_theory(t)) == t, render_theory(t)

@@ -1,0 +1,34 @@
+"""The per-stage timing script (`tools/stages.py`) end to end, at tiny sizes."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_stage_record(tmp_path):
+    out = tmp_path / "BENCH.json"
+    argv = [
+        sys.executable, str(ROOT / "tools" / "stages.py"), "--out", str(out),
+        "--parent", str(ROOT), "--repeats", "1", "--chain", "50", "--meta-chain", "10",
+    ]
+    subprocess.run(argv, check=True, capture_output=True, timeout=300)
+    record = json.loads(out.read_text())
+    assert {"python", "nproc", "trees"} <= set(record)
+    assert set(record["trees"]) == {"parent", "change"}
+    workloads = record["workloads"]
+    assert set(workloads) == {
+        "chain-50", "families-chain-seed1", "families-circle-seed1",
+        "families-teams-seed1", "reach-seed1", "meta-chain-10",
+    }
+    # 50 links and 5 overruled attackers; both signs of p0 ... p50
+    assert workloads["chain-50"]["sizes"]["rules"] == 55
+    assert workloads["chain-50"]["sizes"]["base"] == 102
+    stages = {"parse_s", "ground_s", "validate_s", "derive_s", "render_s", "total_s"}
+    for name, workload in workloads.items():
+        expected = stages | ({"translate_s", "fixpoint_s"} if name.startswith("meta") else set())
+        for tree in ("parent", "change"):
+            assert set(workload["median_s"][tree]) == expected
+            assert len(workload["runs_s"][tree]) == 1

@@ -1,0 +1,177 @@
+#!/usr/bin/env python3
+"""Per-stage timings of the dlog pipeline, parent against change, as JSON.
+
+    python tools/stages.py --parent ../dlog-parent --out BENCH_7.json
+
+Each workload is one `.dl` text, run through the stages of `dlog derive`:
+parse (`parse_theory`), ground (`ground`), validate (`validate`), derive
+(`engine.derive_all`) and render (`cli._print_conclusions` into memory).
+The metaprogram workload adds `metaprogram.translate` and `kunen_fixpoint`.
+Every run is a fresh interpreter that imports dlog from one tree's `src/`;
+runs alternate between the trees, and the record holds each stage's median
+over `--repeats` runs per tree, and the runs themselves.
+
+Workloads: the chain `p0 => p1 => ... => pN` with an overruled attacker on
+every tenth link (`--chain`, 100,000 links by default), the three seed-1
+`families` texts and the seed-1 `reach` text of the benchmark
+(`benchmark/workloads.py`), and a `--meta-chain` chain (250 links) for the
+metaprogram oracle.  Without `--parent` only this tree is measured.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+STAGES = ("parse", "ground", "validate", "derive", "render")
+META_STAGES = ("translate", "fixpoint")
+
+
+def chain_text(links: int, attack_every: int = 10) -> str:
+    """The chain of `dlog.differential.chain_theory` as written text."""
+    lines = ["p0."]
+    for i in range(1, links + 1):
+        lines.append(f"c{i}: p{i - 1} => p{i}.")
+        if i % attack_every == 0:
+            lines += [f"a{i}: => ~p{i}.", f"c{i} > a{i}."]
+    return "\n".join(lines) + "\n"
+
+
+def inputs(links: int, meta_links: int) -> dict[str, tuple[str, bool]]:
+    """Workload name -> (text, whether to run the metaprogram stages)."""
+    sys.path.insert(0, str(ROOT / "benchmark"))
+    import workloads
+
+    texts = {f"chain-{links}": (chain_text(links), False)}
+    for op in workloads.families(1).ops:
+        if op.op == "derive":
+            texts[f"families-{op.kind.removeprefix('derive-')}-seed1"] = (op.text, False)
+    texts["reach-seed1"] = (workloads.reach_workload(1).ops[0].text, False)
+    texts[f"meta-chain-{meta_links}"] = (chain_text(meta_links), True)
+    return texts
+
+
+def measure(path: Path, meta: bool) -> dict:
+    """Seconds per stage and sizes for one text, in this process."""
+    from dlog import cli, engine, metaprogram
+    from dlog.core import ground, validate
+    from dlog.parser import parse_theory
+
+    text = path.read_text()
+    clock = [perf_counter()]
+    theory = parse_theory(text)
+    clock.append(perf_counter())
+    g = ground(theory)
+    clock.append(perf_counter())
+    validate(g)
+    clock.append(perf_counter())
+    conclusions = engine.derive_all(g)
+    clock.append(perf_counter())
+    out = io.StringIO()
+    cli._print_conclusions(g, conclusions, out, False)
+    clock.append(perf_counter())
+    stages = list(STAGES)
+    if meta:
+        program = metaprogram.translate(g)
+        clock.append(perf_counter())
+        metaprogram.kunen_fixpoint(program)
+        clock.append(perf_counter())
+        stages += META_STAGES
+    seconds = {f"{s}_s": b - a for s, a, b in zip(stages, clock, clock[1:])}
+    seconds["total_s"] = clock[-1] - clock[0]
+    sizes = {
+        "input_bytes": len(text.encode()),
+        "rules": len(g.rules),
+        "base": len(g.herbrand_base),
+        "conclusions": len(conclusions),
+        "output_bytes": len(out.getvalue().encode()),
+    }
+    return {"seconds": seconds, "sizes": sizes}
+
+
+def run_in(tree: Path, path: Path, meta: bool) -> dict:
+    """`measure` in a fresh interpreter importing dlog from `tree/src`."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    argv = [sys.executable, __file__, "--measure", str(path)] + (["--meta"] if meta else [])
+    done = subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def commit(tree: Path) -> dict:
+    def git(*args):
+        done = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    head = git("rev-parse", "HEAD")
+    dirty = git("status", "--porcelain", "--untracked-files=no", "--", "src")
+    return {"commit": head, "src_modified": None if dirty is None else bool(dirty)}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path, help="JSON file to write (required)")
+    ap.add_argument("--parent", type=Path, help="checkout of the parent commit to compare against")
+    ap.add_argument("--repeats", type=int, default=3, help="runs per workload and tree")
+    ap.add_argument("--chain", type=int, default=100_000, help="links of the large chain")
+    ap.add_argument("--meta-chain", type=int, default=250, help="links of the metaprogram chain")
+    ap.add_argument("--measure", type=Path, help=argparse.SUPPRESS)
+    ap.add_argument("--meta", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.measure:
+        print(json.dumps(measure(args.measure, args.meta)))
+        return 0
+    if args.out is None:
+        ap.error("--out is required")
+
+    trees = {"change": ROOT}
+    if args.parent:
+        trees = {"parent": args.parent.resolve(), **trees}
+    runs: dict[str, dict[str, list[dict]]] = {}
+    sizes: dict[str, dict] = {}
+    with tempfile.TemporaryDirectory() as work:
+        for name, (text, meta) in inputs(args.chain, args.meta_chain).items():
+            path = Path(work) / f"{name}.dl"
+            path.write_text(text)
+            runs[name] = {label: [] for label in trees}
+            for r in range(args.repeats):
+                order = list(trees.items())
+                for label, tree in order if r % 2 == 0 else reversed(order):
+                    result = run_in(tree, path, meta)
+                    runs[name][label].append(result["seconds"])
+                    if sizes.setdefault(name, result["sizes"]) != result["sizes"]:
+                        raise SystemExit(f"{name}: the trees disagree on the sizes {result['sizes']}")
+                print(f"{name}: run {r + 1} of {args.repeats} done", file=sys.stderr)
+    record = {
+        "python": platform.python_version(),
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "platform": platform.platform(),
+        "repeats": args.repeats,
+        "trees": {label: commit(tree) for label, tree in trees.items()},
+        "workloads": {
+            name: {
+                "sizes": sizes[name],
+                "median_s": {
+                    label: {key: statistics.median(run[key] for run in by_tree[label]) for key in by_tree[label][0]}
+                    for label in trees
+                },
+                "runs_s": by_tree,
+            }
+            for name, by_tree in runs.items()
+        },
+    }
+    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
