@@ -140,9 +140,10 @@ def cmd_meta(args, out) -> int:
 
 def cmd_models(args, out) -> int:
     g = _load(args.file)
-    out.write(f"models: {modelcheck.count_models(g, args.cap)}\n")
+    found = modelcheck.models(g, args.cap)
+    out.write(f"models: {len(found.delta)}\n")
     if args.consequences:
-        _print_conclusions(g, modelcheck.logical_consequences(g, args.cap), out, args.json)
+        _print_conclusions(g, found.consequences(), out, args.json)
     return EXIT_OK
 
 

@@ -6,11 +6,11 @@ on small bases, and all-models logical consequences.
 This is the second independent oracle for the engine: on every theory with a
 small enough base, `logical_consequences` must equal `engine.derive_all`.
 
-Two enumeration routes are provided on purpose.  `enumerate_interpretations`
-plus `is_model` is the plain per-interpretation reference; the consequence
-computation itself runs vectorized over numpy status arrays so that a base of
-six literals (46656 candidate interpretations) stays desk-scale fast.  The
-test suite cross-checks the two routes against each other.
+Two enumeration routes are provided on purpose: `enumerate_interpretations`
+plus `is_model` is the plain reference; `models` grows numpy status rows one
+base column at a time and drops rows as soon as a literal's closure conditions
+can be checked.  `DLOG_CAP` still bounds the candidate space 6^|base|, checked
+before enumeration.  The tests cross-check the routes against each other.
 """
 
 from __future__ import annotations
@@ -228,6 +228,7 @@ def _conj_columns(values: np.ndarray, idx: list[int]) -> np.ndarray:
 def _model_mask(
     g: GroundTheory, cap: Optional[int], well_formed_only: bool = True
 ) -> tuple[tuple[Literal, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """Every model as one row of status codes, and an all-True row mask."""
     cap = default_cap() if cap is None else cap
     base = g.literals
     index = {q: i for i, q in enumerate(base)}
@@ -236,57 +237,61 @@ def _model_mask(
     n = width ** len(base)
     if n > cap:
         raise CapExceededError(n, cap)
-    digits = (
-        np.arange(n, dtype=np.int64)[:, None]
-        // (width ** np.arange(len(base), dtype=np.int64))
-    ) % width
     delta_codes = np.array([_CODE[p[0]] for p in pairs], dtype=np.int8)
     partial_codes = np.array([_CODE[p[1]] for p in pairs], dtype=np.int8)
-    delta = delta_codes[digits]
-    partial = partial_codes[digits]
-
-    conj_d = {r.label: _conj_columns(delta, [index[a] for a in r.body]) for r in g.rules}
-    conj_p = {r.label: _conj_columns(partial, [index[a] for a in r.body]) for r in g.rules}
-    sup = g.superiority
-    mask = np.ones(n, dtype=bool)
+    # literal j's conditions read columns j and j ^ 1 and the bodies of its
+    # supportive rules and attackers; they apply once all these are assigned
+    ready: list[list[int]] = [[] for _ in base]
     for j, q in enumerate(base):
-        strict = g.rules_for({RuleKind.STRICT}, q)
-        sd = g.rules_for({RuleKind.STRICT, RuleKind.DEFEASIBLE}, q)
-        attackers = g.rules_for(RuleKind, base[j ^ 1])
-        dq, pq = delta[:, j], partial[:, j]
-        dcomp = delta[:, j ^ 1]
+        rules = g.rules_for({RuleKind.STRICT, RuleKind.DEFEASIBLE}, q) + g.rules_for(RuleKind, base[j ^ 1])
+        ready[max([j | 1, *(index[a] for r in rules for a in r.body)])].append(j)
+    delta = partial = np.zeros((1, 0), dtype=np.int8)
+    for checked in ready:
+        rows = delta.shape[0]
+        delta = np.column_stack((np.repeat(delta, width, axis=0), np.tile(delta_codes, rows)))
+        partial = np.column_stack((np.repeat(partial, width, axis=0), np.tile(partial_codes, rows)))
+        for j in checked:
+            q = base[j]
+            strict = g.rules_for({RuleKind.STRICT}, q)
+            sd = g.rules_for({RuleKind.STRICT, RuleKind.DEFEASIBLE}, q)
+            attackers = g.rules_for(RuleKind, base[j ^ 1])
+            conj_d = {r.label: _conj_columns(delta, [index[a] for a in r.body]) for r in strict}
+            conj_p = {r.label: _conj_columns(partial, [index[a] for a in r.body]) for r in sd + attackers}
+            n = delta.shape[0]
+            dq, pq, dcomp = delta[:, j], partial[:, j], delta[:, j ^ 1]
 
-        rhs = np.zeros(n, dtype=bool) if q not in g.facts else np.ones(n, dtype=bool)
-        for r in strict:
-            rhs |= conj_d[r.label] == 1
-        mask &= (dq == 1) == rhs
+            rhs = np.zeros(n, dtype=bool) if q not in g.facts else np.ones(n, dtype=bool)
+            for r in strict:
+                rhs |= conj_d[r.label] == 1
+            mask = (dq == 1) == rhs
 
-        rhs = np.ones(n, dtype=bool) if q not in g.facts else np.zeros(n, dtype=bool)
-        for r in strict:
-            rhs &= conj_d[r.label] == 0
-        mask &= (dq == 0) == rhs
+            rhs = np.ones(n, dtype=bool) if q not in g.facts else np.zeros(n, dtype=bool)
+            for r in strict:
+                rhs &= conj_d[r.label] == 0
+            mask &= (dq == 0) == rhs
 
-        some_supportive = np.zeros(n, dtype=bool)
-        all_supportive_fail = np.ones(n, dtype=bool)
-        for r in sd:
-            some_supportive |= conj_p[r.label] == 1
-            all_supportive_fail &= conj_p[r.label] == 0
-        every_attack_countered = np.ones(n, dtype=bool)
-        some_attack_wins = np.zeros(n, dtype=bool)
-        for s in attackers:
-            defeated = np.zeros(n, dtype=bool)
-            no_live_superior = np.ones(n, dtype=bool)
-            for t in sd:
-                if (t.label, s.label) in sup:
-                    defeated |= conj_p[t.label] == 1
-                    no_live_superior &= conj_p[t.label] == 0
-            every_attack_countered &= (conj_p[s.label] == 0) | defeated
-            some_attack_wins |= (conj_p[s.label] == 1) & no_live_superior
-        rhs = (dq == 1) | (some_supportive & (dcomp == 0) & every_attack_countered)
-        mask &= (pq == 1) == rhs
-        rhs = (dq == 0) & (all_supportive_fail | (dcomp == 1) | some_attack_wins)
-        mask &= (pq == 0) == rhs
-    return base, delta, partial, mask
+            some_supportive = np.zeros(n, dtype=bool)
+            all_supportive_fail = np.ones(n, dtype=bool)
+            for r in sd:
+                some_supportive |= conj_p[r.label] == 1
+                all_supportive_fail &= conj_p[r.label] == 0
+            every_attack_countered = np.ones(n, dtype=bool)
+            some_attack_wins = np.zeros(n, dtype=bool)
+            for s in attackers:
+                defeated = np.zeros(n, dtype=bool)
+                no_live_superior = np.ones(n, dtype=bool)
+                for t in sd:
+                    if (t.label, s.label) in g.superiority:
+                        defeated |= conj_p[t.label] == 1
+                        no_live_superior &= conj_p[t.label] == 0
+                every_attack_countered &= (conj_p[s.label] == 0) | defeated
+                some_attack_wins |= (conj_p[s.label] == 1) & no_live_superior
+            rhs = (dq == 1) | (some_supportive & (dcomp == 0) & every_attack_countered)
+            mask &= (pq == 1) == rhs
+            rhs = (dq == 0) & (all_supportive_fail | (dcomp == 1) | some_attack_wins)
+            mask &= (pq == 0) == rhs
+            delta, partial = delta[mask], partial[mask]
+    return base, delta, partial, np.ones(delta.shape[0], dtype=bool)
 
 
 def closure_forces_epistemic(g: GroundTheory, cap: Optional[int] = None) -> bool:
@@ -300,28 +305,42 @@ def closure_forces_epistemic(g: GroundTheory, cap: Optional[int] = None) -> bool
     return not (breach_1 or breach_2)
 
 
+@dataclass(frozen=True)
+class ModelSet:
+    """Every model of a theory: one row of status codes per model."""
+
+    base: tuple[Literal, ...]
+    delta: np.ndarray
+    partial: np.ndarray
+
+    def consequences(self) -> ConclusionSet:
+        """Conclusions holding in every model: +Δq iff the definite status
+        of q is True in all models, and so on for the other three tags."""
+        if not len(self.delta):
+            raise InternalError("theory has no models; the model conditions are broken")
+        out: list[TaggedConclusion] = []
+        for j, q in enumerate(self.base):
+            dcol, pcol = self.delta[:, j], self.partial[:, j]
+            if (dcol == 1).all():
+                out.append(TaggedConclusion(Tag.PLUS_DELTA, q))
+            elif (dcol == 0).all():
+                out.append(TaggedConclusion(Tag.MINUS_DELTA, q))
+            if (pcol == 1).all():
+                out.append(TaggedConclusion(Tag.PLUS_PARTIAL, q))
+            elif (pcol == 0).all():
+                out.append(TaggedConclusion(Tag.MINUS_PARTIAL, q))
+        return ConclusionSet(out)
+
+
+def models(g: GroundTheory, cap: Optional[int] = None) -> ModelSet:
+    base, delta, partial, mask = _model_mask(g, cap)
+    return ModelSet(base, delta[mask], partial[mask])
+
+
 def count_models(g: GroundTheory, cap: Optional[int] = None) -> int:
-    _, _, _, mask = _model_mask(g, cap)
-    return int(mask.sum())
+    return len(models(g, cap).delta)
 
 
 def logical_consequences(g: GroundTheory, cap: Optional[int] = None) -> ConclusionSet:
-    """Conclusions holding in every model: +Δq iff the definite status of q
-    is True in all models, and so on for the other three tags."""
-    base, delta, partial, mask = _model_mask(g, cap)
-    models_d = delta[mask]
-    models_p = partial[mask]
-    if models_d.shape[0] == 0:
-        raise InternalError("theory has no models; the model conditions are broken")
-    out: list[TaggedConclusion] = []
-    for j, q in enumerate(base):
-        dcol, pcol = models_d[:, j], models_p[:, j]
-        if (dcol == 1).all():
-            out.append(TaggedConclusion(Tag.PLUS_DELTA, q))
-        elif (dcol == 0).all():
-            out.append(TaggedConclusion(Tag.MINUS_DELTA, q))
-        if (pcol == 1).all():
-            out.append(TaggedConclusion(Tag.PLUS_PARTIAL, q))
-        elif (pcol == 0).all():
-            out.append(TaggedConclusion(Tag.MINUS_PARTIAL, q))
-    return ConclusionSet(out)
+    """Conclusions holding in every model (`ModelSet.consequences`)."""
+    return models(g, cap).consequences()

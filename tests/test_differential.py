@@ -82,6 +82,14 @@ def test_fuzz_runs_clean():
     assert fuzz(50, seed=555, include_models=False) == []
 
 
+def test_fuzz_four_atoms_all_semantics():
+    # [DERIVED] bases up to 8 literals: 6^8 = 1,679,616 candidates, within
+    # the default enumeration cap, so all three semantics take part
+    bases = {len(ground(generate_random_theory(seed, 4, 12)).literals) for seed in range(200)}
+    assert max(bases) == 8
+    assert fuzz(200, seed=0, max_atoms=4, max_rules=12) == []
+
+
 def test_chain_theory_shape():
     g = chain_theory(20, attack_every=10)
     assert len(g.facts) == 1

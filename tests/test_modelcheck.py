@@ -1,9 +1,18 @@
-"""Model checking and exhaustive enumeration over small bases."""
+"""Model checking and exhaustive enumeration over small bases.
 
+`full_product_mask` builds every candidate interpretation up front and applies
+every literal's closure conditions to all of them at once.  `_model_mask`
+grows a frontier one base column at a time and drops rows as soon as a
+literal's conditions can be checked.  The two must keep the same rows.
+"""
+
+import numpy as np
 import pytest
 
+import dlog.modelcheck as mc
 from dlog import engine
-from dlog.core import InternalError, ground, lit, neg
+from dlog.core import GroundTheory, InternalError, RuleKind, ground, lit, neg
+from dlog.differential import generate_random_theory
 from dlog.modelcheck import (
     CapExceededError,
     DefeasibleInterpretation,
@@ -25,6 +34,71 @@ T, F, U = ThreeVal.TRUE, ThreeVal.FALSE, ThreeVal.UNDEFINED
 
 def g(text: str):
     return ground(parse_theory(text))
+
+
+def full_product_mask(g: GroundTheory, well_formed_only: bool = True):
+    """All `width ** len(base)` candidates, and the mask of the models."""
+    base = g.literals
+    index = {q: i for i, q in enumerate(base)}
+    pairs = mc._WELL_FORMED_PAIRS if well_formed_only else mc._WELL_FORMED_PAIRS + mc._EXTRA_PAIRS
+    width = len(pairs)
+    n = width ** len(base)
+    digits = (
+        np.arange(n, dtype=np.int64)[:, None]
+        // (width ** np.arange(len(base), dtype=np.int64))
+    ) % width
+    delta_codes = np.array([mc._CODE[p[0]] for p in pairs], dtype=np.int8)
+    partial_codes = np.array([mc._CODE[p[1]] for p in pairs], dtype=np.int8)
+    delta = delta_codes[digits]
+    partial = partial_codes[digits]
+
+    conj_d = {r.label: mc._conj_columns(delta, [index[a] for a in r.body]) for r in g.rules}
+    conj_p = {r.label: mc._conj_columns(partial, [index[a] for a in r.body]) for r in g.rules}
+    sup = g.superiority
+    mask = np.ones(n, dtype=bool)
+    for j, q in enumerate(base):
+        strict = g.rules_for({RuleKind.STRICT}, q)
+        sd = g.rules_for({RuleKind.STRICT, RuleKind.DEFEASIBLE}, q)
+        attackers = g.rules_for(RuleKind, base[j ^ 1])
+        dq, pq = delta[:, j], partial[:, j]
+        dcomp = delta[:, j ^ 1]
+
+        rhs = np.zeros(n, dtype=bool) if q not in g.facts else np.ones(n, dtype=bool)
+        for r in strict:
+            rhs |= conj_d[r.label] == 1
+        mask &= (dq == 1) == rhs
+
+        rhs = np.ones(n, dtype=bool) if q not in g.facts else np.zeros(n, dtype=bool)
+        for r in strict:
+            rhs &= conj_d[r.label] == 0
+        mask &= (dq == 0) == rhs
+
+        some_supportive = np.zeros(n, dtype=bool)
+        all_supportive_fail = np.ones(n, dtype=bool)
+        for r in sd:
+            some_supportive |= conj_p[r.label] == 1
+            all_supportive_fail &= conj_p[r.label] == 0
+        every_attack_countered = np.ones(n, dtype=bool)
+        some_attack_wins = np.zeros(n, dtype=bool)
+        for s in attackers:
+            defeated = np.zeros(n, dtype=bool)
+            no_live_superior = np.ones(n, dtype=bool)
+            for t in sd:
+                if (t.label, s.label) in sup:
+                    defeated |= conj_p[t.label] == 1
+                    no_live_superior &= conj_p[t.label] == 0
+            every_attack_countered &= (conj_p[s.label] == 0) | defeated
+            some_attack_wins |= (conj_p[s.label] == 1) & no_live_superior
+        rhs = (dq == 1) | (some_supportive & (dcomp == 0) & every_attack_countered)
+        mask &= (pq == 1) == rhs
+        rhs = (dq == 0) & (all_supportive_fail | (dcomp == 1) | some_attack_wins)
+        mask &= (pq == 0) == rhs
+    return base, delta, partial, mask
+
+
+def model_rows(base, delta, partial, mask) -> set:
+    """The masked rows as a set of (definite codes, defeasible codes)."""
+    return set(zip(map(tuple, delta[mask].tolist()), map(tuple, partial[mask].tolist())))
 
 
 def test_conj_value():
@@ -132,6 +206,41 @@ def test_generator_and_vectorized_routes_agree():
         assert count_models(theory) == reference, text
 
 
+def test_frontier_matches_full_product():
+    # [DERIVED] the frontier keeps exactly the rows of the full product's
+    # mask, on the unrestricted 9-pair space too while it stays small
+    sizes = set()
+    for seed in range(500):
+        theory = ground(generate_random_theory(seed, 3, 10))
+        sizes.add(len(theory.literals))
+        for well_formed_only in (True, False) if len(theory.literals) <= 4 else (True,):
+            frontier = mc._model_mask(theory, None, well_formed_only)
+            assert frontier[3].all()
+            assert model_rows(*frontier) == model_rows(*full_product_mask(theory, well_formed_only)), seed
+    assert {2, 4, 6} <= sizes
+
+
+def test_frontier_matches_is_model():
+    # [DERIVED] on bases of at most 4 literals, the frontier's rows are the
+    # interpretations the per-interpretation checker accepts; a window of
+    # the seeds above, as the checker takes about 0.1 s per 4-literal base
+    codes = mc._CODE
+    checked = 0
+    for seed in range(60):
+        theory = ground(generate_random_theory(seed, 3, 10))
+        if len(theory.literals) > 4:
+            continue
+        accepted = {
+            (tuple(codes[m.delta[q]] for q in theory.literals),
+             tuple(codes[m.partial[q]] for q in theory.literals))
+            for m in enumerate_interpretations(theory)
+            if is_model(theory, m).is_model
+        }
+        assert model_rows(*mc._model_mask(theory, None)) == accepted, seed
+        checked += 1
+    assert checked >= 40
+
+
 def test_consequences_match_engine_on_small_theories():
     # [DERIVED] second oracle on desk-sized bases
     for text in (
@@ -149,6 +258,15 @@ def test_closure_forces_epistemic():
     # interpretation satisfying the closure conditions already has them
     for text in ("r: p => p.", "r: => p.", "p. r1: p -> q."):
         assert closure_forces_epistemic(g(text)), text
+
+
+def test_closure_forces_epistemic_enumerates_nine_pairs():
+    # the unrestricted space has 9 status pairs per literal, and the cap is
+    # checked against all of them before anything is built
+    with pytest.raises(CapExceededError) as e:
+        closure_forces_epistemic(g("p."), cap=80)
+    assert e.value.required == 9 ** 2
+    assert closure_forces_epistemic(g("p."), cap=81)
 
 
 def test_cap_enforced():

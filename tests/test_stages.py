@@ -13,6 +13,7 @@ def test_stage_record(tmp_path):
     argv = [
         sys.executable, str(ROOT / "tools" / "stages.py"), "--out", str(out),
         "--parent", str(ROOT), "--repeats", "1", "--chain", "50", "--meta-chain", "10",
+        "--models", "20",
     ]
     subprocess.run(argv, check=True, capture_output=True, timeout=300)
     record = json.loads(out.read_text())
@@ -21,14 +22,19 @@ def test_stage_record(tmp_path):
     workloads = record["workloads"]
     assert set(workloads) == {
         "chain-50", "families-chain-seed1", "families-circle-seed1",
-        "families-teams-seed1", "reach-seed1", "meta-chain-10",
+        "families-teams-seed1", "reach-seed1", "meta-chain-10", "models-seed1",
     }
     # 50 links and 5 overruled attackers; both signs of p0 ... p50
     assert workloads["chain-50"]["sizes"]["rules"] == 55
     assert workloads["chain-50"]["sizes"]["base"] == 102
+    assert workloads["models-seed1"]["sizes"]["theories"] == 20
     stages = {"parse_s", "ground_s", "validate_s", "derive_s", "render_s", "total_s"}
+    meta = {"translate_s", "fixpoint_s"}
     for name, workload in workloads.items():
-        expected = stages | ({"translate_s", "fixpoint_s"} if name.startswith("meta") else set())
+        if name.startswith("models"):
+            expected = stages - {"render_s"} | meta | {"consequences_s"}
+        else:
+            expected = stages | (meta if name.startswith("meta") else set())
         for tree in ("parent", "change"):
             assert set(workload["median_s"][tree]) == expected
             assert len(workload["runs_s"][tree]) == 1

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Per-stage timings of the dlog pipeline, parent against change, as JSON.
 
-    python tools/stages.py --parent ../dlog-parent --out BENCH_7.json
+    python tools/stages.py --parent ../dlog-parent --out BENCH_8.json
 
 Each workload is one `.dl` text, run through the stages of `dlog derive`:
 parse (`parse_theory`), ground (`ground`), validate (`validate`), derive
 (`engine.derive_all`) and render (`cli._print_conclusions` into memory).
 The metaprogram workload adds `metaprogram.translate` and `kunen_fixpoint`.
+The model workload runs the stages of `compare_semantics` on each of its
+theories, `modelcheck.logical_consequences` among them, and sums each stage.
 Every run is a fresh interpreter that imports dlog from one tree's `src/`;
 runs alternate between the trees, and the record holds each stage's median
 over `--repeats` runs per tree, and the runs themselves.
@@ -14,8 +16,10 @@ over `--repeats` runs per tree, and the runs themselves.
 Workloads: the chain `p0 => p1 => ... => pN` with an overruled attacker on
 every tenth link (`--chain`, 100,000 links by default), the three seed-1
 `families` texts and the seed-1 `reach` text of the benchmark
-(`benchmark/workloads.py`), and a `--meta-chain` chain (250 links) for the
-metaprogram oracle.  Without `--parent` only this tree is measured.
+(`benchmark/workloads.py`), a `--meta-chain` chain (250 links) for the
+metaprogram oracle, and the model-checked theories of the first seed-1
+`crosscheck` block (`--models`, all 199 by default) for all three semantics.
+Without `--parent` only this tree is measured.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("parse", "ground", "validate", "derive", "render")
 META_STAGES = ("translate", "fixpoint")
+MODEL_STAGES = ("parse", "ground", "validate", "derive", "translate", "fixpoint", "consequences")
 
 
 def chain_text(links: int, attack_every: int = 10) -> str:
@@ -47,22 +52,64 @@ def chain_text(links: int, attack_every: int = 10) -> str:
     return "\n".join(lines) + "\n"
 
 
-def inputs(links: int, meta_links: int) -> dict[str, tuple[str, bool]]:
-    """Workload name -> (text, whether to run the metaprogram stages)."""
+def inputs(links: int, meta_links: int, models: int) -> dict[str, tuple[str, str]]:
+    """Workload name -> (kind, file contents).  The kind is `derive`, `meta`
+    (derive, then the metaprogram stages) or `models` (a JSON list of texts)."""
     sys.path.insert(0, str(ROOT / "benchmark"))
     import workloads
 
-    texts = {f"chain-{links}": (chain_text(links), False)}
+    texts = {f"chain-{links}": ("derive", chain_text(links))}
     for op in workloads.families(1).ops:
         if op.op == "derive":
-            texts[f"families-{op.kind.removeprefix('derive-')}-seed1"] = (op.text, False)
-    texts["reach-seed1"] = (workloads.reach_workload(1).ops[0].text, False)
-    texts[f"meta-chain-{meta_links}"] = (chain_text(meta_links), True)
+            texts[f"families-{op.kind.removeprefix('derive-')}-seed1"] = ("derive", op.text)
+    texts["reach-seed1"] = ("derive", workloads.reach_workload(1).ops[0].text)
+    texts[f"meta-chain-{meta_links}"] = ("meta", chain_text(meta_links))
+    block = [op.text for op in workloads.crosscheck(1).ops[: workloads.XCHECK_BLOCK] if op.models]
+    texts["models-seed1"] = ("models", json.dumps(block[:models]))
     return texts
 
 
-def measure(path: Path, meta: bool) -> dict:
-    """Seconds per stage and sizes for one text, in this process."""
+def measure_models(texts: list[str]) -> dict:
+    """Seconds per stage of `compare_semantics`, summed over the theories,
+    and summed sizes, in this process."""
+    from dlog import engine, metaprogram, modelcheck
+    from dlog.core import ground, validate
+    from dlog.parser import parse_theory
+
+    seconds = dict.fromkeys((f"{s}_s" for s in MODEL_STAGES), 0.0)
+    sizes = dict.fromkeys(("theories", "input_bytes", "rules", "base", "interpretations", "conclusions"), 0)
+    for text in texts:
+        clock = [perf_counter()]
+        theory = parse_theory(text)
+        clock.append(perf_counter())
+        g = ground(theory)
+        clock.append(perf_counter())
+        validate(g)
+        clock.append(perf_counter())
+        conclusions = engine.derive_all(g)
+        clock.append(perf_counter())
+        program = metaprogram.translate(g)
+        clock.append(perf_counter())
+        metaprogram.kunen_fixpoint(program)
+        clock.append(perf_counter())
+        modelcheck.logical_consequences(g)
+        clock.append(perf_counter())
+        for s, a, b in zip(MODEL_STAGES, clock, clock[1:]):
+            seconds[f"{s}_s"] += b - a
+        sizes["theories"] += 1
+        sizes["input_bytes"] += len(text.encode())
+        sizes["rules"] += len(g.rules)
+        sizes["base"] += len(g.herbrand_base)
+        sizes["interpretations"] += 6 ** len(g.herbrand_base)
+        sizes["conclusions"] += len(conclusions)
+    seconds["total_s"] = sum(seconds.values())
+    return {"seconds": seconds, "sizes": sizes}
+
+
+def measure(path: Path, kind: str) -> dict:
+    """Seconds per stage and sizes for one workload file, in this process."""
+    if kind == "models":
+        return measure_models(json.loads(path.read_text()))
     from dlog import cli, engine, metaprogram
     from dlog.core import ground, validate
     from dlog.parser import parse_theory
@@ -81,7 +128,7 @@ def measure(path: Path, meta: bool) -> dict:
     cli._print_conclusions(g, conclusions, out, False)
     clock.append(perf_counter())
     stages = list(STAGES)
-    if meta:
+    if kind == "meta":
         program = metaprogram.translate(g)
         clock.append(perf_counter())
         metaprogram.kunen_fixpoint(program)
@@ -99,10 +146,10 @@ def measure(path: Path, meta: bool) -> dict:
     return {"seconds": seconds, "sizes": sizes}
 
 
-def run_in(tree: Path, path: Path, meta: bool) -> dict:
+def run_in(tree: Path, path: Path, kind: str) -> dict:
     """`measure` in a fresh interpreter importing dlog from `tree/src`."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    argv = [sys.executable, __file__, "--measure", str(path)] + (["--meta"] if meta else [])
+    argv = [sys.executable, __file__, "--measure", str(path), "--kind", kind]
     done = subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -124,11 +171,12 @@ def main() -> int:
     ap.add_argument("--repeats", type=int, default=3, help="runs per workload and tree")
     ap.add_argument("--chain", type=int, default=100_000, help="links of the large chain")
     ap.add_argument("--meta-chain", type=int, default=250, help="links of the metaprogram chain")
+    ap.add_argument("--models", type=int, default=199, help="theories of the model workload")
     ap.add_argument("--measure", type=Path, help=argparse.SUPPRESS)
-    ap.add_argument("--meta", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--kind", default="derive", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.measure:
-        print(json.dumps(measure(args.measure, args.meta)))
+        print(json.dumps(measure(args.measure, args.kind)))
         return 0
     if args.out is None:
         ap.error("--out is required")
@@ -139,14 +187,14 @@ def main() -> int:
     runs: dict[str, dict[str, list[dict]]] = {}
     sizes: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as work:
-        for name, (text, meta) in inputs(args.chain, args.meta_chain).items():
+        for name, (kind, text) in inputs(args.chain, args.meta_chain, args.models).items():
             path = Path(work) / f"{name}.dl"
             path.write_text(text)
             runs[name] = {label: [] for label in trees}
             for r in range(args.repeats):
                 order = list(trees.items())
                 for label, tree in order if r % 2 == 0 else reversed(order):
-                    result = run_in(tree, path, meta)
+                    result = run_in(tree, path, kind)
                     runs[name][label].append(result["seconds"])
                     if sizes.setdefault(name, result["sizes"]) != result["sizes"]:
                         raise SystemExit(f"{name}: the trees disagree on the sizes {result['sizes']}")
