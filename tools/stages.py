@@ -39,7 +39,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("parse", "ground", "validate", "derive", "render")
 META_STAGES = ("translate", "fixpoint")
-MODEL_STAGES = ("parse", "ground", "validate", "derive", "translate", "fixpoint", "consequences")
+MODEL_STAGES = STAGES[:-1] + META_STAGES + ("consequences",)  # compare_semantics: no render
 
 
 def chain_text(links: int, attack_every: int = 10) -> str:
