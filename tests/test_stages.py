@@ -13,7 +13,6 @@ def test_stage_record(tmp_path):
     argv = [
         sys.executable, str(ROOT / "tools" / "stages.py"), "--out", str(out),
         "--parent", str(ROOT), "--repeats", "1", "--chain", "50", "--meta-chain", "10",
-        "--models", "20",
     ]
     subprocess.run(argv, check=True, capture_output=True, timeout=300)
     record = json.loads(out.read_text())
@@ -27,7 +26,7 @@ def test_stage_record(tmp_path):
     # 50 links and 5 overruled attackers; both signs of p0 ... p50
     assert workloads["chain-50"]["sizes"]["rules"] == 55
     assert workloads["chain-50"]["sizes"]["base"] == 102
-    assert workloads["models-seed1"]["sizes"]["theories"] == 20
+    assert workloads["models-seed1"]["sizes"]["theories"] == 199
     stages = {"parse_s", "ground_s", "validate_s", "derive_s", "render_s", "total_s"}
     meta = {"translate_s", "fixpoint_s"}
     for name, workload in workloads.items():

@@ -18,7 +18,7 @@ every tenth link (`--chain`, 100,000 links by default), the three seed-1
 `families` texts and the seed-1 `reach` text of the benchmark
 (`benchmark/workloads.py`), a `--meta-chain` chain (250 links) for the
 metaprogram oracle, and the model-checked theories of the first seed-1
-`crosscheck` block (`--models`, all 199 by default) for all three semantics.
+`crosscheck` block (199 theories) for all three semantics.
 Without `--parent` only this tree is measured.
 """
 
@@ -52,7 +52,7 @@ def chain_text(links: int, attack_every: int = 10) -> str:
     return "\n".join(lines) + "\n"
 
 
-def inputs(links: int, meta_links: int, models: int) -> dict[str, tuple[str, str]]:
+def inputs(links: int, meta_links: int) -> dict[str, tuple[str, str]]:
     """Workload name -> (kind, file contents).  The kind is `derive`, `meta`
     (derive, then the metaprogram stages) or `models` (a JSON list of texts)."""
     sys.path.insert(0, str(ROOT / "benchmark"))
@@ -65,7 +65,7 @@ def inputs(links: int, meta_links: int, models: int) -> dict[str, tuple[str, str
     texts["reach-seed1"] = ("derive", workloads.reach_workload(1).ops[0].text)
     texts[f"meta-chain-{meta_links}"] = ("meta", chain_text(meta_links))
     block = [op.text for op in workloads.crosscheck(1).ops[: workloads.XCHECK_BLOCK] if op.models]
-    texts["models-seed1"] = ("models", json.dumps(block[:models]))
+    texts["models-seed1"] = ("models", json.dumps(block))
     return texts
 
 
@@ -171,7 +171,6 @@ def main() -> int:
     ap.add_argument("--repeats", type=int, default=3, help="runs per workload and tree")
     ap.add_argument("--chain", type=int, default=100_000, help="links of the large chain")
     ap.add_argument("--meta-chain", type=int, default=250, help="links of the metaprogram chain")
-    ap.add_argument("--models", type=int, default=199, help="theories of the model workload")
     ap.add_argument("--measure", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--kind", default="derive", help=argparse.SUPPRESS)
     args = ap.parse_args()
@@ -187,7 +186,7 @@ def main() -> int:
     runs: dict[str, dict[str, list[dict]]] = {}
     sizes: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as work:
-        for name, (kind, text) in inputs(args.chain, args.meta_chain, args.models).items():
+        for name, (kind, text) in inputs(args.chain, args.meta_chain).items():
             path = Path(work) / f"{name}.dl"
             path.write_text(text)
             runs[name] = {label: [] for label in trees}
