@@ -16,6 +16,7 @@ from .core import (
     Literal,
     Rule,
     RuleKind,
+    STRICT_ONLY,
     SUPPORTIVE,
     SourceTheory,
     Tag,

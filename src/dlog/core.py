@@ -214,11 +214,8 @@ class GroundTheory:
     written_superiority: tuple[tuple[str, str], ...]  # statements as written
 
     @cached_property
-    def _head_index(self) -> dict[Literal, tuple[Rule, ...]]:
-        index: dict[Literal, list[Rule]] = {}
-        for r in self.rules:
-            index.setdefault(r.head, []).append(r)
-        return {h: tuple(rs) for h, rs in index.items()}
+    def _selections(self) -> dict[frozenset[RuleKind], dict[Optional[Literal], tuple[Rule, ...]]]:
+        return {}
 
     @cached_property
     def literals(self) -> tuple[Literal, ...]:
@@ -236,20 +233,31 @@ class GroundTheory:
         return tuple(table)
 
     def rules_for(self, kinds: Iterable[RuleKind], head: Optional[Literal] = None) -> tuple[Rule, ...]:
-        """Select rules by kind and (optionally) head literal.
+        """Select rules by kind and (optionally) head literal, in `rules` order.
 
-        Covers the usual selections: strict rules, strict-or-defeasible
-        ("supportive") rules, defeasible rules, defeaters, and all rules for
-        a given head.  Defeaters are included only when asked for.
+        Covers the usual selections: strict rules (`STRICT_ONLY`),
+        strict-or-defeasible ("supportive") rules (`SUPPORTIVE`), and all
+        rules (`ALL_KINDS`), each for all heads or for one.  Defeaters are
+        included only when asked for.  The first call for a set of kinds
+        indexes the rules by head; later calls with the same frozenset look
+        the selection up.
         """
-        wanted = set(kinds)
-        if head is None:
-            return tuple(r for r in self.rules if r.kind in wanted)
-        return tuple(r for r in self._head_index.get(head, ()) if r.kind in wanted)
+        if not isinstance(kinds, frozenset):
+            kinds = frozenset(kinds)
+        by_head = self._selections.get(kinds)
+        if by_head is None:
+            index: dict[Optional[Literal], list[Rule]] = {None: []}
+            for r in self.rules:
+                if r.kind in kinds:
+                    index[None].append(r)
+                    index.setdefault(r.head, []).append(r)
+            by_head = self._selections[kinds] = {h: tuple(rs) for h, rs in index.items()}
+        return by_head.get(head, ())
 
 
-ALL_KINDS = frozenset(RuleKind)
+STRICT_ONLY = frozenset({RuleKind.STRICT})
 SUPPORTIVE = frozenset({RuleKind.STRICT, RuleKind.DEFEASIBLE})
+ALL_KINDS = frozenset(RuleKind)
 
 
 @gc_paused

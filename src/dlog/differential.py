@@ -102,12 +102,11 @@ def compare_semantics(
         modelcheck.logical_consequences(g, cap) if include_models else None
     )
     results = [from_meta] + ([from_models] if include_models else [])
+    if all(other == from_engine for other in results):
+        return None
     disagreements: set[TaggedConclusion] = set()
     for other in results:
-        for c in set(from_engine) ^ set(other):
-            disagreements.add(c)
-    if not disagreements:
-        return None
+        disagreements |= set(from_engine) ^ set(other)
     return DivergenceWitness(
         theory_text=render_theory(theory),
         engine_conclusions=from_engine,

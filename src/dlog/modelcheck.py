@@ -24,12 +24,14 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .core import (
+    ALL_KINDS,
+    STRICT_ONLY,
+    SUPPORTIVE,
     ConclusionSet,
     GroundTheory,
     InternalError,
     Literal,
     Rule,
-    RuleKind,
     Tag,
     TaggedConclusion,
 )
@@ -129,9 +131,9 @@ def is_model(g: GroundTheory, m: DefeasibleInterpretation) -> ModelReport:
 
     for q in g.literals:
         comp = q.complement()
-        strict = g.rules_for({RuleKind.STRICT}, q)
-        sd = g.rules_for({RuleKind.STRICT, RuleKind.DEFEASIBLE}, q)
-        attackers = g.rules_for(RuleKind, comp)
+        strict = g.rules_for(STRICT_ONLY, q)
+        sd = g.rules_for(SUPPORTIVE, q)
+        attackers = g.rules_for(ALL_KINDS, comp)
 
         check(
             "Δ-True", q, delta[q] is _T,
@@ -227,8 +229,9 @@ def _conj_columns(values: np.ndarray, idx: list[int]) -> np.ndarray:
 
 def _model_mask(
     g: GroundTheory, cap: Optional[int], well_formed_only: bool = True
-) -> tuple[tuple[Literal, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """Every model as one row of status codes, and an all-True row mask."""
+) -> tuple[tuple[Literal, ...], np.ndarray, np.ndarray]:
+    """The base in table order, and every model as one row of status codes
+    per level."""
     cap = default_cap() if cap is None else cap
     base = g.literals
     index = {q: i for i, q in enumerate(base)}
@@ -243,7 +246,7 @@ def _model_mask(
     # supportive rules and attackers; they apply once all these are assigned
     ready: list[list[int]] = [[] for _ in base]
     for j, q in enumerate(base):
-        rules = g.rules_for({RuleKind.STRICT, RuleKind.DEFEASIBLE}, q) + g.rules_for(RuleKind, base[j ^ 1])
+        rules = g.rules_for(SUPPORTIVE, q) + g.rules_for(ALL_KINDS, base[j ^ 1])
         ready[max([j | 1, *(index[a] for r in rules for a in r.body)])].append(j)
     delta = partial = np.zeros((1, 0), dtype=np.int8)
     for checked in ready:
@@ -252,9 +255,9 @@ def _model_mask(
         partial = np.column_stack((np.repeat(partial, width, axis=0), np.tile(partial_codes, rows)))
         for j in checked:
             q = base[j]
-            strict = g.rules_for({RuleKind.STRICT}, q)
-            sd = g.rules_for({RuleKind.STRICT, RuleKind.DEFEASIBLE}, q)
-            attackers = g.rules_for(RuleKind, base[j ^ 1])
+            strict = g.rules_for(STRICT_ONLY, q)
+            sd = g.rules_for(SUPPORTIVE, q)
+            attackers = g.rules_for(ALL_KINDS, base[j ^ 1])
             conj_d = {r.label: _conj_columns(delta, [index[a] for a in r.body]) for r in strict}
             conj_p = {r.label: _conj_columns(partial, [index[a] for a in r.body]) for r in sd + attackers}
             n = delta.shape[0]
@@ -291,15 +294,14 @@ def _model_mask(
             rhs = (dq == 0) & (all_supportive_fail | (dcomp == 1) | some_attack_wins)
             mask &= (pq == 0) == rhs
             delta, partial = delta[mask], partial[mask]
-    return base, delta, partial, np.ones(delta.shape[0], dtype=bool)
+    return base, delta, partial
 
 
 def closure_forces_epistemic(g: GroundTheory, cap: Optional[int] = None) -> bool:
     """Enumerate the unrestricted status space (9 pairs per literal), keep
     only interpretations satisfying the four closure conditions, and report
     whether every one of them also satisfies the epistemic conditions."""
-    _, delta, partial, mask = _model_mask(g, cap, well_formed_only=False)
-    d, p = delta[mask], partial[mask]
+    _, d, p = _model_mask(g, cap, well_formed_only=False)
     breach_1 = ((d == 1) & (p != 1)).any()
     breach_2 = ((p == 0) & (d != 0)).any()
     return not (breach_1 or breach_2)
@@ -333,8 +335,7 @@ class ModelSet:
 
 
 def models(g: GroundTheory, cap: Optional[int] = None) -> ModelSet:
-    base, delta, partial, mask = _model_mask(g, cap)
-    return ModelSet(base, delta[mask], partial[mask])
+    return ModelSet(*_model_mask(g, cap))
 
 
 def count_models(g: GroundTheory, cap: Optional[int] = None) -> int:

@@ -5,6 +5,9 @@ import itertools
 import pytest
 
 from dlog.core import (
+    ALL_KINDS,
+    STRICT_ONLY,
+    SUPPORTIVE,
     Atom,
     ConclusionSet,
     GroundingError,
@@ -306,14 +309,18 @@ def test_rules_for_selections():
     # [PAPER] defeaters belong to R[q] but not to R_sd or R_d
     naive = naive_ground(parse_theory(BIRD))
     nf_ethel = neg("flies", "ethel")
-    sd = naive.rules_for({RuleKind.STRICT, RuleKind.DEFEASIBLE}, nf_ethel)
-    allk = naive.rules_for(RuleKind, nf_ethel)
+    sd = naive.rules_for(SUPPORTIVE, nf_ethel)
+    allk = naive.rules_for(ALL_KINDS, nf_ethel)
     assert {r.label for r in sd} == {"r4#ethel"}
     assert {r.label for r in allk} == {"r3#ethel", "r4#ethel"}
-    strict = naive.rules_for({RuleKind.STRICT})
+    strict = naive.rules_for(STRICT_ONLY)
     assert {r.label for r in strict} == {"r1#ethel", "r1#tweety"}
     # relevance grounding has no r4 instance and no r1#tweety
     g = ground(parse_theory(BIRD))
-    assert g.rules_for({RuleKind.STRICT, RuleKind.DEFEASIBLE}, nf_ethel) == ()
-    assert {r.label for r in g.rules_for(RuleKind, nf_ethel)} == {"r3#ethel"}
-    assert {r.label for r in g.rules_for({RuleKind.STRICT})} == {"r1#ethel"}
+    assert g.rules_for(SUPPORTIVE, nf_ethel) == ()
+    assert {r.label for r in g.rules_for(ALL_KINDS, nf_ethel)} == {"r3#ethel"}
+    assert {r.label for r in g.rules_for(STRICT_ONLY)} == {"r1#ethel"}
+    # selections keep the order of `rules`, and any iterable of kinds works
+    assert naive.rules_for(ALL_KINDS) == naive.rules
+    assert naive.rules_for({RuleKind.STRICT}) == strict
+    assert naive.rules_for(RuleKind, nf_ethel) == allk

@@ -75,6 +75,23 @@ def test_compare_semantics_witness_is_rerunnable():
     assert compare_semantics(parse_theory(w.theory_text)) is None
 
 
+def test_compare_semantics_witness_from_models(monkeypatch):
+    # a model-side mismatch names exactly the conclusions that differ
+    import dlog.differential as d
+    from dlog.core import ConclusionSet
+
+    real = d.modelcheck.logical_consequences
+
+    def wrong(g, cap=None):
+        return ConclusionSet(c for c in real(g, cap) if str(c) != "+d p")
+
+    monkeypatch.setattr(d.modelcheck, "logical_consequences", wrong)
+    w = d.compare_semantics(parse_theory("f. r: f => p."))
+    assert w is not None
+    assert [str(c) for c in w.disagreements] == ["+d p"]
+    assert w.metaprogram_conclusions == w.engine_conclusions
+
+
 def test_fuzz_runs_clean():
     # [DERIVED] a window of the seed space; the acceptance suite runs the
     # full budgets
@@ -173,4 +190,21 @@ def test_engine_matches_metaprogram_mid_size(family, seed):
     g = MID_SIZE[family](random.Random(seed))
     validate(g)
     assert 120 <= len(g.rules) <= 220
+    assert engine.derive_all(g) == metaprogram.conclusions(g)
+
+
+LARGE = {
+    "chain": lambda rng: chain_theory(10_000, attack_every=rng.randint(2, 10)),
+    "circle": lambda rng: ground(parse_theory(circle_text(rng, 10_000, rng.randint(500, 1000)))),
+    "teams": lambda rng: ground(parse_theory(teams_text(rng, 2_500))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(LARGE))
+def test_engine_matches_metaprogram_10k(family):
+    # [DERIVED] the same families at 10k rules, which the linear fixpoint
+    # makes affordable
+    g = LARGE[family](random.Random(0))
+    validate(g)
+    assert 10_000 <= len(g.rules) <= 15_000
     assert engine.derive_all(g) == metaprogram.conclusions(g)

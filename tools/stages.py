@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Per-stage timings of the dlog pipeline, parent against change, as JSON.
 
-    python tools/stages.py --parent ../dlog-parent --out BENCH_8.json
+    python tools/stages.py --parent ../dlog-parent --out BENCH_9.json
 
 Each workload is one `.dl` text, run through the stages of `dlog derive`:
 parse (`parse_theory`), ground (`ground`), validate (`validate`), derive
