@@ -6,8 +6,8 @@ semantics.
 
 This is the first of the two independent oracles for the engine: reading the
 fixpoint off as tagged conclusions must reproduce `engine.derive_all` on
-every theory.  It knows the clauses only, not the inference rules, and does
-not import the engine.
+every theory.  Only `translate` encodes the inference rules; the fixpoint
+knows nothing but the clauses, and nothing here imports the engine.
 
 The schematic clauses are partially evaluated at translation time: rule
 classification predicates are resolved statically and body lists are expanded
