@@ -16,7 +16,10 @@ integer of at least 1.
 `derive` (and `models --consequences`) lists the conclusions by tag, in the
 order +D, -D, +d, -d, and each tag's literals in text order, so every
 positive literal comes before every negated one.  An `undefined:` section
-follows, in the same literal order.  `--json` keeps both orders.
+follows, in the same literal order.  `--json` keeps both orders.  `models`
+prints `models: N` first; with `--json` it prints one JSON object instead,
+holding `"models": N` and, with `--consequences`, the `conclusions` and
+`undefined` keys of `derive --json`.
 
 The environment variable DLOG_CAP overrides the default model-enumeration
 cap.
@@ -63,7 +66,9 @@ def _load(path: str) -> GroundTheory:
     return g
 
 
-def _print_conclusions(g: GroundTheory, conclusions, out, as_json: bool) -> None:
+def _print_conclusions(g: GroundTheory, conclusions, out, as_json: bool, doc: dict | None = None) -> None:
+    """The conclusions by tag and the undefined literals, as text or as one
+    JSON object, which extends `doc` when one is given."""
     # the conclusions are over the base, so one walk of it in text order per
     # tag lists them (see GroundTheory.literals).  They are collected as
     # strings, which the cyclic GC does not track: a tuple per conclusion set
@@ -76,6 +81,7 @@ def _print_conclusions(g: GroundTheory, conclusions, out, as_json: bool) -> None
     undefined = [(str(l), levels) for l in ordered if (levels := conclusions.undefined_levels(l))]
     if as_json:
         doc = {
+            **(doc or {}),
             "conclusions": [
                 {"tag": tag, "literal": l} for tag, literals in tagged.items() for l in literals
             ],
@@ -96,7 +102,7 @@ def cmd_check(args, out) -> int:
     out.write(
         f"ok: {len(g.facts)} facts, {len(g.rules)} rules, "
         f"{len(g.superiority)} superiority pairs, "
-        f"base {len(g.herbrand_base)}\n"
+        f"base {len(g.literals)}\n"
     )
     for w in report.warnings:
         out.write(f"warning: {w}\n")
@@ -141,9 +147,13 @@ def cmd_meta(args, out) -> int:
 def cmd_models(args, out) -> int:
     g = _load(args.file)
     found = modelcheck.models(g, args.cap)
-    out.write(f"models: {len(found.delta)}\n")
+    count = {"models": len(found.delta)}
+    if not args.json:
+        out.write(f"models: {count['models']}\n")
     if args.consequences:
-        _print_conclusions(g, found.consequences(), out, args.json)
+        _print_conclusions(g, found.consequences(), out, args.json, count)
+    elif args.json:
+        out.write(json.dumps(count, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 

@@ -9,10 +9,11 @@ an instance with a body literal that is no fact and no supportive head could
 never apply, so it is not built, and superiority keeps only the pairs whose
 heads conflict.  Neither changes a conclusion or a model (see `ground`).
 
-`GroundTheory.literals` is the one ordered view of the Herbrand base: the
+`GroundTheory.literals` is the Herbrand base, built once by `ground`: the
 positive literals in text order, each followed by its complement.  The
-engine indexes it, the model checker and the metaprogram translation iterate
-it, and the command line renders from it, so the base is sorted only there.
+engine, the model checker and the metaprogram each give a status per
+position of it, and `ConclusionSet.from_table` reads the conclusions off
+those; the command line renders from it.  `herbrand_base` is a set view.
 
 `Atom`, `Literal` and `TaggedConclusion` are named tuples, so equality and
 hashing are those of the tuple of their fields: an instance also equals a
@@ -34,7 +35,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class GroundingError(Exception):
@@ -209,7 +210,7 @@ class GroundTheory:
     rules: tuple[Rule, ...]
     superiority: frozenset[tuple[str, str]]
     constants: frozenset[str]
-    herbrand_base: frozenset[Literal]
+    literals: tuple[Literal, ...]  # the base; literals[i ^ 1] is the complement of literals[i]
     written_labels: tuple[str, ...]  # rule labels as written, one per schema
     written_superiority: tuple[tuple[str, str], ...]  # statements as written
 
@@ -218,19 +219,9 @@ class GroundTheory:
         return {}
 
     @cached_property
-    def literals(self) -> tuple[Literal, ...]:
-        """The base as a table of complement pairs: the positive literals
-        sorted by text, each followed by its complement, so `literals[i ^ 1]`
-        is the complement of `literals[i]`.
-
-        `literals[0::2] + literals[1::2]` is the base in text order when every
-        predicate starts with a lowercase ASCII letter, as the parser
-        requires: `~` sorts after all of them.
-        """
-        table: list[Literal] = []
-        for positive in sorted((l for l in self.herbrand_base if l.positive), key=str):
-            table += (positive, positive.complement())
-        return tuple(table)
+    def herbrand_base(self) -> frozenset[Literal]:
+        """The base as a set, built on first use."""
+        return frozenset(self.literals)
 
     def rules_for(self, kinds: Iterable[RuleKind], head: Optional[Literal] = None) -> tuple[Rule, ...]:
         """Select rules by kind and (optionally) head literal, in `rules` order.
@@ -342,7 +333,7 @@ def ground(theory: SourceTheory) -> GroundTheory:
         rules=tuple(instances),
         superiority=_conflicting_pairs(theory.superiority, zip(schemas, instances)),
         constants=frozenset(constants),
-        herbrand_base=_build_base(theory, constants),
+        literals=_literal_table(theory, constants),
         written_labels=tuple(r.label for r in theory.rules),
         written_superiority=tuple(theory.superiority),
     )
@@ -419,17 +410,25 @@ def _live_assignments(schema, variables, constants, fact_args, head_signatures, 
     return found
 
 
-def _build_base(theory: SourceTheory, constants: list[str]) -> frozenset[Literal]:
+def _literal_table(theory: SourceTheory, constants: list[str]) -> tuple[Literal, ...]:
     """Both signs of every atom whose predicate and arity are written in the
-    theory, over its constants.  Every ground fact, body and head literal is
-    among them: it instantiates a written literal over the same constants."""
-    signatures = {(l.atom.predicate, len(l.atom.args)) for l in theory._all_literals()}
-    atoms = (
-        Atom(predicate, args)
-        for predicate, arity in signatures
-        for args in itertools.product(constants, repeat=arity)
-    )
-    return frozenset(Literal(positive, atom) for atom in atoms for positive in (True, False))
+    theory, over its constants, the positive one first.  Every ground fact,
+    body and head literal is among them: it instantiates a written literal
+    over the same constants.
+
+    The atoms come sorted by predicate, arity and arguments (`constants` is
+    sorted).  For the names the parser accepts, that is text order: `(`,
+    `,` and `)` sort before every identifier character, and a predicate has
+    one arity.  `literals[0::2] + literals[1::2]` is the base in text order,
+    since `~` sorts after the lowercase letter each predicate starts with.
+    """
+    signatures = sorted({(l.atom.predicate, len(l.atom.args)) for l in theory._all_literals()})
+    table: list[Literal] = []
+    for predicate, arity in signatures:
+        for args in itertools.product(constants, repeat=arity):
+            atom = Atom(predicate, args)
+            table += (Literal(True, atom), Literal(False, atom))
+    return tuple(table)
 
 
 @dataclass
@@ -537,6 +536,15 @@ class ConclusionSet:
         self._by_tag = {tag: frozenset(by_tag.get(tag, ())) for tag in Tag}
         self.verify_invariants()
         return self
+
+    @classmethod
+    def from_table(cls, literals: Sequence[Literal], holds: Iterable[Iterable[bool]]) -> "ConclusionSet":
+        """The conclusions over a literal table: the k-th `Tag` holds of
+        `literals[i]` iff `holds[k][i]` is true, for one sequence of truth
+        values per tag, such as a row of flags or a numpy bool column."""
+        return cls.from_tag_sets(
+            {tag: frozenset(itertools.compress(literals, flags)) for tag, flags in zip(Tag, holds, strict=True)}
+        )
 
     def verify_invariants(self) -> None:
         for plus, minus in (

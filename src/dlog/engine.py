@@ -67,14 +67,15 @@ class _Propagation:
     @gc_paused
     def __init__(self, g: GroundTheory, query: Optional[Literal] = None):
         literals = g.literals
+        self.index = {l: i for i, l in enumerate(literals)}
         if query is not None:
             if not query.is_ground():
                 raise GroundingError(f"queried literal {query} is not ground")
-            if query not in g.herbrand_base:  # one more pair, after the table
+            if query not in self.index:  # one more pair, after the table
                 positive = Literal(True, query.atom)
                 literals += (positive, positive.complement())
+                self.index.update({positive: len(literals) - 2, literals[-1]: len(literals) - 1})
         self.literals = literals
-        self.index = {l: i for i, l in enumerate(literals)}
         n = len(literals)
         self.fact = [False] * n
         for f in g.facts:
@@ -263,15 +264,7 @@ class _Propagation:
     # -- results -----------------------------------------------------------
 
     def conclusions(self) -> ConclusionSet:
-        literals = self.literals
-        return ConclusionSet.from_tag_sets(
-            {
-                tag: frozenset(
-                    literals[q] for q, on in enumerate(self.status[code]) if on
-                )
-                for code, tag in enumerate(Tag)
-            }
-        )
+        return ConclusionSet.from_table(self.literals, self.status)
 
     def holds(self, c: TaggedConclusion) -> bool:
         q = self.index.get(c.literal)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     ALL_KINDS,
@@ -36,8 +36,6 @@ from .core import (
     InternalError,
     Literal,
     RuleKind,
-    Tag,
-    TaggedConclusion,
     gc_paused,
 )
 
@@ -277,26 +275,17 @@ def kunen_fixpoint(p: GroundMetaProgram) -> ThreeValuedInterpretation:
 
 @gc_paused
 def to_conclusions(
-    i: ThreeValuedInterpretation, base: frozenset[Literal]
+    i: ThreeValuedInterpretation, base: Sequence[Literal]
 ) -> ConclusionSet:
     """Read tagged conclusions off a fixpoint: definitely(q) true/false gives
     +D/-D, defeasibly(q) true/false gives +d/-d, unknown gives nothing."""
-    out: list[TaggedConclusion] = []
-    readout = (
-        (DEFINITELY, Tag.PLUS_DELTA, Tag.MINUS_DELTA),
-        (DEFEASIBLY, Tag.PLUS_PARTIAL, Tag.MINUS_PARTIAL),
+    levels = [[i.get(MetaAtom(p, q), UNKNOWN) for q in base] for p in (DEFINITELY, DEFEASIBLY)]
+    return ConclusionSet.from_table(
+        base, [[v == want for v in values] for values in levels for want in (TRUE, FALSE)]
     )
-    for q in base:
-        for predicate, plus, minus in readout:
-            v = i.get(MetaAtom(predicate, q), UNKNOWN)
-            if v == TRUE:
-                out.append(TaggedConclusion(plus, q))
-            elif v == FALSE:
-                out.append(TaggedConclusion(minus, q))
-    return ConclusionSet(out)
 
 
 def conclusions(g: GroundTheory) -> ConclusionSet:
     """Convenience pipeline: translate, run to fixpoint, read off."""
     program = translate(g)
-    return to_conclusions(kunen_fixpoint(program), g.herbrand_base)
+    return to_conclusions(kunen_fixpoint(program), g.literals)

@@ -32,8 +32,6 @@ from .core import (
     InternalError,
     Literal,
     Rule,
-    Tag,
-    TaggedConclusion,
 )
 
 
@@ -320,18 +318,10 @@ class ModelSet:
         of q is True in all models, and so on for the other three tags."""
         if not len(self.delta):
             raise InternalError("theory has no models; the model conditions are broken")
-        out: list[TaggedConclusion] = []
-        for j, q in enumerate(self.base):
-            dcol, pcol = self.delta[:, j], self.partial[:, j]
-            if (dcol == 1).all():
-                out.append(TaggedConclusion(Tag.PLUS_DELTA, q))
-            elif (dcol == 0).all():
-                out.append(TaggedConclusion(Tag.MINUS_DELTA, q))
-            if (pcol == 1).all():
-                out.append(TaggedConclusion(Tag.PLUS_PARTIAL, q))
-            elif (pcol == 0).all():
-                out.append(TaggedConclusion(Tag.MINUS_PARTIAL, q))
-        return ConclusionSet(out)
+        d, p = self.delta, self.partial
+        return ConclusionSet.from_table(
+            self.base, [(d == 1).all(axis=0), (d == 0).all(axis=0), (p == 1).all(axis=0), (p == 0).all(axis=0)]
+        )
 
 
 def models(g: GroundTheory, cap: Optional[int] = None) -> ModelSet:

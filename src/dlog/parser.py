@@ -201,8 +201,16 @@ def parse_conclusion(text: str) -> TaggedConclusion:
 
 
 def render_theory(t: SourceTheory) -> str:
-    """Canonical text form; `parse_theory(render_theory(t))` equals `t`."""
+    """Canonical text form; `parse_theory(render_theory(t))` equals `t` for
+    every `t` the parser returns.  A rule labelled as the parser labels the
+    k-th unlabeled rule, `_r<k>`, is written without its label."""
     lines = [f"{fact}." for fact in t.facts]
-    lines += [str(rule) for rule in t.rules]
+    unlabeled = 0
+    for rule in t.rules:
+        text = str(rule)
+        if rule.label == f"_r{unlabeled + 1}":
+            unlabeled += 1
+            text = text[len(rule.label) + 2:]  # after "<label>: "
+        lines.append(text)
     lines += [f"{hi} > {lo}." for hi, lo in t.superiority]
     return "\n".join(lines) + ("\n" if lines else "")

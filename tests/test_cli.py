@@ -238,6 +238,21 @@ def test_models(tmp_path):
     assert "-d ~p" in out
 
 
+def test_models_json(tmp_path):
+    # under --json, stdout is one JSON object: the model count, plus the
+    # keys of `derive --json` with --consequences
+    f = tmp_path / "loop.dl"
+    f.write_text("r: p => p.\n")
+    code, out = run(["models", "--json", str(f)])
+    assert code == EXIT_OK and json.loads(out) == {"models": 3}
+    code, out = run(["models", "--json", "--consequences", str(f)])
+    doc = json.loads(out)
+    assert code == EXIT_OK and doc.pop("models") == 3
+    assert {"tag": "-d", "literal": "~p"} in doc["conclusions"]
+    code, derived = run(["derive", "--json", str(f)])
+    assert doc == json.loads(derived)
+
+
 def test_models_cap(tmp_path, capsys):
     f = tmp_path / "big.dl"
     f.write_text("p. q. r. s. t. u. v. w.\n")

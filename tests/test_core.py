@@ -2,8 +2,10 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
+from dlog import engine, metaprogram, modelcheck
 from dlog.core import (
     ALL_KINDS,
     STRICT_ONLY,
@@ -297,6 +299,38 @@ def test_conclusion_set_equality():
     b = ConclusionSet([TaggedConclusion(Tag.MINUS_DELTA, lit("p"))])
     assert a == b and hash(a) == hash(b)
     assert a != ConclusionSet([])
+
+
+def test_from_table_enforces_invariants():
+    table = (lit("p"), neg("p"))
+    with pytest.raises(InternalError, match="coherence"):  # +D and -D of p
+        ConclusionSet.from_table(table, [[True, False], [True, False], [True, False], [False, False]])
+    with pytest.raises(InternalError, match="containment"):  # +D without +d
+        ConclusionSet.from_table(table, [[True, False], [False, False], [False, False], [False, False]])
+
+
+def test_from_table_matches_conclusion_set(bird):
+    cs = engine.derive_all(bird)
+    flags = [[l in cs.with_tag(tag) for l in bird.literals] for tag in Tag]
+    assert ConclusionSet.from_table(bird.literals, flags) == ConclusionSet(list(cs)) == cs
+    # numpy bool columns, as the model checker passes them
+    assert ConclusionSet.from_table(bird.literals, list(np.array(flags, dtype=bool))) == cs
+
+
+def test_herbrand_base_stays_lazy(bird_text):
+    # the set view of the base is built only when asked for: no oracle,
+    # replay or query reads it
+    g = ground(parse_theory(bird_text))
+    target = TaggedConclusion(Tag.PLUS_PARTIAL, lit("flies", "tweety"))
+    cs = engine.derive_all(g)
+    assert engine.prove(g, target)
+    assert engine.prove(g, TaggedConclusion(Tag.MINUS_DELTA, lit("newpred")))
+    assert engine.check_derivation(g, engine.explain(g, target))
+    assert metaprogram.conclusions(g) == cs
+    # the cap bounds the whole candidate space; the pruned frontier is small
+    assert modelcheck.logical_consequences(g, cap=6 ** len(g.literals)) == cs
+    assert "herbrand_base" not in g.__dict__
+    assert g.herbrand_base == frozenset(g.literals)
 
 
 def test_undefined_levels():

@@ -216,7 +216,7 @@ def test_gc_state_is_restored(bird, enabled):
         rules=(Rule("r", RuleKind.DEFEASIBLE, (), lit("q")),),
         superiority=frozenset(),
         constants=frozenset(),
-        herbrand_base=frozenset({lit("p"), neg("p")}),
+        literals=(lit("p"), neg("p")),
         written_labels=("r",),
         written_superiority=(),
     )

@@ -20,7 +20,6 @@ from dlog.core import (
     RuleKind,
     SourceTheory,
     ValidationError,
-    _build_base,
     ground,
     lit,
     validate,
@@ -30,7 +29,8 @@ from dlog.parser import parse_theory, render_theory
 
 
 def naive_ground(theory: SourceTheory) -> GroundTheory:
-    """Every schema over `constants^vars`, superiority as the cross product."""
+    """Every schema over `constants^vars`, superiority as the cross product,
+    and the base of every written signature over the constants, sorted by text."""
     constants = sorted(theory.constants)
     for f in theory.facts:
         if not f.is_ground():
@@ -65,12 +65,17 @@ def naive_ground(theory: SourceTheory) -> GroundTheory:
         for a in instances_of.get(hi, [hi]):
             for b in instances_of.get(lo, [lo]):
                 expanded.add((a, b))
+    signatures = {(l.atom.predicate, l.atom.arity) for l in theory._all_literals()}
+    positives = sorted(
+        (lit(predicate, *args) for predicate, arity in signatures for args in itertools.product(constants, repeat=arity)),
+        key=str,
+    )
     return GroundTheory(
         facts=frozenset(theory.facts),
         rules=tuple(instances),
         superiority=frozenset(expanded),
         constants=frozenset(constants),
-        herbrand_base=_build_base(theory, constants),
+        literals=tuple(l for q in positives for l in (q, q.complement())),
         written_labels=tuple(r.label for r in theory.rules),
         written_superiority=tuple(theory.superiority),
     )
@@ -141,7 +146,7 @@ def test_relevance_grounding_matches_naive_grounding():
         checked += 1
         pruned += len(naive.rules) - len(g.rules)
         assert is_subsequence(g.rules, naive.rules), context
-        assert g.herbrand_base == naive.herbrand_base
+        assert g.literals == naive.literals, context
         heads = {r.label: r.head for r in g.rules}
         assert g.superiority == {
             (hi, lo)

@@ -218,6 +218,22 @@ def test_render_round_trip_bird(bird_text):
     assert parse_theory(render_theory(t)) == t
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p. p => q.",
+        "p => q. => ~r. a, b -> c. s: q ~> ~c.",
+        "p. r1: p => q. r2: => ~q. r1 > r2. q -> s.",
+    ],
+    ids=["one-unlabeled", "labeled-between-unlabeled", "superiority-and-unlabeled"],
+)
+def test_render_round_trip_unlabeled(text):
+    # generated labels `_r<k>` are written as unlabeled rules, which the
+    # parser labels the same way again
+    t = parse_theory(text)
+    assert parse_theory(render_theory(t)) == t, render_theory(t)
+
+
 def test_render_round_trip_random():
     # [DERIVED] the printer and parser are mutually inverse on the full
     # space the generator reaches
