@@ -147,13 +147,13 @@ def cmd_meta(args, out) -> int:
 def cmd_models(args, out) -> int:
     g = _load(args.file)
     found = modelcheck.models(g, args.cap)
-    count = {"models": len(found.delta)}
+    count = len(found.delta)
     if not args.json:
-        out.write(f"models: {count['models']}\n")
+        out.write(f"models: {count}\n")
     if args.consequences:
-        _print_conclusions(g, found.consequences(), out, args.json, count)
+        _print_conclusions(g, found.consequences(), out, args.json, {"models": count})
     elif args.json:
-        out.write(json.dumps(count, indent=2, sort_keys=True) + "\n")
+        out.write(json.dumps({"models": count}, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
