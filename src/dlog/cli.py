@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import operator
 import os
 import sys
 
@@ -43,7 +45,7 @@ from .core import (
     ground,
     validate,
 )
-from .parser import ParseError, parse_conclusion, parse_theory, render_theory
+from .parser import ParseError, parse_conclusion, parse_theory
 
 EXIT_OK = 0
 EXIT_CLOSED_OUTPUT = 1
@@ -69,16 +71,24 @@ def _load(path: str) -> GroundTheory:
 def _print_conclusions(g: GroundTheory, conclusions, out, as_json: bool, doc: dict | None = None) -> None:
     """The conclusions by tag and the undefined literals, as text or as one
     JSON object, which extends `doc` when one is given."""
-    # the conclusions are over the base, so one walk of it in text order per
-    # tag lists them (see GroundTheory.literals).  They are collected as
-    # strings, which the cyclic GC does not track: a tuple per conclusion set
-    # off collections that rescan the whole theory, doubling render at 100k
-    ordered = g.literals[0::2] + g.literals[1::2]
-    tagged = {}
-    for tag in Tag:
-        held = conclusions.with_tag(tag)
-        tagged[tag.value] = [str(l) for l in ordered if l in held]
-    undefined = [(str(l), levels) for l in ordered if (levels := conclusions.undefined_levels(l))]
+    # the conclusions are four flag lists over the table, whose even positions
+    # hold the positive literals in text order and whose odd ones hold their
+    # complements (see GroundTheory.literals): a tag's literals in text order
+    # are the names at its even flags, then at its odd ones.  Each name is
+    # made once, as a str, which the cyclic GC does not track: a tuple per
+    # conclusion set off collections that rescan the whole theory
+    flags = conclusions.over(g.literals)
+    atoms = [str(q.atom) for q in g.literals[0::2]]
+    names = atoms + [f"~{a}" for a in atoms]
+    ordered = [held[0::2] + held[1::2] for held in flags]
+    tagged = {tag.value: list(itertools.compress(names, held)) for tag, held in zip(Tag, ordered)}
+    pd, md, pp, mp = ordered
+    definite, partial = list(map(operator.or_, pd, md)), list(map(operator.or_, pp, mp))
+    settled = map(operator.and_, definite, partial)
+    undefined = [
+        (names[i], ["definite"] * (not definite[i]) + ["partial"] * (not partial[i]))
+        for i in itertools.compress(range(len(names)), map(operator.not_, settled))
+    ]
     if as_json:
         doc = {
             **(doc or {}),

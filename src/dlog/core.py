@@ -10,10 +10,18 @@ never apply, so it is not built, and superiority keeps only the pairs whose
 heads conflict.  Neither changes a conclusion or a model (see `ground`).
 
 `GroundTheory.literals` is the Herbrand base, built once by `ground`: the
-positive literals in text order, each followed by its complement.  The
-engine, the model checker and the metaprogram each give a status per
-position of it, and `ConclusionSet.from_table` reads the conclusions off
-those; the command line renders from it.  `herbrand_base` is a set view.
+positive literals in text order, each followed by its complement, so
+position `i ^ 1` holds the complement of position `i`.  Each written
+`(predicate, arity)` has a block of it starting at an offset
+(`GroundTheory.offsets`), in which an atom's place is its arguments' constant
+indexes read as a number in base |constants|; a literal's position is found
+by that arithmetic, never by hashing it.  `ground` hands the position of
+every rule head, body literal and fact over as `GroundTheory.positions`, and
+from there on a ground literal is named by its position: the engine reads
+integers only.  The engine, the model checker and the metaprogram each give
+four flags per position (one per `Tag`), and a `ConclusionSet` is that table
+and those flags, the one readout of every oracle; the command line renders
+straight from the flags.  `herbrand_base` is a set view.
 
 `Atom`, `Literal` and `TaggedConclusion` are named tuples, so equality and
 hashing are those of the tuple of their fields: an instance also equals a
@@ -32,6 +40,7 @@ import functools
 import gc
 import graphlib
 import itertools
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -201,10 +210,22 @@ class SourceTheory:
             yield r.head
 
 
+class Positions(NamedTuple):
+    """Where a ground theory's rules and facts sit in its literal table."""
+
+    heads: tuple[int, ...]  # heads[r]: the position of rule r's head
+    bodies: tuple[tuple[int, ...], ...]  # bodies[r]: those of its body, in order
+    facts: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class GroundTheory:
     """A propositional theory instantiated from the written one, its Herbrand
-    base, and the written rule labels and superiority statements."""
+    base, and the written rule labels and superiority statements.
+
+    `ground` also fills in `offsets`, where each `(predicate, arity)`'s atoms
+    start in `literals`, and `positions`; a theory built by hand leaves them
+    out, and `table_positions` and `position` look its literals up instead."""
 
     facts: frozenset[Literal]
     rules: tuple[Rule, ...]
@@ -213,6 +234,27 @@ class GroundTheory:
     literals: tuple[Literal, ...]  # the base; literals[i ^ 1] is the complement of literals[i]
     written_labels: tuple[str, ...]  # rule labels as written, one per schema
     written_superiority: tuple[tuple[str, str], ...]  # statements as written
+    offsets: Optional[dict[tuple[str, int], int]] = field(default=None, compare=False, repr=False)
+    positions: Optional[Positions] = field(default=None, compare=False, repr=False)
+
+    def table_positions(self) -> Positions:
+        """The positions of every rule's head and body and of every fact in
+        `literals`.  A literal missing from a hand-built table is a KeyError."""
+        if self.positions is not None:
+            return self.positions
+        index = {l: i for i, l in enumerate(self.literals)}
+        return Positions(
+            tuple(index[r.head] for r in self.rules),
+            tuple(tuple(index[a] for a in r.body) for r in self.rules),
+            tuple(index[f] for f in self.facts),
+        )
+
+    def position(self, literal: Literal) -> Optional[int]:
+        """The position of a ground literal in `literals`, or None when it is
+        not in the base."""
+        if self.offsets is None:
+            return next((i for i, l in enumerate(self.literals) if l == literal), None)
+        return _position(literal, self.offsets, {c: i for i, c in enumerate(sorted(self.constants))})
 
     @cached_property
     def _selections(self) -> dict[frozenset[RuleKind], dict[Optional[Literal], tuple[Rule, ...]]]:
@@ -276,90 +318,222 @@ def ground(theory: SourceTheory) -> GroundTheory:
     Instance labels are `<schema>#<c1,...,ck>` with variables taken in first
     occurrence order; variable-free schemas keep their label unchanged.
     Instances come in the order of the full grounding: schemas in written
-    order, each one's assignments in sorted order of the constants.  The
-    superiority relation holds the pairs of instances of related schemas
-    whose heads conflict, the only pairs inference consults.  The written
-    labels and superiority statements are kept for `validate`.
+    order, each one's assignments in sorted order of the constants.  An
+    instance's literals are the table's own objects, found by position (see
+    `_template`), and a body literal that an assignment repeats (`p(X), p(Y)`
+    with X = Y) is kept once.  The superiority relation holds the pairs of
+    instances of related schemas whose heads conflict, the only pairs
+    inference consults.  The written labels and superiority statements are
+    kept for `validate`.
     """
-    constants = sorted(theory.constants)
-    for f in theory.facts:
-        if not f.is_ground():
-            raise GroundingError(f"fact {f} contains a variable")
+    constants, signatures, variables_of = _scan(theory)
+    literals, offsets = _literal_table(signatures, constants)
+    index = {c: i for i, c in enumerate(constants)}
     facts = frozenset(theory.facts)
+    live = bytearray(len(literals))  # facts and the ground heads of supportive schemas
+    fact_positions = []
     fact_args: dict[tuple, list[tuple[str, ...]]] = {}
     for f in facts:
+        fact_positions.append(at := _position(f, offsets, index))
+        live[at] = 1
         fact_args.setdefault(_signature(f), []).append(f.atom.args)
-    variables_of = [schema.variables for schema in theory.rules]
-    heads = {schema.head for schema in theory.rules if schema.kind is not RuleKind.DEFEATER}
+    # each schema's head position, by plain lookup; None while it has variables
+    head_at = [_position(schema.head, offsets, index) for schema in theory.rules]
     open_heads: dict[tuple, list[tuple[str, ...]]] = {}  # signature -> argument patterns
-    for schema, variables in zip(theory.rules, variables_of):
-        if variables and schema.kind is not RuleKind.DEFEATER and not schema.head.is_ground():
+    for schema, at in zip(theory.rules, head_at):
+        if schema.kind is RuleKind.DEFEATER:
+            continue
+        if at is not None:
+            live[at] = 1
+        else:
             open_heads.setdefault(_signature(schema.head), []).append(schema.head.atom.args)
     # only the join of variable-bearing schemas reads the head signatures
-    head_signatures = {_signature(h) for h in heads} if any(variables_of) else set()
-    known_live = facts | heads
+    head_signatures = (
+        {_signature(s.head) for s in theory.rules if s.kind is not RuleKind.DEFEATER} if any(variables_of) else set()
+    )
 
     def is_live(literal: Literal) -> bool:
-        return literal in known_live or any(
+        at = _position(literal, offsets, index)  # None while it has variables
+        return (at is not None and live[at]) or any(
             _match(pattern, literal.atom.args, {}) is not None
             for pattern in open_heads.get(_signature(literal), ())
         )
 
     instances: list[Rule] = []
-    schemas: list[str] = []  # the schema label of each instance
-    for schema, variables in zip(theory.rules, variables_of):
+    # the label of each schema that a superiority statement names -> the indexes of its instances
+    members: dict[str, list[int]] = {label: [] for statement in theory.superiority for label in statement}
+    heads: list[int] = []
+    bodies: list[tuple[int, ...]] = []
+    for schema, variables, head in zip(theory.rules, variables_of, head_at):
         if variables and not constants:
             raise GroundingError(
                 f"rule {schema.label} has variables but the theory has no constants"
             )
+        related = members.get(schema.label)
         if not variables:
-            if known_live.issuperset(schema.body) or all(map(is_live, schema.body)):
+            body = tuple([_position(l, offsets, index) for l in schema.body])
+            if all(map(live.__getitem__, body)) or all(map(is_live, schema.body)):
+                if related is not None:
+                    related.append(len(instances))
                 instances.append(schema)
-                schemas.append(schema.label)
+                heads.append(head)
+                bodies.append(body)
             continue
+        slots = {v: k for k, v in enumerate(variables)}
+        head = _template(schema.head, offsets, index, slots)
+        body = [_template(l, offsets, index, slots) for l in schema.body]
         for assignment in _live_assignments(schema, variables, constants, fact_args, head_signatures, is_live):
-            binding = dict(zip(variables, assignment))
+            values = [index[c] for c in assignment]
+            at = _instantiate(head, values)
+            # positions are distinct iff literals are, so this is Rule's dedupe
+            seen = tuple(dict.fromkeys(_instantiate(t, values) for t in body))
+            if related is not None:
+                related.append(len(instances))
             instances.append(
-                Rule(
-                    label=f"{schema.label}#{','.join(assignment)}",
-                    kind=schema.kind,
-                    body=tuple(l.substitute(binding) for l in schema.body),
-                    head=schema.head.substitute(binding),
-                )
+                Rule(f"{schema.label}#{','.join(assignment)}", schema.kind, tuple(map(literals.__getitem__, seen)), literals[at])
             )
-            schemas.append(schema.label)
+            heads.append(at)
+            bodies.append(seen)
     return GroundTheory(
         facts=facts,
         rules=tuple(instances),
-        superiority=_conflicting_pairs(theory.superiority, zip(schemas, instances)),
+        superiority=_conflicting_pairs(theory.superiority, members, instances, heads),
         constants=frozenset(constants),
-        literals=_literal_table(theory, constants),
+        literals=literals,
         written_labels=tuple(r.label for r in theory.rules),
         written_superiority=tuple(theory.superiority),
+        offsets=offsets,
+        positions=Positions(tuple(heads), tuple(bodies), tuple(fact_positions)),
     )
 
 
-def _conflicting_pairs(statements, instances) -> frozenset[tuple[str, str]]:
+def _scan(theory: SourceTheory) -> tuple[list[str], list[tuple[str, int]], list[tuple[str, ...]]]:
+    """The sorted constants and `(predicate, arity)` signatures written in the
+    theory, and each rule's variables in first occurrence order, from one
+    walk of its literals.  A fact with a variable is a `GroundingError`."""
+    constants: set[str] = set()
+    signatures: set[tuple[str, int]] = set()
+    for f in theory.facts:
+        predicate, args = f.atom
+        signatures.add((predicate, len(args)))
+        for t in args:
+            if is_variable(t):
+                raise GroundingError(f"fact {f} contains a variable")
+            constants.add(t)
+    variables_of = []
+    for r in theory.rules:
+        variables: tuple[str, ...] = ()
+        for _, (predicate, args) in (*r.body, r.head):
+            signatures.add((predicate, len(args)))
+            for t in args:
+                if not is_variable(t):
+                    constants.add(t)
+                elif t not in variables:
+                    variables += (t,)
+        variables_of.append(variables)
+    return sorted(constants), sorted(signatures), variables_of
+
+
+def _literal_table(signatures: list[tuple[str, int]], constants: list[str]) -> tuple[tuple[Literal, ...], dict[tuple[str, int], int]]:
+    """Both signs of every atom of the sorted `signatures` over the sorted
+    `constants`, the positive one first, and the position at which each
+    signature's atoms start.  Every ground fact, body and head literal is
+    among them: it instantiates a written literal over the same constants.
+
+    The atoms come sorted by predicate, arity and arguments.  For the names
+    the parser accepts, that is text order: `(`, `,` and `)` sort before
+    every identifier character, and a predicate has one arity.
+    `literals[0::2] + literals[1::2]` is the base in text order, since `~`
+    sorts after the lowercase letter each predicate starts with.  The atoms
+    of a signature are in `itertools.product` order, so `_position` finds a
+    literal by arithmetic on its constants' indexes.
+    """
+    # `tuple.__new__` builds each named tuple without its Python-level
+    # constructor, which took a third of this build on the 100k chain and
+    # half on reach; the signatures of one arity share its argument tuples
+    new = tuple.__new__
+    table: list[Literal] = []
+    offsets: dict[tuple[str, int], int] = {}
+    arguments: dict[int, list[tuple[str, ...]]] = {}
+    for predicate, arity in signatures:
+        offsets[predicate, arity] = len(table)
+        if arity not in arguments:
+            arguments[arity] = list(itertools.product(constants, repeat=arity))
+        for args in arguments[arity]:
+            atom = new(Atom, (predicate, args))
+            table += (new(Literal, (True, atom)), new(Literal, (False, atom)))
+    return tuple(table), offsets
+
+
+def _position(literal: Literal, offsets: dict[tuple[str, int], int], index: dict[str, int]) -> Optional[int]:
+    """The position of a ground literal in the table that `offsets` lays out
+    over the constants numbered by `index`, or None when it is not there:
+    its signature's offset, plus twice its arguments read as a number in
+    base |constants|, plus 1 when it is negative."""
+    positive, (predicate, args) = literal
+    at = offsets.get((predicate, len(args)))
+    if at is None:
+        return None
+    if args:
+        atom = 0
+        for t in args:
+            i = index.get(t)
+            if i is None:
+                return None
+            atom = atom * len(index) + i
+        at += 2 * atom
+    return at if positive else at + 1
+
+
+def _template(
+    literal: Literal, offsets: dict[tuple[str, int], int], index: dict[str, int], slots: dict[str, int]
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """A schema literal compiled for `_instantiate`: the part of `_position`
+    its sign and constants fix, and a `(stride, variable slot)` term per
+    variable argument."""
+    args = literal.atom.args
+    fixed = offsets[literal.atom.predicate, len(args)] + (not literal.positive)
+    terms = []
+    stride = 2 * len(index) ** len(args)
+    for t in args:
+        stride //= len(index)
+        if is_variable(t):
+            terms.append((stride, slots[t]))
+        else:
+            fixed += stride * index[t]
+    return fixed, tuple(terms)
+
+
+def _instantiate(template: tuple[int, tuple[tuple[int, int], ...]], values: list[int]) -> int:
+    """The table position of a compiled schema literal under an assignment,
+    given as the constants' indexes in variable slot order."""
+    at, terms = template
+    for stride, slot in terms:
+        at += stride * values[slot]
+    return at
+
+
+def _conflicting_pairs(statements, members, instances, heads) -> frozenset[tuple[str, str]]:
     """The pairs of instance labels that a superiority statement relates and
-    whose heads are complementary, found through an index of the heads of
-    each related schema's instances; `instances` holds (schema label, rule)."""
-    related = {label for statement in statements for label in statement}
-    # schema label -> head atom -> (sign, label) of each instance with that head atom
-    by_atom: dict[str, dict[Atom, list[tuple[bool, str]]]] = {}
-    for schema, rule in instances:
-        if schema in related:
-            by_atom.setdefault(schema, {}).setdefault(rule.head.atom, []).append(
-                (rule.head.positive, rule.label)
-            )
+    whose heads are complementary.  `members` maps a schema label to the
+    indexes of its instances in `instances`, and `heads` holds their head
+    positions.  Complementary heads are the positions `h` and `h ^ 1`; the
+    instances of an inferior schema with more than one are indexed by head
+    atom (`h >> 1`) on first use."""
+    by_atom: dict[str, dict[int, list[int]]] = {}
     pairs = set()
     for hi, lo in statements:
-        superior, inferior = by_atom.get(hi), by_atom.get(lo)
-        if superior and inferior:
-            for atom, ours in superior.items():
-                for sign, a in ours:
-                    for other, b in inferior.get(atom, ()):
-                        if other != sign:
-                            pairs.add((a, b))
+        superior, inferior = members.get(hi), members.get(lo)
+        if not superior or not inferior:
+            continue
+        if len(inferior) > 1 and lo not in by_atom:
+            by_atom[lo] = index = {}
+            for b in inferior:
+                index.setdefault(heads[b] >> 1, []).append(b)
+        for a in superior:
+            for b in inferior if len(inferior) == 1 else by_atom[lo].get(heads[a] >> 1, ()):
+                if heads[a] ^ 1 == heads[b]:
+                    pairs.add((instances[a].label, instances[b].label))
     return frozenset(pairs)
 
 
@@ -408,27 +582,6 @@ def _live_assignments(schema, variables, constants, fact_args, head_signatures, 
                     found.append(tuple(binding[v] for v in variables))
     found.sort()
     return found
-
-
-def _literal_table(theory: SourceTheory, constants: list[str]) -> tuple[Literal, ...]:
-    """Both signs of every atom whose predicate and arity are written in the
-    theory, over its constants, the positive one first.  Every ground fact,
-    body and head literal is among them: it instantiates a written literal
-    over the same constants.
-
-    The atoms come sorted by predicate, arity and arguments (`constants` is
-    sorted).  For the names the parser accepts, that is text order: `(`,
-    `,` and `)` sort before every identifier character, and a predicate has
-    one arity.  `literals[0::2] + literals[1::2]` is the base in text order,
-    since `~` sorts after the lowercase letter each predicate starts with.
-    """
-    signatures = sorted({(l.atom.predicate, len(l.atom.args)) for l in theory._all_literals()})
-    table: list[Literal] = []
-    for predicate, arity in signatures:
-        for args in itertools.product(constants, repeat=arity):
-            atom = Atom(predicate, args)
-            table += (Literal(True, atom), Literal(False, atom))
-    return tuple(table)
 
 
 @dataclass
@@ -509,6 +662,9 @@ _DISPLAY = {
 }
 
 
+_CODE = {tag: code for code, tag in enumerate(Tag)}  # a tag's position in `Tag`, as flag lists are indexed
+
+
 class TaggedConclusion(NamedTuple):
     tag: Tag
     literal: Literal
@@ -518,77 +674,101 @@ class TaggedConclusion(NamedTuple):
 
 
 class ConclusionSet:
-    """Tagged conclusions indexed by (tag, literal), with coherence and
-    containment enforced on construction."""
+    """Tagged conclusions over a literal table: one flag list per `Tag`, in
+    `Tag` order, where `flags[k][i]` says that the k-th tag holds of
+    `table[i]`.  Coherence and containment are checked on construction, on
+    the flags.  The per-tag sets, and the index from a literal to its
+    position, are built only when asked for."""
 
     def __init__(self, conclusions: Iterable[TaggedConclusion]):
-        grouped: dict[Tag, set[Literal]] = {tag: set() for tag in Tag}
-        for c in conclusions:
-            grouped[c.tag].add(c.literal)
-        self._by_tag: dict[Tag, frozenset[Literal]] = {
-            tag: frozenset(lits) for tag, lits in grouped.items()
-        }
-        self.verify_invariants()
+        held = dict.fromkeys(conclusions)
+        table = tuple(dict.fromkeys(c.literal for c in held))
+        self._set(table, [[TaggedConclusion(tag, l) in held for l in table] for tag in Tag])
 
     @classmethod
     def from_tag_sets(cls, by_tag: dict[Tag, frozenset[Literal]]) -> "ConclusionSet":
-        self = cls.__new__(cls)
-        self._by_tag = {tag: frozenset(by_tag.get(tag, ())) for tag in Tag}
-        self.verify_invariants()
-        return self
+        return cls(TaggedConclusion(tag, l) for tag, lits in by_tag.items() for l in lits)
 
     @classmethod
     def from_table(cls, literals: Sequence[Literal], holds: Iterable[Iterable[bool]]) -> "ConclusionSet":
         """The conclusions over a literal table: the k-th `Tag` holds of
         `literals[i]` iff `holds[k][i]` is true, for one sequence of truth
         values per tag, such as a row of flags or a numpy bool column."""
-        return cls.from_tag_sets(
-            {tag: frozenset(itertools.compress(literals, flags)) for tag, flags in zip(Tag, holds, strict=True)}
-        )
+        self = cls.__new__(cls)
+        self._set(literals, [list(flags) for flags in holds])
+        return self
+
+    def _set(self, table: Sequence[Literal], flags: list[list[bool]]) -> None:
+        if [len(f) for f in flags] != [len(table)] * len(Tag):
+            raise ValueError(f"expected {len(Tag)} flag sequences of length {len(table)}")
+        self._table = table
+        self._flags = flags
+        self._index: Optional[dict[Literal, int]] = None
+        self.verify_invariants()
 
     def verify_invariants(self) -> None:
-        for plus, minus in (
-            (Tag.PLUS_DELTA, Tag.MINUS_DELTA),
-            (Tag.PLUS_PARTIAL, Tag.MINUS_PARTIAL),
-        ):
-            both = self._by_tag[plus] & self._by_tag[minus]
-            if both:
+        pd, md, pp, mp = self._flags
+        for plus, minus in ((pd, md), (pp, mp)):
+            if any(map(operator.and_, plus, minus)):
+                both = itertools.compress(self._table, map(operator.and_, plus, minus))
                 raise InternalError(f"coherence violated at {sorted(map(str, both))}")
-        if not self._by_tag[Tag.PLUS_DELTA] <= self._by_tag[Tag.PLUS_PARTIAL]:
+        if any(map(operator.gt, pd, pp)):
             raise InternalError("containment violated: +D not within +d")
-        if not self._by_tag[Tag.MINUS_PARTIAL] <= self._by_tag[Tag.MINUS_DELTA]:
+        if any(map(operator.gt, mp, md)):
             raise InternalError("containment violated: -d not within -D")
 
+    def over(self, literals: Sequence[Literal]) -> list[list[bool]]:
+        """The four flag lists over `literals` instead of this set's table:
+        the set's own lists when the tables are one."""
+        if literals is self._table:
+            return self._flags
+        index = self._positions()
+        at = [index.get(l) for l in literals]
+        return [[i is not None and flags[i] for i in at] for flags in self._flags]
+
+    def _positions(self) -> dict[Literal, int]:
+        if self._index is None:
+            self._index = {l: i for i, l in enumerate(self._table)}
+        return self._index
+
     def with_tag(self, tag: Tag) -> frozenset[Literal]:
-        return self._by_tag[tag]
+        return frozenset(itertools.compress(self._table, self._flags[_CODE[tag]]))
 
     def undefined_levels(self, literal: Literal) -> list[str]:
         """Which of the two levels carry no conclusion for this literal."""
+        i = self._positions().get(literal)
+        if i is None:
+            return ["definite", "partial"]
+        pd, md, pp, mp = self._flags
         levels = []
-        if literal not in self._by_tag[Tag.PLUS_DELTA] and literal not in self._by_tag[Tag.MINUS_DELTA]:
+        if not (pd[i] or md[i]):
             levels.append("definite")
-        if literal not in self._by_tag[Tag.PLUS_PARTIAL] and literal not in self._by_tag[Tag.MINUS_PARTIAL]:
+        if not (pp[i] or mp[i]):
             levels.append("partial")
         return levels
 
     def __contains__(self, c: TaggedConclusion) -> bool:
-        return c.literal in self._by_tag[c.tag]
+        i = self._positions().get(c.literal)
+        return i is not None and self._flags[_CODE[c.tag]][i]
 
     def __iter__(self) -> Iterator[TaggedConclusion]:
         for tag in Tag:
-            for literal in sorted(self._by_tag[tag], key=str):
+            for literal in sorted(self.with_tag(tag), key=str):
                 yield TaggedConclusion(tag, literal)
 
     def __len__(self) -> int:
-        return sum(len(lits) for lits in self._by_tag.values())
+        return sum(map(sum, self._flags))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, ConclusionSet):
-            return self._by_tag == other._by_tag
-        return NotImplemented
+        if not isinstance(other, ConclusionSet):
+            return NotImplemented
+        if self._table is other._table or self._table == other._table:
+            return self._flags == other._flags
+        return all(self.with_tag(tag) == other.with_tag(tag) for tag in Tag)
 
     def __hash__(self) -> int:
-        return hash(tuple(self._by_tag[tag] for tag in Tag))
+        return hash(tuple(self.with_tag(tag) for tag in Tag))
 
     def __repr__(self) -> str:
         return f"ConclusionSet({[str(c) for c in self]})"
+

@@ -8,7 +8,14 @@ size of the theory plus the superiority relation.  Negative tags are derived
 by the same worklist: the inference rules are monotone in the derived set, so
 no separate failure search is needed.  The build and the run, both in
 `_Propagation.__init__`, hold the cyclic GC paused (`core.gc_paused`): they
-allocate a list per rule and per body literal, none of them cyclic.
+allocate lists over the rules and an occurrence list per body literal, none
+of them cyclic.
+
+Literals are positions in the ground theory's table (`GroundTheory.literals`):
+the heads, bodies and facts come as positions from `ground`
+(`GroundTheory.table_positions`), and only a query is located, by position
+arithmetic.  The four status flag lists over the table are the result
+(`ConclusionSet.from_table`).
 
 Status codes used throughout: 0 = +D, 1 = -D, 2 = +d, 3 = -d, the position
 of each tag in `Tag`.
@@ -20,6 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import (
+    _CODE,
     ALL_KINDS,
     STRICT_ONLY,
     SUPPORTIVE,
@@ -36,7 +44,6 @@ from .core import (
 )
 
 _PD, _MD, _Pd, _Md = 0, 1, 2, 3
-_CODE = {tag: code for code, tag in enumerate(Tag)}
 
 
 class NoDerivationError(Exception):
@@ -67,25 +74,27 @@ class _Propagation:
     @gc_paused
     def __init__(self, g: GroundTheory, query: Optional[Literal] = None):
         literals = g.literals
-        self.index = {l: i for i, l in enumerate(literals)}
+        positions = g.table_positions()
+        self.query: Optional[int] = None  # the queried literal's position
         if query is not None:
             if not query.is_ground():
                 raise GroundingError(f"queried literal {query} is not ground")
-            if query not in self.index:  # one more pair, after the table
+            self.query = g.position(query)
+            if self.query is None:  # one more pair, after the table
                 positive = Literal(True, query.atom)
                 literals += (positive, positive.complement())
-                self.index.update({positive: len(literals) - 2, literals[-1]: len(literals) - 1})
+                self.query = len(literals) - 2 + (not query.positive)
         self.literals = literals
         n = len(literals)
         self.fact = [False] * n
-        for f in g.facts:
-            self.fact[self.index[f]] = True
+        for f in positions.facts:
+            self.fact[f] = True
 
         rules = g.rules
         nr = len(rules)
         self.rules = rules
-        self.head = [self.index[r.head] for r in rules]
-        self.body = [[self.index[a] for a in r.body] for r in rules]
+        self.head = positions.heads
+        self.body = positions.bodies
         self.is_strict = [r.kind is RuleKind.STRICT for r in rules]
         self.is_sd = [r.kind is not RuleKind.DEFEATER for r in rules]
 
@@ -266,9 +275,9 @@ class _Propagation:
     def conclusions(self) -> ConclusionSet:
         return ConclusionSet.from_table(self.literals, self.status)
 
-    def holds(self, c: TaggedConclusion) -> bool:
-        q = self.index.get(c.literal)
-        return q is not None and self.status[_CODE[c.tag]][q]
+    def holds(self, tag: Tag) -> bool:
+        """Whether the run established `tag` of the queried literal."""
+        return self.status[_CODE[tag]][self.query]
 
     # head-indexed rule lookups, used only when slicing out justifications
     def heads(self, q: int) -> list[int]:
@@ -298,7 +307,7 @@ def derive_all(g: GroundTheory) -> ConclusionSet:
 def prove(g: GroundTheory, c: TaggedConclusion) -> bool:
     """Whether the conclusion is derivable; the base is extended with the
     queried literal if it is not already covered."""
-    return _Propagation(g, c.literal).holds(c)
+    return _Propagation(g, c.literal).holds(c.tag)
 
 
 def explain(g: GroundTheory, c: TaggedConclusion) -> Derivation:
@@ -306,10 +315,10 @@ def explain(g: GroundTheory, c: TaggedConclusion) -> Derivation:
     run to the justification cone of `c`.  Effort-minimal, not length-minimal;
     always passes `check_derivation`."""
     prop = _Propagation(g, c.literal)
-    if not prop.holds(c):
+    if not prop.holds(c.tag):
         raise NoDerivationError(f"{c} is not derivable")
     position = {(s & 3, s >> 2): i for i, s in enumerate(prop.order)}
-    target = (_CODE[c.tag], prop.index[c.literal])
+    target = (_CODE[c.tag], prop.query)
     needed: set[tuple[int, int]] = set()
     stack = [target]
     while stack:

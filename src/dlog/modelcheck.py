@@ -319,9 +319,8 @@ class ModelSet:
         if not len(self.delta):
             raise InternalError("theory has no models; the model conditions are broken")
         d, p = self.delta, self.partial
-        return ConclusionSet.from_table(
-            self.base, [(d == 1).all(axis=0), (d == 0).all(axis=0), (p == 1).all(axis=0), (p == 0).all(axis=0)]
-        )
+        holds = (d == 1, d == 0, p == 1, p == 0)
+        return ConclusionSet.from_table(self.base, [column.all(axis=0).tolist() for column in holds])
 
 
 def models(g: GroundTheory, cap: Optional[int] = None) -> ModelSet:

@@ -309,6 +309,23 @@ def test_from_table_enforces_invariants():
         ConclusionSet.from_table(table, [[True, False], [False, False], [False, False], [False, False]])
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ([[1, 0], [1, 0], [1, 0], [0, 0]], r"coherence violated at \['p'\]"),
+        ([[0, 0], [0, 1], [0, 1], [0, 1]], r"coherence violated at \['~p'\]"),
+        ([[0, 1], [0, 0], [0, 0], [0, 0]], "containment violated: \\+D not within \\+d"),
+        ([[0, 0], [0, 0], [0, 0], [1, 0]], "containment violated: -d not within -D"),
+    ],
+    ids=["definite-coherence", "defeasible-coherence", "plus-containment", "minus-containment"],
+)
+def test_flags_breaking_invariants_raise(flags, message):
+    # the checks run on the flags; each breach is an InternalError
+    table = (lit("p"), neg("p"))
+    with pytest.raises(InternalError, match=f"^{message}$"):
+        ConclusionSet.from_table(table, [[bool(v) for v in row] for row in flags])
+
+
 def test_from_table_matches_conclusion_set(bird):
     cs = engine.derive_all(bird)
     flags = [[l in cs.with_tag(tag) for l in bird.literals] for tag in Tag]
@@ -358,3 +375,13 @@ def test_rules_for_selections():
     assert naive.rules_for(ALL_KINDS) == naive.rules
     assert naive.rules_for({RuleKind.STRICT}) == strict
     assert naive.rules_for(RuleKind, nf_ethel) == allk
+
+
+def test_conclusion_set_over_another_table(bird):
+    cs = engine.derive_all(bird)
+    rebuilt = ConclusionSet.from_tag_sets({tag: cs.with_tag(tag) for tag in Tag})
+    assert rebuilt == cs and hash(rebuilt) == hash(cs)
+    assert rebuilt.over(bird.literals) == cs.over(bird.literals)
+    # a literal outside the set's table carries no flag
+    assert [flags[0] for flags in rebuilt.over((lit("zebra"),))] == [False] * 4
+    assert rebuilt.undefined_levels(lit("zebra")) == ["definite", "partial"]

@@ -9,6 +9,8 @@ The two must agree on validation and on every conclusion.
 
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,8 @@ from dlog.core import (
 )
 from dlog.differential import generate_random_theory
 from dlog.parser import parse_theory, render_theory
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def naive_ground(theory: SourceTheory) -> GroundTheory:
@@ -232,3 +236,74 @@ def test_reachability_instance_count(n):
     assert len(g.rules) == len(edges) + n * len(edges) + len(blocked) + 2 * n
     # cyc > acyc leaves one effective pair per constant
     assert len(g.superiority) == n
+
+
+def benchmark_texts() -> dict[str, str]:
+    """The `families` and `reach` texts of the benchmark for its default and
+    hold-out seeds, by name."""
+    if str(ROOT / "benchmark") not in sys.path:
+        sys.path.append(str(ROOT / "benchmark"))
+    import workloads
+
+    texts = {}
+    for seed in (1, 1009):
+        for op in workloads.families(seed).ops:
+            if op.op == "derive":
+                texts[f"{op.kind.removeprefix('derive-')}-{seed}"] = op.text
+        texts[f"reach-{seed}"] = workloads.reach_workload(seed).ops[0].text
+    return texts
+
+
+def assert_positions_are_table_lookups(theory: SourceTheory, context) -> None:
+    """The positions `ground` hands over are a table lookup of every rule's
+    head and body and of every fact.  Each rule is checked against its schema
+    with the instance label's constants substituted, so that positions and
+    literals cannot be wrong together; an instance's literals are the table's
+    own objects, and `position` finds every base literal and no other."""
+    g = ground(theory)
+    index = {l: i for i, l in enumerate(g.literals)}
+    assert len(index) == len(g.literals), context
+    schemas = {schema.label: schema for schema in theory.rules}
+    positions = g.positions
+    for r, head, body in zip(g.rules, positions.heads, positions.bodies, strict=True):
+        label, _, values = r.label.partition("#")
+        schema = schemas[label]
+        binding = dict(zip(schema.variables, values.split(",") if values else ()))
+        expected = Rule(r.label, schema.kind, tuple(l.substitute(binding) for l in schema.body), schema.head.substitute(binding))
+        assert r == expected, context
+        assert head == index[expected.head], context
+        assert body == tuple(index[a] for a in expected.body), context
+        if values:  # an instance, not a variable-free schema
+            assert r.head is g.literals[head], context
+            assert all(a is g.literals[at] for a, at in zip(r.body, body)), context
+    assert sorted(positions.facts) == sorted(index[f] for f in g.facts), context
+    assert all(g.position(l) == i for l, i in index.items()), context
+    outside = [lit("no_such_predicate"), lit("no_such_constant", "zz")]
+    outside += [lit(q.atom.predicate, *q.atom.args, "a") for q in g.literals[:2]]  # one more argument
+    assert [g.position(l) for l in outside] == [None] * len(outside), context
+
+
+def test_ground_positions_are_table_lookups(bird_text):
+    assert_positions_are_table_lookups(parse_theory(bird_text), "bird")
+    for name, text in benchmark_texts().items():
+        assert_positions_are_table_lookups(parse_theory(text), name)
+
+
+def test_ground_positions_on_first_order_theories():
+    # repeated variables, constants inside schema arguments, and bodies such
+    # as p(X), p(Y) that collapse when X = Y
+    collapsed = 0
+    for seed in range(THEORIES):
+        theory = random_first_order_theory(seed)
+        try:
+            g = ground(theory)
+        except GroundingError:
+            continue
+        assert_positions_are_table_lookups(theory, render_theory(theory))
+        collapsed += sum(
+            len(r.body) < len(schema.body)
+            for schema in theory.rules
+            for r in g.rules
+            if r.label.partition("#")[0] == schema.label
+        )
+    assert collapsed > 0

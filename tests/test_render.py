@@ -1,0 +1,113 @@
+"""`dlog derive`, `derive --json` and `models --consequences` print exactly
+what a set-membership rendering of the same conclusions prints.
+
+`reference_print_conclusions` is the renderer the command line used before
+it read the conclusion flags by table position: it tests membership in each
+tag's set, literal by literal, and asks `undefined_levels` of every base
+literal."""
+
+import io
+import json
+
+import pytest
+
+from dlog import engine, modelcheck
+from dlog.cli import _print_conclusions, main
+from dlog.core import Tag, ground
+from dlog.differential import generate_random_theory
+from dlog.parser import parse_theory, render_theory
+from test_grounding import benchmark_texts
+
+
+def reference_print_conclusions(g, conclusions, out, as_json: bool, doc: dict | None = None) -> None:
+    ordered = g.literals[0::2] + g.literals[1::2]
+    tagged = {}
+    for tag in Tag:
+        held = conclusions.with_tag(tag)
+        tagged[tag.value] = [str(l) for l in ordered if l in held]
+    undefined = [(str(l), levels) for l in ordered if (levels := conclusions.undefined_levels(l))]
+    if as_json:
+        doc = {
+            **(doc or {}),
+            "conclusions": [
+                {"tag": tag, "literal": l} for tag, literals in tagged.items() for l in literals
+            ],
+            "undefined": [{"literal": l, "levels": levels} for l, levels in undefined],
+        }
+        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        return
+    for tag, literals in tagged.items():
+        out.writelines(f"{tag} {l}\n" for l in literals)
+    if undefined:
+        out.write("undefined:\n")
+        out.writelines(f"  {l} ({', '.join(levels)})\n" for l, levels in undefined)
+
+
+def reference(g, conclusions, as_json, doc=None) -> str:
+    out = io.StringIO()
+    reference_print_conclusions(g, conclusions, out, as_json, doc)
+    return out.getvalue()
+
+
+def run(argv) -> str:
+    out = io.StringIO()
+    assert main(argv, out=out) == 0
+    return out.getvalue()
+
+
+def assert_derive_matches(path, text) -> None:
+    g = ground(parse_theory(text))
+    conclusions = engine.derive_all(g)
+    assert run(["derive", str(path)]) == reference(g, conclusions, False), text
+    assert run(["derive", "--json", str(path)]) == reference(g, conclusions, True), text
+
+
+def assert_models_match(path, text) -> None:
+    g = ground(parse_theory(text))
+    cap = 6 ** len(g.literals)  # the whole candidate space; the pruned frontier is small
+    found = modelcheck.models(g, cap)
+    count = len(found.delta)
+    consequences = found.consequences()
+    models = ["models", "--consequences", "--cap", str(cap), str(path)]
+    assert run(models) == f"models: {count}\n" + reference(g, consequences, False), text
+    assert run(models + ["--json"]) == reference(
+        g, consequences, True, {"models": count}
+    ), text
+
+
+def test_bird_matches_reference(bird_path, bird_text):
+    assert_derive_matches(bird_path, bird_text)
+    assert_models_match(bird_path, bird_text)
+
+
+def test_benchmark_texts_match_reference(tmp_path):
+    texts = benchmark_texts()
+    assert len(texts) == 8  # chain, circle, teams and reach, for seeds 1 and 1009
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.dl"
+        path.write_text(text)
+        assert_derive_matches(path, text)
+
+
+def test_random_theories_match_reference(tmp_path):
+    # the `dlog fuzz` defaults: up to 3 atoms and 10 rules, so every theory's
+    # models can be enumerated
+    undefined = 0
+    for seed in range(500):
+        text = render_theory(generate_random_theory(seed, 3, 10))
+        path = tmp_path / "theory.dl"
+        path.write_text(text)
+        assert_derive_matches(path, text)
+        assert_models_match(path, text)
+        undefined += "undefined:" in run(["derive", str(path)])
+    assert undefined > 0  # the undefined section is exercised too
+
+
+def test_hand_built_conclusions_render_over_the_base(bird):
+    # a conclusion set over another table is read off by literal lookup
+    cs = engine.derive_all(bird)
+    rebuilt = type(cs)(list(cs))
+    for as_json in (False, True):
+        out = io.StringIO()
+        _print_conclusions(bird, rebuilt, out, as_json)
+        assert out.getvalue() == reference(bird, cs, as_json)
