@@ -225,7 +225,8 @@ class GroundTheory:
 
     `ground` also fills in `offsets`, where each `(predicate, arity)`'s atoms
     start in `literals`, and `positions`; a theory built by hand leaves them
-    out, and `table_positions` and `position` look its literals up instead."""
+    out, and `table_positions` and `position` look its literals up instead.
+    Either way each index they read is built once per theory, on first use."""
 
     facts: frozenset[Literal]
     rules: tuple[Rule, ...]
@@ -242,19 +243,31 @@ class GroundTheory:
         `literals`.  A literal missing from a hand-built table is a KeyError."""
         if self.positions is not None:
             return self.positions
-        index = {l: i for i, l in enumerate(self.literals)}
-        return Positions(
-            tuple(index[r.head] for r in self.rules),
-            tuple(tuple(index[a] for a in r.body) for r in self.rules),
-            tuple(index[f] for f in self.facts),
-        )
+        return self._looked_up_positions
 
     def position(self, literal: Literal) -> Optional[int]:
         """The position of a ground literal in `literals`, or None when it is
         not in the base."""
         if self.offsets is None:
-            return next((i for i, l in enumerate(self.literals) if l == literal), None)
-        return _position(literal, self.offsets, {c: i for i, c in enumerate(sorted(self.constants))})
+            return self._table_index.get(literal)
+        return _position(literal, self.offsets, self._constant_index)
+
+    @cached_property
+    def _constant_index(self) -> dict[str, int]:
+        return {c: i for i, c in enumerate(sorted(self.constants))}
+
+    @cached_property
+    def _table_index(self) -> dict[Literal, int]:
+        return {l: i for i, l in enumerate(self.literals)}
+
+    @cached_property
+    def _looked_up_positions(self) -> Positions:
+        index = self._table_index
+        return Positions(
+            tuple(index[r.head] for r in self.rules),
+            tuple(tuple(index[a] for a in r.body) for r in self.rules),
+            tuple(index[f] for f in self.facts),
+        )
 
     @cached_property
     def _selections(self) -> dict[frozenset[RuleKind], dict[Optional[Literal], tuple[Rule, ...]]]:

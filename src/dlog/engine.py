@@ -13,9 +13,14 @@ of them cyclic.
 
 Literals are positions in the ground theory's table (`GroundTheory.literals`):
 the heads, bodies and facts come as positions from `ground`
-(`GroundTheory.table_positions`), and only a query is located, by position
-arithmetic.  The four status flag lists over the table are the result
-(`ConclusionSet.from_table`).
+(`GroundTheory.table_positions`), and a query is located by position
+arithmetic (`GroundTheory.position`).  The four status flag lists over the
+table are the result (`ConclusionSet.from_table`).  `explain` slices the run
+by packed steps, indexed in one flat list over `(position << 2) | code`, and
+names literals only to return the derivation.  `check_derivation` locates each
+step's literal once in the same way and replays the steps over four flag
+arrays by position, with an index from head positions to rules of its own;
+both run with the cyclic GC paused.
 
 Status codes used throughout: 0 = +D, 1 = -D, 2 = +d, 3 = -d, the position
 of each tag in `Tag`.
@@ -28,15 +33,12 @@ from typing import Iterable, Optional
 
 from .core import (
     _CODE,
-    ALL_KINDS,
-    STRICT_ONLY,
-    SUPPORTIVE,
+    Atom,
     ConclusionSet,
     GroundTheory,
     GroundingError,
     InternalError,
     Literal,
-    Rule,
     RuleKind,
     Tag,
     TaggedConclusion,
@@ -310,6 +312,7 @@ def prove(g: GroundTheory, c: TaggedConclusion) -> bool:
     return _Propagation(g, c.literal).holds(c.tag)
 
 
+@gc_paused
 def explain(g: GroundTheory, c: TaggedConclusion) -> Derivation:
     """A derivation ending with `c`, built by backward-slicing the worklist
     run to the justification cone of `c`.  Effort-minimal, not length-minimal;
@@ -317,29 +320,32 @@ def explain(g: GroundTheory, c: TaggedConclusion) -> Derivation:
     prop = _Propagation(g, c.literal)
     if not prop.holds(c.tag):
         raise NoDerivationError(f"{c} is not derivable")
-    position = {(s & 3, s >> 2): i for i, s in enumerate(prop.order)}
-    target = (_CODE[c.tag], prop.query)
-    needed: set[tuple[int, int]] = set()
-    stack = [target]
+    order = prop.order
+    # at[s]: the index in `order` of the packed step s, or len(order) when
+    # the run never established it
+    at = [len(order)] * (4 * len(prop.literals))
+    for i, s in enumerate(order):
+        at[s] = i
+    needed = bytearray(len(at))
+    stack = [(prop.query << 2) | _CODE[c.tag]]
     while stack:
         step = stack.pop()
-        if step in needed:
-            continue
-        needed.add(step)
-        stack.extend(_justify(prop, position, step))
-    ordered = sorted(needed, key=position.__getitem__)
-    tags = tuple(Tag)
-    return tuple(TaggedConclusion(tags[code], prop.literals[q]) for code, q in ordered)
+        if not needed[step]:
+            needed[step] = 1
+            stack.extend(_justify(prop, at, step))
+    # `tuple.__new__` builds each step without the named tuple's Python-level `__new__`
+    tags, literals, new = tuple(Tag), prop.literals, tuple.__new__
+    return tuple(new(TaggedConclusion, (tags[s & 3], literals[s >> 2])) for s in order if needed[s])
 
 
-def _justify(prop: _Propagation, position, step) -> list[tuple[int, int]]:
-    """Premises (earlier steps of the run) justifying one established step."""
-    code, q = step
-    limit = position[step]
+def _justify(prop: _Propagation, at: list[int], step: int) -> list[int]:
+    """Premises (earlier steps of the run, packed) justifying one established
+    step."""
+    code, q = step & 3, step >> 2
+    limit = at[step]
 
     def before(c: int, l: int) -> bool:
-        p = position.get((c, l))
-        return p is not None and p < limit
+        return at[(l << 2) | c] < limit
 
     body = prop.body
     if code == _PD:
@@ -347,7 +353,7 @@ def _justify(prop: _Propagation, position, step) -> list[tuple[int, int]]:
             return []
         for ri in prop.strict_heads(q):
             if all(before(_PD, a) for a in body[ri]):
-                return [(_PD, a) for a in body[ri]]
+                return [(a << 2) | _PD for a in body[ri]]
         raise InternalError(f"no justification for +D {prop.literals[q]}")
     if code == _MD:
         premises = []
@@ -355,29 +361,29 @@ def _justify(prop: _Propagation, position, step) -> list[tuple[int, int]]:
             witness = next((a for a in body[ri] if before(_MD, a)), None)
             if witness is None:
                 raise InternalError(f"no justification for -D {prop.literals[q]}")
-            premises.append((_MD, witness))
+            premises.append((witness << 2) | _MD)
         return premises
     comp_q = q ^ 1
     if code == _Pd:
         if before(_PD, q):
-            return [(_PD, q)]
+            return [(q << 2) | _PD]
         for ri in prop.sd_heads(q):
             if all(before(_Pd, a) for a in body[ri]):
-                premises = [(_Pd, a) for a in body[ri]]
+                premises = [(a << 2) | _Pd for a in body[ri]]
                 break
         else:
             raise InternalError(f"no justification for +d {prop.literals[q]}")
-        premises.append((_MD, comp_q))
+        premises.append((comp_q << 2) | _MD)
         for s in prop.heads(comp_q):
             # each attacker is either discarded or counter-attacked by a
             # superior supportive rule
             w = next((a for a in body[s] if before(_Md, a)), None)
             if w is not None:
-                premises.append((_Md, w))
+                premises.append((w << 2) | _Md)
                 continue
             for t in prop.sd_heads(q):
                 if s in prop.beats.get(t, ()) and all(before(_Pd, a) for a in body[t]):
-                    premises.extend((_Pd, a) for a in body[t])
+                    premises.extend((a << 2) | _Pd for a in body[t])
                     break
             else:
                 raise InternalError(
@@ -385,9 +391,9 @@ def _justify(prop: _Propagation, position, step) -> list[tuple[int, int]]:
                 )
         return premises
     # code == _Md
-    premises = [(_MD, q)]
+    premises = [(q << 2) | _MD]
     if before(_PD, comp_q):  # (2.2)
-        premises.append((_PD, comp_q))
+        premises.append((comp_q << 2) | _PD)
         return premises
     witnesses = []
     for ri in prop.sd_heads(q):  # (2.1)
@@ -395,7 +401,7 @@ def _justify(prop: _Propagation, position, step) -> list[tuple[int, int]]:
         if w is None:
             witnesses = None
             break
-        witnesses.append((_Md, w))
+        witnesses.append((w << 2) | _Md)
     if witnesses is not None:
         return premises + witnesses
     for s in prop.heads(comp_q):  # (2.3)
@@ -409,73 +415,101 @@ def _justify(prop: _Propagation, position, step) -> list[tuple[int, int]]:
             if w is None:
                 counter = None
                 break
-            counter.append((_Md, w))
+            counter.append((w << 2) | _Md)
         if counter is not None:
-            return premises + [(_Pd, a) for a in body[s]] + counter
+            return premises + [(a << 2) | _Pd for a in body[s]] + counter
     raise InternalError(f"no justification for -d {prop.literals[q]}")
 
 
+@gc_paused
 def check_derivation(g: GroundTheory, d: Iterable[TaggedConclusion]) -> CheckResult:
     """Replay a derivation against the theory: every element must be justified
-    by one of the four inference rules applied to the strict prefix before it."""
-    seen: set[TaggedConclusion] = set()
+    by one of the four inference rules applied to the strict prefix before it.
 
-    def has(tag: Tag, literal: Literal) -> bool:
-        return TaggedConclusion(tag, literal) in seen
+    The replay keeps its own encoding of the rules and shares no state with
+    the engine.  Each step's literal is located once (`GroundTheory.position`);
+    a literal outside the table gets one more pair after it.  The prefix is
+    four flag arrays over positions, one per `Tag`, and a position's rules
+    come from an index by head position built here from
+    `GroundTheory.table_positions`.  Superiority is read as label pairs."""
+    steps = list(d)
+    n = len(g.literals)
+    outside: dict[Atom, int] = {}  # atom -> the position of its pair after the table
+    at = []
+    for c in steps:
+        q = g.position(c.literal)
+        if q is None:
+            atom = c.literal.atom
+            q = outside.setdefault(atom, n + 2 * len(outside)) + (not c.literal.positive)
+        at.append(q)
+    size = n + 2 * len(outside)
+    pD, mD, pd, md = (bytearray(size) for _ in Tag)
 
-    def supported(rule: Rule) -> bool:
-        return all(has(Tag.PLUS_PARTIAL, a) for a in rule.body)
-
-    def discarded(rule: Rule) -> bool:
-        return any(has(Tag.MINUS_PARTIAL, a) for a in rule.body)
-
+    positions = g.table_positions()
+    body = positions.bodies
+    fact = bytearray(size)
+    for f in positions.facts:
+        fact[f] = 1
+    rules_at: dict[int, list[int]] = {}  # head position -> rules, in `rules` order
+    for ri, h in enumerate(positions.heads):
+        rules_at.setdefault(h, []).append(ri)
+    kinds = [r.kind for r in g.rules]
+    labels = [r.label for r in g.rules]
     sup = g.superiority
-    for i, c in enumerate(d, start=1):
-        tag, q = c.tag, c.literal
-        comp = q.complement()
-        strict = g.rules_for(STRICT_ONLY, q)
-        sd = g.rules_for(SUPPORTIVE, q)
-        attackers = g.rules_for(ALL_KINDS, comp)
-        ok = False
-        reason = ""
+
+    def supported(r: int) -> bool:
+        return all(pd[a] for a in body[r])
+
+    def discarded(r: int) -> bool:
+        return any(md[a] for a in body[r])
+
+    for i, (c, q) in enumerate(zip(steps, at), start=1):
+        tag = c.tag
+        rules = rules_at.get(q, ())
         if tag is Tag.PLUS_DELTA:
-            ok = q in g.facts or any(
-                all(has(Tag.PLUS_DELTA, a) for a in r.body) for r in strict
+            ok = fact[q] or any(
+                kinds[r] is RuleKind.STRICT and all(pD[a] for a in body[r]) for r in rules
             )
             reason = "literal is not a fact and no strict rule is established"
+            flags = pD
         elif tag is Tag.MINUS_DELTA:
-            ok = q not in g.facts and all(
-                any(has(Tag.MINUS_DELTA, a) for a in r.body) for r in strict
+            ok = not fact[q] and all(
+                any(mD[a] for a in body[r]) for r in rules if kinds[r] is RuleKind.STRICT
             )
             reason = "literal is a fact or some strict rule is unrefuted"
+            flags = mD
         elif tag is Tag.PLUS_PARTIAL:
-            ok = has(Tag.PLUS_DELTA, q) or (
+            sd = [r for r in rules if kinds[r] is not RuleKind.DEFEATER]
+            ok = pD[q] or (
                 any(supported(r) for r in sd)
-                and has(Tag.MINUS_DELTA, comp)
+                and mD[q ^ 1]
                 and all(
                     discarded(s)
                     or any(
-                        supported(t) and (t.label, s.label) in sup for t in sd
+                        supported(t) and (labels[t], labels[s]) in sup for t in sd
                     )
-                    for s in attackers
+                    for s in rules_at.get(q ^ 1, ())
                 )
             )
             reason = "clause (1) and clause (2) both fail against the prefix"
+            flags = pd
         else:
-            ok = has(Tag.MINUS_DELTA, q) and (
+            sd = [r for r in rules if kinds[r] is not RuleKind.DEFEATER]
+            ok = mD[q] and (
                 all(discarded(r) for r in sd)
-                or has(Tag.PLUS_DELTA, comp)
+                or pD[q ^ 1]
                 or any(
                     supported(s)
                     and all(
-                        discarded(t) or (t.label, s.label) not in sup
+                        discarded(t) or (labels[t], labels[s]) not in sup
                         for t in sd
                     )
-                    for s in attackers
+                    for s in rules_at.get(q ^ 1, ())
                 )
             )
             reason = "none of clauses (2.1)-(2.3) holds against the prefix"
+            flags = md
         if not ok:
             return CheckResult(index=i, reason=f"{c}: {reason}")
-        seen.add(c)
+        flags[q] = 1
     return CheckResult()

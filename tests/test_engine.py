@@ -12,18 +12,23 @@ from dlog.core import (
     RuleKind,
     Tag,
     TaggedConclusion,
+    ValidationError,
     ground,
     lit,
     neg,
+    validate,
 )
+from dlog.differential import generate_random_theory
 from dlog.engine import (
     NoDerivationError,
+    _Propagation,
     check_derivation,
     derive_all,
     explain,
     prove,
 )
 from dlog.parser import ParseError, parse_conclusion, parse_theory
+from test_grounding import random_first_order_theory
 
 
 def conclude(text: str):
@@ -193,6 +198,104 @@ def test_check_derivation_accepts_empty(bird):
     assert check_derivation(bird, [])
 
 
+def test_check_derivation_outside_base(bird):
+    # a literal outside the table gets one more pair after it, as in a query
+    assert check_derivation(bird, [c("-D newpred"), c("-d newpred")])
+    result = check_derivation(bird, [c("+D newpred")])
+    assert (result.index, result.reason) == (
+        1, "+D newpred: literal is not a fact and no strict rule is established"
+    )
+    # outside the table twice over: an unwritten predicate and unwritten constants
+    for text in ("p.", "zz(c,d)."):
+        g = ground(parse_theory(text))
+        target = c("-d zz(a,b)")
+        assert g.position(target.literal) is None
+        d = explain(g, target)
+        assert d == (c("-D zz(a,b)"), target)
+        assert check_derivation(g, d)
+        assert check_derivation(g, d[1:]).index == 1
+
+
+def hand_built(g: GroundTheory) -> GroundTheory:
+    """`g` without the positions `ground` hands over, and with its table's
+    pairs in reverse order, so every literal is looked up at a new place."""
+    pairs = [g.literals[i:i + 2] for i in range(0, len(g.literals), 2)]
+    return GroundTheory(
+        facts=g.facts,
+        rules=g.rules,
+        superiority=g.superiority,
+        constants=g.constants,
+        literals=tuple(l for pair in reversed(pairs) for l in pair),
+        written_labels=g.written_labels,
+        written_superiority=g.written_superiority,
+    )
+
+
+def test_hand_built_theory_replays_alike(bird):
+    hand = hand_built(bird)
+    assert hand.offsets is None and hand.positions is None
+    assert hand.table_positions() is hand.table_positions()  # looked up once
+    assert [hand.position(l) for l in hand.literals] == list(range(len(hand.literals)))
+    assert hand.position(lit("newpred")) is None
+    assert repr(hand) == repr(hand_built(bird))  # the cached indexes stay out of repr
+    verdicts = 0
+    for text in BIRD_CONCLUSIONS:
+        d = explain(bird, c(text))
+        assert check_derivation(hand, explain(hand, c(text)))  # its run is in another order
+        # the derivation, each step alone, and the derivation less one step
+        for candidate in [d] + [(x,) for x in d] + [d[:k] + d[k + 1:] for k in range(len(d))]:
+            expected = check_derivation(bird, candidate)
+            assert check_derivation(hand, candidate) == expected, (text, candidate)
+            verdicts += not expected.valid
+    assert verdicts > 0
+
+
+def checker_corpus(family: str):
+    """Ground theories for the checker-against-engine test: 300 random
+    propositional theories and 100 first-order ones, less those that fail
+    grounding or validation."""
+    if family == "propositional":
+        theories = (generate_random_theory(seed, 6, 16) for seed in range(300))
+    else:
+        theories = (random_first_order_theory(seed) for seed in range(100))
+    for theory in theories:
+        try:
+            g = ground(theory)
+            validate(g)
+        except (GroundingError, ValidationError):
+            continue
+        yield g
+
+
+@pytest.mark.parametrize("family", ["propositional", "first-order"])
+def test_checker_agrees_with_engine(family):
+    # the replay and the engine are two encodings of the four inference rules:
+    # the engine's whole run replays valid, so does every explanation, and a
+    # conclusion the engine does not draw is rejected after the whole run
+    tags = tuple(Tag)
+    accepted = rejected = 0
+    for g in checker_corpus(family):
+        prop = _Propagation(g)
+        run = [TaggedConclusion(tags[s & 3], prop.literals[s >> 2]) for s in prop.order]
+        assert check_derivation(g, run), run
+        derived = derive_all(g)
+        for conclusion in derived:
+            d = explain(g, conclusion)
+            assert d[-1] == conclusion
+            assert check_derivation(g, d), d
+            accepted += 1
+        for literal in g.literals:
+            for tag in Tag:
+                extra = TaggedConclusion(tag, literal)
+                if extra in derived:
+                    continue
+                result = check_derivation(g, run + [extra])
+                assert result.index == len(run) + 1, (extra, result)
+                assert result.reason.startswith(f"{extra}: ")
+                rejected += 1
+    assert accepted > 1000 and rejected > 1000
+
+
 def test_coherence_guard():
     # a fact together with an unbeaten attacker stays coherent: the engine
     # never concludes both signs of one tag (guarded by an internal check)
@@ -208,9 +311,9 @@ def test_coherence_guard():
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_gc_state_is_restored(bird, enabled):
-    # the engine pauses the cyclic GC while it builds its indexes; it must
-    # leave it as it found it, also when the build raises (here: a rule head
-    # missing from the hand-built base)
+    # the engine and the replay pause the cyclic GC while they build their
+    # indexes; each must leave it as it found it, also when the build raises
+    # (here: a rule head missing from the hand-built base)
     broken = GroundTheory(
         facts=frozenset(),
         rules=(Rule("r", RuleKind.DEFEASIBLE, (), lit("q")),),
@@ -220,7 +323,7 @@ def test_gc_state_is_restored(bird, enabled):
         written_labels=("r",),
         written_superiority=(),
     )
-    calls = [lambda g, target: derive_all(g), prove, explain]
+    calls = [lambda g, target: derive_all(g), prove, explain, lambda g, target: check_derivation(g, [target])]
     resume = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:

@@ -26,12 +26,18 @@ def test_stage_record(tmp_path):
     # 50 links and 5 overruled attackers; both signs of p0 ... p50
     assert workloads["chain-50"]["sizes"]["rules"] == 55
     assert workloads["chain-50"]["sizes"]["base"] == 102
+    # +d p50 rests on +D p0, +d p0 ... p50 and -D ~p1 ... ~p50
+    assert workloads["chain-50"]["sizes"]["derivation_steps"] == 102
     assert workloads["models-seed1"]["sizes"]["theories"] == 199
     stages = {"parse_s", "ground_s", "validate_s", "derive_s", "render_s", "total_s"}
     meta = {"translate_s", "fixpoint_s"}
+    explained = {"explain_s", "check_s"}
     for name, workload in workloads.items():
         if name.startswith("models"):
             expected = stages - {"render_s"} | meta | {"consequences_s"}
+        elif name.startswith(("chain", "families")):
+            expected = stages | explained
+            assert workload["sizes"]["derivation_steps"] > 0
         else:
             expected = stages | (meta if name.startswith("meta") else set())
         for tree in ("parent", "change"):

@@ -6,7 +6,9 @@
 Each workload is one `.dl` text, run through the stages of `dlog derive`:
 parse (`parse_theory`), ground (`ground`), validate (`validate`), derive
 (`engine.derive_all`) and render (`cli._print_conclusions` into memory).
-The metaprogram workload adds `metaprogram.translate` and `kunen_fixpoint`.
+The chain and the `families` texts add `engine.explain` of one target and
+`engine.check_derivation` of its derivation (explain, check), and the
+metaprogram workload adds `metaprogram.translate` and `kunen_fixpoint`.
 The model workload runs the stages of `compare_semantics` on each of its
 theories, `modelcheck.logical_consequences` among them, and sums each stage.
 Every run is a fresh interpreter that imports dlog from one tree's `src/`;
@@ -14,8 +16,9 @@ runs alternate between the trees, and the record holds each stage's median
 over `--repeats` runs per tree, and the runs themselves.
 
 Workloads: the chain `p0 => p1 => ... => pN` with an overruled attacker on
-every tenth link (`--chain`, 100,000 links by default), the three seed-1
-`families` texts and the seed-1 `reach` text of the benchmark
+every tenth link (`--chain`, 100,000 links by default; explained at `+d pN`),
+the three seed-1 `families` texts at their benchmark `explain` targets, the
+seed-1 `reach` text of the benchmark
 (`benchmark/workloads.py`), a `--meta-chain` chain (250 links) for the
 metaprogram oracle, and the model-checked theories of the first seed-1
 `crosscheck` block (199 theories) for all three semantics.
@@ -38,6 +41,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("parse", "ground", "validate", "derive", "render")
+EXPLAIN_STAGES = ("explain", "check")
 META_STAGES = ("translate", "fixpoint")
 MODEL_STAGES = STAGES[:-1] + META_STAGES + ("consequences",)  # compare_semantics: no render
 
@@ -52,20 +56,24 @@ def chain_text(links: int, attack_every: int = 10) -> str:
     return "\n".join(lines) + "\n"
 
 
-def inputs(links: int, meta_links: int) -> dict[str, tuple[str, str]]:
-    """Workload name -> (kind, file contents).  The kind is `derive`, `meta`
-    (derive, then the metaprogram stages) or `models` (a JSON list of texts)."""
+def inputs(links: int, meta_links: int) -> dict[str, tuple[str, str, str]]:
+    """Workload name -> (kind, file contents, target).  The kind is `derive`,
+    `explain` (derive, then the explain stages of the target), `meta` (derive,
+    then the metaprogram stages) or `models` (a JSON list of texts); the
+    target is empty unless the kind is `explain`."""
     sys.path.insert(0, str(ROOT / "benchmark"))
     import workloads
 
-    texts = {f"chain-{links}": ("derive", chain_text(links))}
-    for op in workloads.families(1).ops:
+    texts = {f"chain-{links}": ("explain", chain_text(links), f"+d p{links}")}
+    ops = workloads.families(1).ops
+    targets = {op.text: op.target for op in ops if op.op == "explain"}
+    for op in ops:
         if op.op == "derive":
-            texts[f"families-{op.kind.removeprefix('derive-')}-seed1"] = ("derive", op.text)
-    texts["reach-seed1"] = ("derive", workloads.reach_workload(1).ops[0].text)
-    texts[f"meta-chain-{meta_links}"] = ("meta", chain_text(meta_links))
+            texts[f"families-{op.kind.removeprefix('derive-')}-seed1"] = ("explain", op.text, targets[op.text])
+    texts["reach-seed1"] = ("derive", workloads.reach_workload(1).ops[0].text, "")
+    texts[f"meta-chain-{meta_links}"] = ("meta", chain_text(meta_links), "")
     block = [op.text for op in workloads.crosscheck(1).ops[: workloads.XCHECK_BLOCK] if op.models]
-    texts["models-seed1"] = ("models", json.dumps(block))
+    texts["models-seed1"] = ("models", json.dumps(block), "")
     return texts
 
 
@@ -106,13 +114,13 @@ def measure_models(texts: list[str]) -> dict:
     return {"seconds": seconds, "sizes": sizes}
 
 
-def measure(path: Path, kind: str) -> dict:
+def measure(path: Path, kind: str, target: str) -> dict:
     """Seconds per stage and sizes for one workload file, in this process."""
     if kind == "models":
         return measure_models(json.loads(path.read_text()))
     from dlog import cli, engine, metaprogram
     from dlog.core import ground, validate
-    from dlog.parser import parse_theory
+    from dlog.parser import parse_conclusion, parse_theory
 
     text = path.read_text()
     clock = [perf_counter()]
@@ -128,6 +136,16 @@ def measure(path: Path, kind: str) -> dict:
     cli._print_conclusions(g, conclusions, out, False)
     clock.append(perf_counter())
     stages = list(STAGES)
+    sizes = {}
+    if kind == "explain":
+        derivation = engine.explain(g, parse_conclusion(target))
+        clock.append(perf_counter())
+        verdict = engine.check_derivation(g, derivation)
+        clock.append(perf_counter())
+        if not verdict:
+            raise SystemExit(f"{path.name}: the derivation of {target} is rejected: {verdict.reason}")
+        stages += EXPLAIN_STAGES
+        sizes["derivation_steps"] = len(derivation)
     if kind == "meta":
         program = metaprogram.translate(g)
         clock.append(perf_counter())
@@ -136,20 +154,20 @@ def measure(path: Path, kind: str) -> dict:
         stages += META_STAGES
     seconds = {f"{s}_s": b - a for s, a, b in zip(stages, clock, clock[1:])}
     seconds["total_s"] = clock[-1] - clock[0]
-    sizes = {
-        "input_bytes": len(text.encode()),
-        "rules": len(g.rules),
-        "base": len(g.herbrand_base),
-        "conclusions": len(conclusions),
-        "output_bytes": len(out.getvalue().encode()),
-    }
+    sizes.update(
+        input_bytes=len(text.encode()),
+        rules=len(g.rules),
+        base=len(g.herbrand_base),
+        conclusions=len(conclusions),
+        output_bytes=len(out.getvalue().encode()),
+    )
     return {"seconds": seconds, "sizes": sizes}
 
 
-def run_in(tree: Path, path: Path, kind: str) -> dict:
+def run_in(tree: Path, path: Path, kind: str, target: str) -> dict:
     """`measure` in a fresh interpreter importing dlog from `tree/src`."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    argv = [sys.executable, __file__, "--measure", str(path), "--kind", kind]
+    argv = [sys.executable, __file__, "--measure", str(path), "--kind", kind, "--target", target]
     done = subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -173,9 +191,10 @@ def main() -> int:
     ap.add_argument("--meta-chain", type=int, default=250, help="links of the metaprogram chain")
     ap.add_argument("--measure", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--kind", default="derive", help=argparse.SUPPRESS)
+    ap.add_argument("--target", default="", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.measure:
-        print(json.dumps(measure(args.measure, args.kind)))
+        print(json.dumps(measure(args.measure, args.kind, args.target)))
         return 0
     if args.out is None:
         ap.error("--out is required")
@@ -186,14 +205,14 @@ def main() -> int:
     runs: dict[str, dict[str, list[dict]]] = {}
     sizes: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as work:
-        for name, (kind, text) in inputs(args.chain, args.meta_chain).items():
+        for name, (kind, text, target) in inputs(args.chain, args.meta_chain).items():
             path = Path(work) / f"{name}.dl"
             path.write_text(text)
             runs[name] = {label: [] for label in trees}
             for r in range(args.repeats):
                 order = list(trees.items())
                 for label, tree in order if r % 2 == 0 else reversed(order):
-                    result = run_in(tree, path, kind)
+                    result = run_in(tree, path, kind, target)
                     runs[name][label].append(result["seconds"])
                     if sizes.setdefault(name, result["sizes"]) != result["sizes"]:
                         raise SystemExit(f"{name}: the trees disagree on the sizes {result['sizes']}")
