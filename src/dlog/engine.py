@@ -281,20 +281,15 @@ class _Propagation:
         """Whether the run established `tag` of the queried literal."""
         return self.status[_CODE[tag]][self.query]
 
-    # head-indexed rule lookups, used only when slicing out justifications
     def heads(self, q: int) -> list[int]:
+        """The rules with head q, in rule order; indexed on first use, which
+        only slicing out justifications makes."""
         if self._by_head is None:
             by_head: dict[int, list[int]] = {}
             for ri, h in enumerate(self.head):
                 by_head.setdefault(h, []).append(ri)
             self._by_head = by_head
         return self._by_head.get(q, [])
-
-    def strict_heads(self, q: int) -> list[int]:
-        return [ri for ri in self.heads(q) if self.is_strict[ri]]
-
-    def sd_heads(self, q: int) -> list[int]:
-        return [ri for ri in self.heads(q) if self.is_sd[ri]]
 
 
 def derive_all(g: GroundTheory) -> ConclusionSet:
@@ -347,17 +342,19 @@ def _justify(prop: _Propagation, at: list[int], step: int) -> list[int]:
     def before(c: int, l: int) -> bool:
         return at[(l << 2) | c] < limit
 
-    body = prop.body
+    body, is_strict, is_sd = prop.body, prop.is_strict, prop.is_sd
     if code == _PD:
         if prop.fact[q]:
             return []
-        for ri in prop.strict_heads(q):
-            if all(before(_PD, a) for a in body[ri]):
+        for ri in prop.heads(q):
+            if is_strict[ri] and all(before(_PD, a) for a in body[ri]):
                 return [(a << 2) | _PD for a in body[ri]]
         raise InternalError(f"no justification for +D {prop.literals[q]}")
     if code == _MD:
         premises = []
-        for ri in prop.strict_heads(q):
+        for ri in prop.heads(q):
+            if not is_strict[ri]:
+                continue
             witness = next((a for a in body[ri] if before(_MD, a)), None)
             if witness is None:
                 raise InternalError(f"no justification for -D {prop.literals[q]}")
@@ -367,8 +364,8 @@ def _justify(prop: _Propagation, at: list[int], step: int) -> list[int]:
     if code == _Pd:
         if before(_PD, q):
             return [(q << 2) | _PD]
-        for ri in prop.sd_heads(q):
-            if all(before(_Pd, a) for a in body[ri]):
+        for ri in prop.heads(q):
+            if is_sd[ri] and all(before(_Pd, a) for a in body[ri]):
                 premises = [(a << 2) | _Pd for a in body[ri]]
                 break
         else:
@@ -376,12 +373,12 @@ def _justify(prop: _Propagation, at: list[int], step: int) -> list[int]:
         premises.append((comp_q << 2) | _MD)
         for s in prop.heads(comp_q):
             # each attacker is either discarded or counter-attacked by a
-            # superior supportive rule
+            # superior supportive rule (`beats` holds supportive rules only)
             w = next((a for a in body[s] if before(_Md, a)), None)
             if w is not None:
                 premises.append((w << 2) | _Md)
                 continue
-            for t in prop.sd_heads(q):
+            for t in prop.heads(q):
                 if s in prop.beats.get(t, ()) and all(before(_Pd, a) for a in body[t]):
                     premises.extend((a << 2) | _Pd for a in body[t])
                     break
@@ -396,7 +393,9 @@ def _justify(prop: _Propagation, at: list[int], step: int) -> list[int]:
         premises.append((comp_q << 2) | _PD)
         return premises
     witnesses = []
-    for ri in prop.sd_heads(q):  # (2.1)
+    for ri in prop.heads(q):  # (2.1)
+        if not is_sd[ri]:
+            continue
         w = next((a for a in body[ri] if before(_Md, a)), None)
         if w is None:
             witnesses = None
@@ -408,9 +407,9 @@ def _justify(prop: _Propagation, at: list[int], step: int) -> list[int]:
         if not all(before(_Pd, a) for a in body[s]):
             continue
         counter = []
-        for t in prop.sd_heads(q):
+        for t in prop.heads(q):
             if s not in prop.beats.get(t, ()):
-                continue  # t is not superior to s
+                continue  # t is not a supportive rule superior to s
             w = next((a for a in body[t] if before(_Md, a)), None)
             if w is None:
                 counter = None
