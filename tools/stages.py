@@ -136,7 +136,6 @@ def measure(path: Path, kind: str, target: str) -> dict:
     cli._print_conclusions(g, conclusions, out, False)
     clock.append(perf_counter())
     stages = list(STAGES)
-    sizes = {}
     if kind == "explain":
         derivation = engine.explain(g, parse_conclusion(target))
         clock.append(perf_counter())
@@ -145,7 +144,6 @@ def measure(path: Path, kind: str, target: str) -> dict:
         if not verdict:
             raise SystemExit(f"{path.name}: the derivation of {target} is rejected: {verdict.reason}")
         stages += EXPLAIN_STAGES
-        sizes["derivation_steps"] = len(derivation)
     if kind == "meta":
         program = metaprogram.translate(g)
         clock.append(perf_counter())
@@ -154,13 +152,15 @@ def measure(path: Path, kind: str, target: str) -> dict:
         stages += META_STAGES
     seconds = {f"{s}_s": b - a for s, a, b in zip(stages, clock, clock[1:])}
     seconds["total_s"] = clock[-1] - clock[0]
-    sizes.update(
-        input_bytes=len(text.encode()),
-        rules=len(g.rules),
-        base=len(g.herbrand_base),
-        conclusions=len(conclusions),
-        output_bytes=len(out.getvalue().encode()),
-    )
+    sizes = {
+        "input_bytes": len(text.encode()),
+        "rules": len(g.rules),
+        "base": len(g.herbrand_base),
+        "conclusions": len(conclusions),
+        "output_bytes": len(out.getvalue().encode()),
+    }
+    if kind == "explain":
+        sizes["derivation_steps"] = len(derivation)
     return {"seconds": seconds, "sizes": sizes}
 
 
