@@ -7,7 +7,6 @@ enumeration on small instances.
 """
 
 from .core import (
-    ALL_KINDS,
     Atom,
     ConclusionSet,
     GroundTheory,
@@ -16,8 +15,6 @@ from .core import (
     Literal,
     Rule,
     RuleKind,
-    STRICT_ONLY,
-    SUPPORTIVE,
     SourceTheory,
     Tag,
     TaggedConclusion,

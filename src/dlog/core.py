@@ -18,7 +18,11 @@ indexes read as a number in base |constants|; a literal's position is found
 by that arithmetic, never by hashing it.  `ground` hands the position of
 every rule head, body literal and fact over as `GroundTheory.positions`, and
 from there on a ground literal is named by its position: the engine reads
-integers only.  The engine, the model checker and the metaprogram each give
+integers only.  R[q], the rules with head q, is one index by head position
+(`GroundTheory.rules_at`), which `explain`, `check_derivation`, the model
+checker and the metaprogram share; each filters it by kind where its
+inference rule reads the strict rules R_s[q] or the supportive ones
+R_sd[q].  The engine, the model checker and the metaprogram each give
 four flags per position (one per `Tag`), and a `ConclusionSet` is that table
 and those flags, the one readout of every oracle; the command line renders
 straight from the flags.  `herbrand_base` is a set view.
@@ -226,7 +230,8 @@ class GroundTheory:
     `ground` also fills in `offsets`, where each `(predicate, arity)`'s atoms
     start in `literals`, and `positions`; a theory built by hand leaves them
     out, and `table_positions` and `position` look its literals up instead.
-    Either way each index they read is built once per theory, on first use."""
+    Either way each index they read, and the rules by head position that
+    `rules_at` reads, is built once per theory, on first use."""
 
     facts: frozenset[Literal]
     rules: tuple[Rule, ...]
@@ -270,40 +275,24 @@ class GroundTheory:
         )
 
     @cached_property
-    def _selections(self) -> dict[frozenset[RuleKind], dict[Optional[Literal], tuple[Rule, ...]]]:
-        return {}
+    def _rule_index(self) -> dict[int, list[int]]:
+        by_head: dict[int, list[int]] = {}
+        for ri, h in enumerate(self.table_positions().heads):
+            by_head.setdefault(h, []).append(ri)
+        return by_head
 
     @cached_property
     def herbrand_base(self) -> frozenset[Literal]:
         """The base as a set, built on first use."""
         return frozenset(self.literals)
 
-    def rules_for(self, kinds: Iterable[RuleKind], head: Optional[Literal] = None) -> tuple[Rule, ...]:
-        """Select rules by kind and (optionally) head literal, in `rules` order.
-
-        Covers the usual selections: strict rules (`STRICT_ONLY`),
-        strict-or-defeasible ("supportive") rules (`SUPPORTIVE`), and all
-        rules (`ALL_KINDS`), each for all heads or for one.  Defeaters are
-        included only when asked for.  The first call for a set of kinds
-        indexes the rules by head; later calls with the same frozenset look
-        the selection up.
-        """
-        if not isinstance(kinds, frozenset):
-            kinds = frozenset(kinds)
-        by_head = self._selections.get(kinds)
-        if by_head is None:
-            index: dict[Optional[Literal], list[Rule]] = {None: []}
-            for r in self.rules:
-                if r.kind in kinds:
-                    index[None].append(r)
-                    index.setdefault(r.head, []).append(r)
-            by_head = self._selections[kinds] = {h: tuple(rs) for h, rs in index.items()}
-        return by_head.get(head, ())
-
-
-STRICT_ONLY = frozenset({RuleKind.STRICT})
-SUPPORTIVE = frozenset({RuleKind.STRICT, RuleKind.DEFEASIBLE})
-ALL_KINDS = frozenset(RuleKind)
+    def rules_at(self, position: int) -> list[int]:
+        """R[q] for q = `literals[position]`: the indexes of the rules with
+        that head, in `rules` order, and none for a position past the table.
+        The strict rules R_s[q] and the supportive ones R_sd[q] are these
+        filtered by kind; defeaters belong to R[q] only.  The index is built
+        from `table_positions` on first use."""
+        return self._rule_index.get(position, [])
 
 
 @gc_paused

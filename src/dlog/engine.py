@@ -19,8 +19,8 @@ table are the result (`ConclusionSet.from_table`).  `explain` slices the run
 by packed steps, indexed in one flat list over `(position << 2) | code`, and
 names literals only to return the derivation.  `check_derivation` locates each
 step's literal once in the same way and replays the steps over four flag
-arrays by position, with an index from head positions to rules of its own;
-both run with the cyclic GC paused.
+arrays by position.  Both find R[q] through `GroundTheory.rules_at` and test
+rule kinds in place, and both run with the cyclic GC paused.
 
 Status codes used throughout: 0 = +D, 1 = -D, 2 = +d, 3 = -d, the position
 of each tag in `Tag`.
@@ -145,7 +145,6 @@ class _Propagation:
 
         self.status = [[False] * n for _ in range(4)]
         self.order: list[int] = []  # packed steps (q << 2) | code
-        self._by_head: Optional[dict[int, list[int]]] = None
         self._run()
 
     # -- event plumbing ----------------------------------------------------
@@ -281,16 +280,6 @@ class _Propagation:
         """Whether the run established `tag` of the queried literal."""
         return self.status[_CODE[tag]][self.query]
 
-    def heads(self, q: int) -> list[int]:
-        """The rules with head q, in rule order; indexed on first use, which
-        only slicing out justifications makes."""
-        if self._by_head is None:
-            by_head: dict[int, list[int]] = {}
-            for ri, h in enumerate(self.head):
-                by_head.setdefault(h, []).append(ri)
-            self._by_head = by_head
-        return self._by_head.get(q, [])
-
 
 def derive_all(g: GroundTheory) -> ConclusionSet:
     """All tagged conclusions derivable from the theory over its base.
@@ -327,32 +316,32 @@ def explain(g: GroundTheory, c: TaggedConclusion) -> Derivation:
         step = stack.pop()
         if not needed[step]:
             needed[step] = 1
-            stack.extend(_justify(prop, at, step))
+            stack.extend(_justify(g, prop, at, step))
     # `tuple.__new__` builds each step without the named tuple's Python-level `__new__`
     tags, literals, new = tuple(Tag), prop.literals, tuple.__new__
     return tuple(new(TaggedConclusion, (tags[s & 3], literals[s >> 2])) for s in order if needed[s])
 
 
-def _justify(prop: _Propagation, at: list[int], step: int) -> list[int]:
+def _justify(g: GroundTheory, prop: _Propagation, at: list[int], step: int) -> list[int]:
     """Premises (earlier steps of the run, packed) justifying one established
-    step."""
+    step.  R[q] is `g.rules_at(q)`; the queried pair past the table has none."""
     code, q = step & 3, step >> 2
     limit = at[step]
 
     def before(c: int, l: int) -> bool:
         return at[(l << 2) | c] < limit
 
-    body, is_strict, is_sd = prop.body, prop.is_strict, prop.is_sd
+    body, is_strict, is_sd, rules_at = prop.body, prop.is_strict, prop.is_sd, g.rules_at
     if code == _PD:
         if prop.fact[q]:
             return []
-        for ri in prop.heads(q):
+        for ri in rules_at(q):
             if is_strict[ri] and all(before(_PD, a) for a in body[ri]):
                 return [(a << 2) | _PD for a in body[ri]]
         raise InternalError(f"no justification for +D {prop.literals[q]}")
     if code == _MD:
         premises = []
-        for ri in prop.heads(q):
+        for ri in rules_at(q):
             if not is_strict[ri]:
                 continue
             witness = next((a for a in body[ri] if before(_MD, a)), None)
@@ -364,21 +353,21 @@ def _justify(prop: _Propagation, at: list[int], step: int) -> list[int]:
     if code == _Pd:
         if before(_PD, q):
             return [(q << 2) | _PD]
-        for ri in prop.heads(q):
+        for ri in rules_at(q):
             if is_sd[ri] and all(before(_Pd, a) for a in body[ri]):
                 premises = [(a << 2) | _Pd for a in body[ri]]
                 break
         else:
             raise InternalError(f"no justification for +d {prop.literals[q]}")
         premises.append((comp_q << 2) | _MD)
-        for s in prop.heads(comp_q):
+        for s in rules_at(comp_q):
             # each attacker is either discarded or counter-attacked by a
             # superior supportive rule (`beats` holds supportive rules only)
             w = next((a for a in body[s] if before(_Md, a)), None)
             if w is not None:
                 premises.append((w << 2) | _Md)
                 continue
-            for t in prop.heads(q):
+            for t in rules_at(q):
                 if s in prop.beats.get(t, ()) and all(before(_Pd, a) for a in body[t]):
                     premises.extend((a << 2) | _Pd for a in body[t])
                     break
@@ -393,7 +382,7 @@ def _justify(prop: _Propagation, at: list[int], step: int) -> list[int]:
         premises.append((comp_q << 2) | _PD)
         return premises
     witnesses = []
-    for ri in prop.heads(q):  # (2.1)
+    for ri in rules_at(q):  # (2.1)
         if not is_sd[ri]:
             continue
         w = next((a for a in body[ri] if before(_Md, a)), None)
@@ -403,11 +392,11 @@ def _justify(prop: _Propagation, at: list[int], step: int) -> list[int]:
         witnesses.append((w << 2) | _Md)
     if witnesses is not None:
         return premises + witnesses
-    for s in prop.heads(comp_q):  # (2.3)
+    for s in rules_at(comp_q):  # (2.3)
         if not all(before(_Pd, a) for a in body[s]):
             continue
         counter = []
-        for t in prop.heads(q):
+        for t in rules_at(q):
             if s not in prop.beats.get(t, ()):
                 continue  # t is not a supportive rule superior to s
             w = next((a for a in body[t] if before(_Md, a)), None)
@@ -429,15 +418,18 @@ def check_derivation(g: GroundTheory, d: Iterable[TaggedConclusion]) -> CheckRes
     the engine.  Each step's literal is located once (`GroundTheory.position`);
     a literal outside the table gets one more pair after it.  The prefix is
     four flag arrays over positions, one per `Tag`, and a position's rules
-    come from an index by head position built here from
-    `GroundTheory.table_positions`.  Superiority is read as label pairs."""
+    come from `GroundTheory.rules_at`, with the kind test of each inference
+    rule made here.  Superiority is read as label pairs.  A non-ground literal
+    is a `GroundingError`, as in `prove` and `explain`."""
     steps = list(d)
     n = len(g.literals)
     outside: dict[Atom, int] = {}  # atom -> the position of its pair after the table
     at = []
     for c in steps:
         q = g.position(c.literal)
-        if q is None:
+        if q is None:  # every table literal is ground
+            if not c.literal.is_ground():
+                raise GroundingError(f"derivation literal {c.literal} is not ground")
             atom = c.literal.atom
             q = outside.setdefault(atom, n + 2 * len(outside)) + (not c.literal.positive)
         at.append(q)
@@ -449,9 +441,7 @@ def check_derivation(g: GroundTheory, d: Iterable[TaggedConclusion]) -> CheckRes
     fact = bytearray(size)
     for f in positions.facts:
         fact[f] = 1
-    rules_at: dict[int, list[int]] = {}  # head position -> rules, in `rules` order
-    for ri, h in enumerate(positions.heads):
-        rules_at.setdefault(h, []).append(ri)
+    rules_at = g.rules_at
     kinds = [r.kind for r in g.rules]
     labels = [r.label for r in g.rules]
     sup = g.superiority
@@ -464,7 +454,7 @@ def check_derivation(g: GroundTheory, d: Iterable[TaggedConclusion]) -> CheckRes
 
     for i, (c, q) in enumerate(zip(steps, at), start=1):
         tag = c.tag
-        rules = rules_at.get(q, ())
+        rules = rules_at(q)
         if tag is Tag.PLUS_DELTA:
             ok = fact[q] or any(
                 kinds[r] is RuleKind.STRICT and all(pD[a] for a in body[r]) for r in rules
@@ -487,7 +477,7 @@ def check_derivation(g: GroundTheory, d: Iterable[TaggedConclusion]) -> CheckRes
                     or any(
                         supported(t) and (labels[t], labels[s]) in sup for t in sd
                     )
-                    for s in rules_at.get(q ^ 1, ())
+                    for s in rules_at(q ^ 1)
                 )
             )
             reason = "clause (1) and clause (2) both fail against the prefix"
@@ -503,7 +493,7 @@ def check_derivation(g: GroundTheory, d: Iterable[TaggedConclusion]) -> CheckRes
                         discarded(t) or (labels[t], labels[s]) not in sup
                         for t in sd
                     )
-                    for s in rules_at.get(q ^ 1, ())
+                    for s in rules_at(q ^ 1)
                 )
             )
             reason = "none of clauses (2.1)-(2.3) holds against the prefix"

@@ -29,8 +29,6 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
-    ALL_KINDS,
-    SUPPORTIVE,
     ConclusionSet,
     GroundTheory,
     InternalError,
@@ -126,11 +124,15 @@ def translate(g: GroundTheory) -> GroundMetaProgram:
                                    not defeated(s, ~q).
     Per attacker s, supportive t with head q and t > s:
                                defeated(s, ~q) :- defeasibly(v1), ...
+
+    The attackers of a rule with head position h, and the rules that may
+    defeat it, are `g.rules_at(h ^ 1)`.
     """
+    rules, heads = g.rules, g.table_positions().heads
     clauses: list[Clause] = []
     for q in sorted(g.facts, key=str):
         clauses.append(Clause(MetaAtom(DEFINITELY, q), ()))
-    for r in g.rules:
+    for r in rules:
         if r.kind is RuleKind.STRICT:
             clauses.append(
                 Clause(
@@ -140,7 +142,9 @@ def translate(g: GroundTheory) -> GroundMetaProgram:
             )
     for q in g.literals:
         clauses.append(Clause(MetaAtom(DEFEASIBLY, q), (_pos(DEFINITELY, q),)))
-    for r in g.rules_for(SUPPORTIVE):
+    for r, h in zip(rules, heads):
+        if r.kind is RuleKind.DEFEATER:
+            continue
         q = r.head
         comp = q.complement()
         clauses.append(
@@ -151,7 +155,7 @@ def translate(g: GroundTheory) -> GroundMetaProgram:
                 + (_naf(OVERRULED, q, r.label),),
             )
         )
-        for s in g.rules_for(ALL_KINDS, comp):
+        for s in map(rules.__getitem__, g.rules_at(h ^ 1)):
             clauses.append(
                 Clause(
                     MetaAtom(OVERRULED, q, r.label),
@@ -159,9 +163,9 @@ def translate(g: GroundTheory) -> GroundMetaProgram:
                     + (_naf(DEFEATED, comp, s.label),),
                 )
             )
-    for s in g.rules:
-        for t in g.rules_for(SUPPORTIVE, s.head.complement()):
-            if (t.label, s.label) in g.superiority:
+    for s, h in zip(rules, heads):
+        for t in map(rules.__getitem__, g.rules_at(h ^ 1)):
+            if t.kind is not RuleKind.DEFEATER and (t.label, s.label) in g.superiority:
                 clauses.append(
                     Clause(
                         MetaAtom(DEFEATED, s.head, s.label),

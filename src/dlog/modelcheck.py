@@ -11,6 +11,10 @@ plus `is_model` is the plain reference; `models` grows numpy status rows one
 base column at a time and drops rows as soon as a literal's closure conditions
 can be checked.  `DLOG_CAP` still bounds the candidate space 6^|base|, checked
 before enumeration.  The tests cross-check the routes against each other.
+
+Both routes read R[q] as `GroundTheory.rules_at` of q's position and pick
+its strict and supportive rules by kind; `models` reads a rule's body columns
+from `GroundTheory.table_positions` and keys its conjunctions by rule index.
 """
 
 from __future__ import annotations
@@ -24,14 +28,12 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .core import (
-    ALL_KINDS,
-    STRICT_ONLY,
-    SUPPORTIVE,
     ConclusionSet,
     GroundTheory,
     InternalError,
     Literal,
     Rule,
+    RuleKind,
 )
 
 
@@ -118,7 +120,7 @@ def is_model(g: GroundTheory, m: DefeasibleInterpretation) -> ModelReport:
     if m.base != g.herbrand_base:
         raise UsageError("interpretation base does not match the theory base")
     delta, partial = m.delta, m.partial
-    sup = g.superiority
+    rules, sup = g.rules, g.superiority
     violations: list[tuple[str, Literal, str]] = []
 
     def check(condition: str, q: Literal, status: bool, rhs: bool) -> None:
@@ -127,11 +129,11 @@ def is_model(g: GroundTheory, m: DefeasibleInterpretation) -> ModelReport:
         elif status and not rhs:
             violations.append((condition, q, "only-if"))
 
-    for q in g.literals:
+    for j, q in enumerate(g.literals):
         comp = q.complement()
-        strict = g.rules_for(STRICT_ONLY, q)
-        sd = g.rules_for(SUPPORTIVE, q)
-        attackers = g.rules_for(ALL_KINDS, comp)
+        sd = [rules[r] for r in g.rules_at(j) if rules[r].kind is not RuleKind.DEFEATER]
+        strict = [r for r in sd if r.kind is RuleKind.STRICT]
+        attackers = [rules[s] for s in g.rules_at(j ^ 1)]
 
         check(
             "Δ-True", q, delta[q] is _T,
@@ -231,8 +233,8 @@ def _model_mask(
     """The base in table order, and every model as one row of status codes
     per level."""
     cap = default_cap() if cap is None else cap
-    base = g.literals
-    index = {q: i for i, q in enumerate(base)}
+    base, rules = g.literals, g.rules
+    body = g.table_positions().bodies  # a rule's body columns
     pairs = _WELL_FORMED_PAIRS if well_formed_only else _WELL_FORMED_PAIRS + _EXTRA_PAIRS
     width = len(pairs)
     n = width ** len(base)
@@ -242,10 +244,11 @@ def _model_mask(
     partial_codes = np.array([_CODE[p[1]] for p in pairs], dtype=np.int8)
     # literal j's conditions read columns j and j ^ 1 and the bodies of its
     # supportive rules and attackers; they apply once all these are assigned
+    supportive = [r.kind is not RuleKind.DEFEATER for r in rules]
     ready: list[list[int]] = [[] for _ in base]
-    for j, q in enumerate(base):
-        rules = g.rules_for(SUPPORTIVE, q) + g.rules_for(ALL_KINDS, base[j ^ 1])
-        ready[max([j | 1, *(index[a] for r in rules for a in r.body)])].append(j)
+    for j in range(len(base)):
+        read = [r for r in g.rules_at(j) if supportive[r]] + g.rules_at(j ^ 1)
+        ready[max([j | 1, *(a for r in read for a in body[r])])].append(j)
     delta = partial = np.zeros((1, 0), dtype=np.int8)
     for checked in ready:
         rows = delta.shape[0]
@@ -253,40 +256,40 @@ def _model_mask(
         partial = np.column_stack((np.repeat(partial, width, axis=0), np.tile(partial_codes, rows)))
         for j in checked:
             q = base[j]
-            strict = g.rules_for(STRICT_ONLY, q)
-            sd = g.rules_for(SUPPORTIVE, q)
-            attackers = g.rules_for(ALL_KINDS, base[j ^ 1])
-            conj_d = {r.label: _conj_columns(delta, [index[a] for a in r.body]) for r in strict}
-            conj_p = {r.label: _conj_columns(partial, [index[a] for a in r.body]) for r in sd + attackers}
+            sd = [r for r in g.rules_at(j) if supportive[r]]
+            strict = [r for r in sd if rules[r].kind is RuleKind.STRICT]
+            attackers = g.rules_at(j ^ 1)
+            conj_d = {r: _conj_columns(delta, list(body[r])) for r in strict}
+            conj_p = {r: _conj_columns(partial, list(body[r])) for r in sd + attackers}
             n = delta.shape[0]
             dq, pq, dcomp = delta[:, j], partial[:, j], delta[:, j ^ 1]
 
             rhs = np.zeros(n, dtype=bool) if q not in g.facts else np.ones(n, dtype=bool)
             for r in strict:
-                rhs |= conj_d[r.label] == 1
+                rhs |= conj_d[r] == 1
             mask = (dq == 1) == rhs
 
             rhs = np.ones(n, dtype=bool) if q not in g.facts else np.zeros(n, dtype=bool)
             for r in strict:
-                rhs &= conj_d[r.label] == 0
+                rhs &= conj_d[r] == 0
             mask &= (dq == 0) == rhs
 
             some_supportive = np.zeros(n, dtype=bool)
             all_supportive_fail = np.ones(n, dtype=bool)
             for r in sd:
-                some_supportive |= conj_p[r.label] == 1
-                all_supportive_fail &= conj_p[r.label] == 0
+                some_supportive |= conj_p[r] == 1
+                all_supportive_fail &= conj_p[r] == 0
             every_attack_countered = np.ones(n, dtype=bool)
             some_attack_wins = np.zeros(n, dtype=bool)
             for s in attackers:
                 defeated = np.zeros(n, dtype=bool)
                 no_live_superior = np.ones(n, dtype=bool)
                 for t in sd:
-                    if (t.label, s.label) in g.superiority:
-                        defeated |= conj_p[t.label] == 1
-                        no_live_superior &= conj_p[t.label] == 0
-                every_attack_countered &= (conj_p[s.label] == 0) | defeated
-                some_attack_wins |= (conj_p[s.label] == 1) & no_live_superior
+                    if (rules[t].label, rules[s].label) in g.superiority:
+                        defeated |= conj_p[t] == 1
+                        no_live_superior &= conj_p[t] == 0
+                every_attack_countered &= (conj_p[s] == 0) | defeated
+                some_attack_wins |= (conj_p[s] == 1) & no_live_superior
             rhs = (dq == 1) | (some_supportive & (dcomp == 0) & every_attack_countered)
             mask &= (pq == 1) == rhs
             rhs = (dq == 0) & (all_supportive_fail | (dcomp == 1) | some_attack_wins)

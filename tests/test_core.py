@@ -7,9 +7,6 @@ import pytest
 
 from dlog import engine, metaprogram, modelcheck
 from dlog.core import (
-    ALL_KINDS,
-    STRICT_ONLY,
-    SUPPORTIVE,
     Atom,
     ConclusionSet,
     GroundingError,
@@ -356,25 +353,26 @@ def test_undefined_levels():
     assert cs.undefined_levels(lit("q")) == ["definite", "partial"]
 
 
-def test_rules_for_selections():
+def test_rules_at():
     # [PAPER] defeaters belong to R[q] but not to R_sd or R_d
-    naive = naive_ground(parse_theory(BIRD))
     nf_ethel = neg("flies", "ethel")
-    sd = naive.rules_for(SUPPORTIVE, nf_ethel)
-    allk = naive.rules_for(ALL_KINDS, nf_ethel)
-    assert {r.label for r in sd} == {"r4#ethel"}
-    assert {r.label for r in allk} == {"r3#ethel", "r4#ethel"}
-    strict = naive.rules_for(STRICT_ONLY)
-    assert {r.label for r in strict} == {"r1#ethel", "r1#tweety"}
+
+    def labels(g, rules):
+        return [g.rules[r].label for r in rules]
+
+    naive = naive_ground(parse_theory(BIRD))
+    allk = naive.rules_at(naive.literals.index(nf_ethel))
+    assert labels(naive, allk) == ["r3#ethel", "r4#ethel"]  # in `rules` order
+    sd = [r for r in allk if naive.rules[r].kind is not RuleKind.DEFEATER]
+    assert labels(naive, sd) == ["r4#ethel"]
+    strict = [r.label for r in naive.rules if r.kind is RuleKind.STRICT]
+    assert strict == ["r1#ethel", "r1#tweety"]
     # relevance grounding has no r4 instance and no r1#tweety
     g = ground(parse_theory(BIRD))
-    assert g.rules_for(SUPPORTIVE, nf_ethel) == ()
-    assert {r.label for r in g.rules_for(ALL_KINDS, nf_ethel)} == {"r3#ethel"}
-    assert {r.label for r in g.rules_for(STRICT_ONLY)} == {"r1#ethel"}
-    # selections keep the order of `rules`, and any iterable of kinds works
-    assert naive.rules_for(ALL_KINDS) == naive.rules
-    assert naive.rules_for({RuleKind.STRICT}) == strict
-    assert naive.rules_for(RuleKind, nf_ethel) == allk
+    assert labels(g, g.rules_at(g.position(nf_ethel))) == ["r3#ethel"]
+    assert [r.label for r in g.rules if r.kind is RuleKind.STRICT] == ["r1#ethel"]
+    # a position past the table has no rules
+    assert g.rules_at(len(g.literals)) == []
 
 
 def test_conclusion_set_over_another_table(bird):

@@ -28,7 +28,7 @@ from dlog.engine import (
     prove,
 )
 from dlog.parser import ParseError, parse_conclusion, parse_theory
-from test_grounding import random_first_order_theory
+from test_grounding import assert_rules_at_scans, random_first_order_theory
 
 
 def conclude(text: str):
@@ -214,6 +214,11 @@ def test_check_derivation_outside_base(bird):
         assert d == (c("-D zz(a,b)"), target)
         assert check_derivation(g, d)
         assert check_derivation(g, d[1:]).index == 1
+    # a non-ground literal is refused as `prove` and `explain` refuse it
+    g = ground(parse_theory("p(a). r: p(X) => q(X)."))
+    for call in (prove, explain, lambda g, x: check_derivation(g, [x])):
+        with pytest.raises(GroundingError, match="q\\(X\\) is not ground"):
+            call(g, TaggedConclusion(Tag.MINUS_DELTA, lit("q", "X")))
 
 
 def hand_built(g: GroundTheory) -> GroundTheory:
@@ -238,6 +243,7 @@ def test_hand_built_theory_replays_alike(bird):
     assert [hand.position(l) for l in hand.literals] == list(range(len(hand.literals)))
     assert hand.position(lit("newpred")) is None
     assert repr(hand) == repr(hand_built(bird))  # the cached indexes stay out of repr
+    assert_rules_at_scans(hand, "hand-built bird")
     verdicts = 0
     for text in BIRD_CONCLUSIONS:
         d = explain(bird, c(text))

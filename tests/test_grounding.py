@@ -259,7 +259,8 @@ def assert_positions_are_table_lookups(theory: SourceTheory, context) -> None:
     head and body and of every fact.  Each rule is checked against its schema
     with the instance label's constants substituted, so that positions and
     literals cannot be wrong together; an instance's literals are the table's
-    own objects, and `position` finds every base literal and no other."""
+    own objects, `position` finds every base literal and no other, and
+    `rules_at` is R[q] at every position (`assert_rules_at_scans`)."""
     g = ground(theory)
     index = {l: i for i, l in enumerate(g.literals)}
     assert len(index) == len(g.literals), context
@@ -281,6 +282,19 @@ def assert_positions_are_table_lookups(theory: SourceTheory, context) -> None:
     outside = [lit("no_such_predicate"), lit("no_such_constant", "zz")]
     outside += [lit(q.atom.predicate, *q.atom.args, "a") for q in g.literals[:2]]  # one more argument
     assert [g.position(l) for l in outside] == [None] * len(outside), context
+    assert_rules_at_scans(g, context)
+
+
+def assert_rules_at_scans(g: GroundTheory, context) -> None:
+    """`g.rules_at(j)` is what a scan of `g.rules` finds for the head
+    `g.literals[j]`, in order, at every position, and no rules are past the
+    table.  One scan groups the rules by head literal, not by position."""
+    scan: dict = {}
+    for ri, r in enumerate(g.rules):
+        scan.setdefault(r.head, []).append(ri)
+    for j, q in enumerate(g.literals):
+        assert g.rules_at(j) == scan.get(q, []), (context, q)
+    assert g.rules_at(len(g.literals)) == [], context
 
 
 def test_ground_positions_are_table_lookups(bird_text):

@@ -12,11 +12,9 @@ import pytest
 import dlog.modelcheck as mc
 from dlog import engine
 from dlog.core import (
-    ALL_KINDS,
-    STRICT_ONLY,
-    SUPPORTIVE,
     GroundTheory,
     InternalError,
+    RuleKind,
     ground,
     lit,
     neg,
@@ -46,7 +44,9 @@ def g(text: str):
 
 
 def full_product_mask(g: GroundTheory, well_formed_only: bool = True):
-    """All `width ** len(base)` candidates, filtered down to the models."""
+    """All `width ** len(base)` candidates, filtered down to the models.  The
+    rules of each literal are found by scanning `g.rules`, so that this
+    reference shares no index with the code under test."""
     base = g.literals
     index = {q: i for i, q in enumerate(base)}
     pairs = mc._WELL_FORMED_PAIRS if well_formed_only else mc._WELL_FORMED_PAIRS + mc._EXTRA_PAIRS
@@ -66,9 +66,9 @@ def full_product_mask(g: GroundTheory, well_formed_only: bool = True):
     sup = g.superiority
     mask = np.ones(n, dtype=bool)
     for j, q in enumerate(base):
-        strict = g.rules_for(STRICT_ONLY, q)
-        sd = g.rules_for(SUPPORTIVE, q)
-        attackers = g.rules_for(ALL_KINDS, base[j ^ 1])
+        strict = [r for r in g.rules if r.head == q and r.kind is RuleKind.STRICT]
+        sd = [r for r in g.rules if r.head == q and r.kind is not RuleKind.DEFEATER]
+        attackers = [r for r in g.rules if r.head == base[j ^ 1]]
         dq, pq = delta[:, j], partial[:, j]
         dcomp = delta[:, j ^ 1]
 
