@@ -7,11 +7,9 @@ import pytest
 
 from dlog import engine, metaprogram, modelcheck
 from dlog.core import (
-    Atom,
     ConclusionSet,
     GroundingError,
     InternalError,
-    Literal,
     Rule,
     RuleKind,
     SourceTheory,
@@ -68,6 +66,14 @@ def test_rule_body_is_a_set():
     # [TRIVIAL] duplicate body literals collapse, order of first occurrence kept
     r = Rule("r", RuleKind.DEFEASIBLE, (lit("a"), lit("b"), lit("a")), lit("c"))
     assert r.body == (lit("a"), lit("b"))
+    assert Rule("r", RuleKind.DEFEASIBLE, (lit("a"), lit("a"), lit("b")), lit("c")).body == (lit("a"), lit("b"))
+    # equal fields give equal rules with equal hashes
+    same = Rule(label="r", kind=RuleKind.DEFEASIBLE, body=[lit("a"), lit("b")], head=lit("c"))
+    assert same == r and hash(same) == hash(r)
+    assert r != Rule("r", RuleKind.STRICT, r.body, r.head)
+    # an instance of p(X), p(Y) with X = Y keeps one body literal
+    g = ground(parse_theory("p(a). r: p(X), p(Y) => q(X,Y)."))
+    assert [(x.label, x.body) for x in g.rules] == [("r#a,a", (lit("p", "a"),))]
 
 
 def test_rule_variables_first_occurrence_order():

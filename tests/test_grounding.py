@@ -150,6 +150,10 @@ def test_relevance_grounding_matches_naive_grounding():
         checked += 1
         pruned += len(naive.rules) - len(g.rules)
         assert is_subsequence(g.rules, naive.rules), context
+        # exactly the instances whose body literals are all facts or heads of
+        # strict and defeasible instances
+        live = set(naive.facts) | {r.head for r in naive.rules if r.kind is not RuleKind.DEFEATER}
+        assert g.rules == tuple(r for r in naive.rules if all(b in live for b in r.body)), context
         assert g.literals == naive.literals, context
         heads = {r.label: r.head for r in g.rules}
         assert g.superiority == {

@@ -12,7 +12,7 @@ def test_stage_record(tmp_path):
     out = tmp_path / "BENCH.json"
     argv = [
         sys.executable, str(ROOT / "tools" / "stages.py"), "--out", str(out),
-        "--parent", str(ROOT), "--repeats", "1", "--chain", "50", "--meta-chain", "10",
+        "--parent", str(ROOT), "--repeats", "1", "--chain", "50", "--reach", "8", "--meta-chain", "10",
     ]
     subprocess.run(argv, check=True, capture_output=True, timeout=300)
     record = json.loads(out.read_text())
@@ -21,7 +21,7 @@ def test_stage_record(tmp_path):
     workloads = record["workloads"]
     assert set(workloads) == {
         "chain-50", "families-chain-seed1", "families-circle-seed1",
-        "families-teams-seed1", "reach-seed1", "meta-chain-10", "models-seed1",
+        "families-teams-seed1", "reach-seed1", "reach-8", "meta-chain-10", "models-seed1",
     }
     # 50 links and 5 overruled attackers; both signs of p0 ... p50
     assert workloads["chain-50"]["sizes"]["rules"] == 55

@@ -19,8 +19,10 @@ Workloads: the chain `p0 => p1 => ... => pN` with an overruled attacker on
 every tenth link (`--chain`, 100,000 links by default; explained at `+d pN`),
 the three seed-1 `families` texts at their benchmark `explain` targets, the
 seed-1 `reach` text of the benchmark
-(`benchmark/workloads.py`), a `--meta-chain` chain (250 links) for the
-metaprogram oracle, and the model-checked theories of the first seed-1
+(`benchmark/workloads.py`), the same reachability theory at grounding scale
+(`--reach` constants, 201 by default, with twice as many edges and as many
+blocked pairs, the benchmark's ratios), a `--meta-chain` chain (250 links)
+for the metaprogram oracle, and the model-checked theories of the first seed-1
 `crosscheck` block (199 theories) for all three semantics.
 Without `--parent` only this tree is measured.
 """
@@ -32,6 +34,7 @@ import io
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -56,7 +59,7 @@ def chain_text(links: int, attack_every: int = 10) -> str:
     return "\n".join(lines) + "\n"
 
 
-def inputs(links: int, meta_links: int) -> dict[str, tuple[str, str, str]]:
+def inputs(links: int, reach_constants: int, meta_links: int) -> dict[str, tuple[str, str, str]]:
     """Workload name -> (kind, file contents, target).  The kind is `derive`,
     `explain` (derive, then the explain stages of the target), `meta` (derive,
     then the metaprogram stages) or `models` (a JSON list of texts); the
@@ -71,6 +74,8 @@ def inputs(links: int, meta_links: int) -> dict[str, tuple[str, str, str]]:
         if op.op == "derive":
             texts[f"families-{op.kind.removeprefix('derive-')}-seed1"] = ("explain", op.text, targets[op.text])
     texts["reach-seed1"] = ("derive", workloads.reach_workload(1).ops[0].text, "")
+    n = reach_constants
+    texts[f"reach-{n}"] = ("derive", workloads.reach(random.Random(1), n, 2 * n, n)[0], "")
     texts[f"meta-chain-{meta_links}"] = ("meta", chain_text(meta_links), "")
     block = [op.text for op in workloads.crosscheck(1).ops[: workloads.XCHECK_BLOCK] if op.models]
     texts["models-seed1"] = ("models", json.dumps(block), "")
@@ -188,6 +193,7 @@ def main() -> int:
     ap.add_argument("--parent", type=Path, help="checkout of the parent commit to compare against")
     ap.add_argument("--repeats", type=int, default=3, help="runs per workload and tree")
     ap.add_argument("--chain", type=int, default=100_000, help="links of the large chain")
+    ap.add_argument("--reach", type=int, default=201, help="constants of the large reachability theory")
     ap.add_argument("--meta-chain", type=int, default=250, help="links of the metaprogram chain")
     ap.add_argument("--measure", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--kind", default="derive", help=argparse.SUPPRESS)
@@ -205,7 +211,7 @@ def main() -> int:
     runs: dict[str, dict[str, list[dict]]] = {}
     sizes: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as work:
-        for name, (kind, text, target) in inputs(args.chain, args.meta_chain).items():
+        for name, (kind, text, target) in inputs(args.chain, args.reach, args.meta_chain).items():
             path = Path(work) / f"{name}.dl"
             path.write_text(text)
             runs[name] = {label: [] for label in trees}
