@@ -18,16 +18,18 @@ from dlog import (
     parse_theory,
 )
 
+STATUS = ("False", "undefined", "True")  # the names of status codes 0, 1, 2
+
 
 def show_models(text: str):
     g = ground(parse_theory(text))
     print(f"theory: {text}")
     print(f"models: {count_models(g)}")
-    for m in enumerate_interpretations(g):
-        if is_model(g, m).is_model:
+    for delta, partial in enumerate_interpretations(g):
+        if is_model(g, delta, partial).is_model:
             statuses = ", ".join(
-                f"{q}: Δ={m.delta[q].value} ∂={m.partial[q].value}"
-                for q in sorted(g.herbrand_base, key=str)
+                f"{q}: Δ={STATUS[d]} ∂={STATUS[p]}"
+                for q, d, p in sorted(zip(g.literals, delta, partial), key=lambda row: str(row[0]))
             )
             print(f"  {statuses}")
     print("consequences (true in every model):")

@@ -51,11 +51,8 @@ from .metaprogram import (
 from .modelcheck import (
     CapExceededError,
     DEFAULT_CAP,
-    DefeasibleInterpretation,
-    ThreeVal,
     UsageError,
     closure_forces_epistemic,
-    conj_value,
     count_models,
     default_cap,
     enumerate_interpretations,

@@ -111,9 +111,6 @@ class Atom(NamedTuple):
     def is_ground(self) -> bool:
         return not any(is_variable(t) for t in self.args)
 
-    def substitute(self, binding: dict[str, str]) -> "Atom":
-        return Atom(self.predicate, tuple(binding.get(t, t) for t in self.args))
-
     def __str__(self) -> str:
         if not self.args:
             return self.predicate
@@ -133,9 +130,6 @@ class Literal(NamedTuple):
 
     def is_ground(self) -> bool:
         return self.atom.is_ground()
-
-    def substitute(self, binding: dict[str, str]) -> "Literal":
-        return Literal(self.positive, self.atom.substitute(binding))
 
     def __str__(self) -> str:
         return str(self.atom) if self.positive else f"~{self.atom}"

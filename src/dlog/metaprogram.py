@@ -96,7 +96,7 @@ class GroundMetaProgram:
         return frozenset(universe)
 
     def render(self) -> str:
-        return "\n".join(str(c) for c in sorted(self.clauses, key=str)) + "\n"
+        return "".join(f"{c}\n" for c in sorted(self.clauses, key=str))
 
 
 ThreeValuedInterpretation = dict[MetaAtom, str]

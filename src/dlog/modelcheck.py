@@ -6,15 +6,24 @@ on small bases, and all-models logical consequences.
 This is the second independent oracle for the engine: on every theory with a
 small enough base, `logical_consequences` must equal `engine.derive_all`.
 
-Two enumeration routes are provided on purpose: `enumerate_interpretations`
-plus `is_model` is the plain reference; `models` grows numpy status rows one
-base column at a time and drops rows as soon as a literal's closure conditions
-can be checked.  `DLOG_CAP` still bounds the candidate space 6^|base|, checked
-before enumeration.  The tests cross-check the routes against each other.
+An interpretation has one encoding: two sequences of status codes over the
+table positions of `GroundTheory.literals`, the definite level and the
+defeasible one.  The codes are F, U, T = 0, 1, 2, in truth order, U where the
+partial function is undefined, so a Kleene conjunction is the least code of
+its conjuncts.
 
-Both routes read R[q] as `GroundTheory.rules_at` of q's position and pick
-its strict and supportive rules by kind; `models` reads a rule's body columns
-from `GroundTheory.table_positions` and keys its conjunctions by rule index.
+Two model routes read that encoding on purpose, each with its own encoding
+of the closure conditions: `enumerate_interpretations` plus `is_model` is the
+plain reference, one interpretation at a time; `models` grows numpy status
+rows one base column at a time and drops rows as soon as a literal's closure
+conditions can be checked.  A `ModelSet` row pair is an interpretation that
+`is_model` accepts.  `DLOG_CAP` still bounds the candidate space 6^|base|,
+checked before enumeration.  The tests cross-check the routes against each
+other.
+
+Both routes read R[q] as `GroundTheory.rules_at` of q's position, pick its
+strict and supportive rules by kind, and read a rule's body positions from
+`GroundTheory.table_positions`.
 """
 
 from __future__ import annotations
@@ -22,8 +31,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +40,6 @@ from .core import (
     GroundTheory,
     InternalError,
     Literal,
-    Rule,
     RuleKind,
 )
 
@@ -50,13 +57,9 @@ class CapExceededError(Exception):
         self.cap = cap
 
 
-class ThreeVal(Enum):
-    TRUE = "True"
-    FALSE = "False"
-    UNDEFINED = "undefined"  # the partial function is not defined here
-
-
-_T, _F, _U = ThreeVal.TRUE, ThreeVal.FALSE, ThreeVal.UNDEFINED
+# status codes, in truth order: a Kleene conjunction is the least code of its
+# conjuncts, and the empty conjunction is T
+F, U, T = 0, 1, 2
 
 DEFAULT_CAP = 2_000_000
 
@@ -74,31 +77,6 @@ def default_cap() -> int:
     return cap
 
 
-def conj_value(f: dict[Literal, ThreeVal], body: Iterable[Literal]) -> ThreeVal:
-    """Kleene conjunction of the values of the body literals.
-
-    False absorbs; undefined dominates true; the empty conjunction is True
-    (an empty-body rule is unconditionally applicable).
-    """
-    value = _T
-    for literal in body:
-        v = f[literal]
-        if v is _F:
-            return _F
-        if v is _U:
-            value = _U
-    return value
-
-
-@dataclass(frozen=True)
-class DefeasibleInterpretation:
-    """A pair of truth maps over the base; UNDEFINED encodes partiality."""
-
-    base: frozenset[Literal]
-    delta: dict[Literal, ThreeVal]
-    partial: dict[Literal, ThreeVal]
-
-
 @dataclass(frozen=True)
 class ModelReport:
     violations: tuple[tuple[str, Literal, str], ...]  # (condition, literal, direction)
@@ -108,123 +86,116 @@ class ModelReport:
         return not self.violations
 
 
-def is_model(g: GroundTheory, m: DefeasibleInterpretation) -> ModelReport:
+def is_model(g: GroundTheory, delta: Sequence[int], partial: Sequence[int]) -> ModelReport:
     """Check the four biconditional closure conditions at every base literal,
-    plus the two epistemic conditions.
+    plus the two epistemic conditions, of the interpretation that gives
+    `g.literals[j]` the status codes `delta[j]` (definite level) and
+    `partial[j]` (defeasible level).
 
     A biconditional fails in direction "if" when its right-hand side holds
     but the status differs (the interpretation is not deductively closed),
     and in direction "only-if" when the status holds without the right-hand
     side (not abductively closed: a status with no reason for it).
     """
-    if m.base != g.herbrand_base:
-        raise UsageError("interpretation base does not match the theory base")
-    delta, partial = m.delta, m.partial
+    base = g.literals
+    for level in (delta, partial):
+        if len(level) != len(base):
+            raise UsageError(f"expected {len(base)} status codes per level, got {len(level)}")
+        bad = set(level) - {F, U, T}
+        if bad:
+            raise UsageError(f"status codes are F, U, T = 0, 1, 2; got {sorted(map(repr, bad))}")
     rules, sup = g.rules, g.superiority
+    positions = g.table_positions()
+    bodies = positions.bodies
+    fact = bytearray(len(base))
+    for f in positions.facts:
+        fact[f] = 1
     violations: list[tuple[str, Literal, str]] = []
 
-    def check(condition: str, q: Literal, status: bool, rhs: bool) -> None:
+    def conj(level: Sequence[int], r: int) -> int:
+        return min((level[a] for a in bodies[r]), default=T)
+
+    def beats(t: int, s: int) -> bool:
+        return (rules[t].label, rules[s].label) in sup
+
+    def check(condition: str, j: int, status: bool, rhs: bool) -> None:
         if rhs and not status:
-            violations.append((condition, q, "if"))
+            violations.append((condition, base[j], "if"))
         elif status and not rhs:
-            violations.append((condition, q, "only-if"))
+            violations.append((condition, base[j], "only-if"))
 
-    for j, q in enumerate(g.literals):
-        comp = q.complement()
-        sd = [rules[r] for r in g.rules_at(j) if rules[r].kind is not RuleKind.DEFEATER]
-        strict = [r for r in sd if r.kind is RuleKind.STRICT]
-        attackers = [rules[s] for s in g.rules_at(j ^ 1)]
+    for j in range(len(base)):
+        sd = [r for r in g.rules_at(j) if rules[r].kind is not RuleKind.DEFEATER]
+        strict = [r for r in sd if rules[r].kind is RuleKind.STRICT]
+        attackers = g.rules_at(j ^ 1)
+        dq, pq, dcomp = delta[j], partial[j], delta[j ^ 1]
 
+        check("Δ-True", j, dq == T, fact[j] or any(conj(delta, r) == T for r in strict))
+        check("Δ-False", j, dq == F, not fact[j] and all(conj(delta, r) == F for r in strict))
         check(
-            "Δ-True", q, delta[q] is _T,
-            q in g.facts or any(conj_value(delta, r.body) is _T for r in strict),
-        )
-        check(
-            "Δ-False", q, delta[q] is _F,
-            q not in g.facts
-            and all(conj_value(delta, r.body) is _F for r in strict),
-        )
-
-        def counterattacked(s: Rule) -> bool:
-            return any(
-                conj_value(partial, t.body) is _T and (t.label, s.label) in sup
-                for t in sd
-            )
-
-        check(
-            "∂-True", q, partial[q] is _T,
-            delta[q] is _T
+            "∂-True", j, pq == T,
+            dq == T
             or (
-                any(conj_value(partial, r.body) is _T for r in sd)
-                and delta[comp] is _F
+                any(conj(partial, r) == T for r in sd)
+                and dcomp == F
                 and all(
-                    conj_value(partial, s.body) is _F or counterattacked(s)
+                    conj(partial, s) == F
+                    or any(conj(partial, t) == T and beats(t, s) for t in sd)
+                    for s in attackers
+                )
+            ),
+        )
+        check(
+            "∂-False", j, pq == F,
+            dq == F
+            and (
+                all(conj(partial, r) == F for r in sd)
+                or dcomp == T
+                or any(
+                    conj(partial, s) == T
+                    and all(conj(partial, t) == F or not beats(t, s) for t in sd)
                     for s in attackers
                 )
             ),
         )
 
-        def undefeated(s: Rule) -> bool:
-            return conj_value(partial, s.body) is _T and all(
-                conj_value(partial, t.body) is _F or (t.label, s.label) not in sup
-                for t in sd
-            )
-
-        check(
-            "∂-False", q, partial[q] is _F,
-            delta[q] is _F
-            and (
-                all(conj_value(partial, r.body) is _F for r in sd)
-                or delta[comp] is _T
-                or any(undefeated(s) for s in attackers)
-            ),
-        )
-
-        if delta[q] is _T and partial[q] is not _T:
-            violations.append(("epistemic-1", q, "if"))
-        if partial[q] is _F and delta[q] is not _F:
-            violations.append(("epistemic-2", q, "if"))
+        if dq == T and pq != T:
+            violations.append(("epistemic-1", base[j], "if"))
+        if pq == F and dq != F:
+            violations.append(("epistemic-2", base[j], "if"))
     return ModelReport(tuple(violations))
 
 
 # admissible (delta, partial) status pairs; the first six satisfy the
 # epistemic conditions, the remaining three complete the unrestricted space
-_WELL_FORMED_PAIRS = ((_T, _T), (_F, _T), (_F, _F), (_F, _U), (_U, _T), (_U, _U))
-_EXTRA_PAIRS = ((_T, _F), (_T, _U), (_U, _F))
+_WELL_FORMED_PAIRS = ((T, T), (F, T), (F, F), (F, U), (U, T), (U, U))
+_EXTRA_PAIRS = ((T, F), (T, U), (U, F))
 
 
 def enumerate_interpretations(
     g: GroundTheory, cap: Optional[int] = None
-) -> Iterator[DefeasibleInterpretation]:
-    """Yield every interpretation over the base exactly once, using the 6
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Yield every interpretation over the base exactly once, as its
+    `(delta, partial)` status codes in table order, using the 6
     epistemically admissible status pairs per literal."""
     cap = default_cap() if cap is None else cap
-    base = g.literals
-    required = len(_WELL_FORMED_PAIRS) ** len(base)
+    n = len(g.literals)
+    required = len(_WELL_FORMED_PAIRS) ** n
     if required > cap:
         raise CapExceededError(required, cap)
-    for assignment in itertools.product(_WELL_FORMED_PAIRS, repeat=len(base)):
-        yield DefeasibleInterpretation(
-            base=g.herbrand_base,
-            delta={q: a[0] for q, a in zip(base, assignment)},
-            partial={q: a[1] for q, a in zip(base, assignment)},
-        )
+    for assignment in itertools.product(_WELL_FORMED_PAIRS, repeat=n):
+        yield tuple(a[0] for a in assignment), tuple(a[1] for a in assignment)
 
 
 # -- vectorized enumeration ------------------------------------------------
-# status encoding in the arrays: 0 = False, 1 = True, 2 = undefined
-
-_CODE = {_F: 0, _T: 1, _U: 2}
 
 
 def _conj_columns(values: np.ndarray, idx: list[int]) -> np.ndarray:
-    """Row-wise Kleene conjunction of the selected columns (codes 0/1/2)."""
+    """Row-wise Kleene conjunction of the selected columns: their least code,
+    T when none are selected."""
     if not idx:
-        return np.ones(values.shape[0], dtype=np.int8)
-    cols = values[:, idx]
-    any_false = (cols == 0).any(axis=1)
-    all_true = (cols == 1).all(axis=1)
-    return np.where(any_false, 0, np.where(all_true, 1, 2)).astype(np.int8)
+        return np.full(values.shape[0], T, dtype=np.int8)
+    return values[:, idx].min(axis=1)
 
 
 def _model_mask(
@@ -240,8 +211,8 @@ def _model_mask(
     n = width ** len(base)
     if n > cap:
         raise CapExceededError(n, cap)
-    delta_codes = np.array([_CODE[p[0]] for p in pairs], dtype=np.int8)
-    partial_codes = np.array([_CODE[p[1]] for p in pairs], dtype=np.int8)
+    delta_codes = np.array([p[0] for p in pairs], dtype=np.int8)
+    partial_codes = np.array([p[1] for p in pairs], dtype=np.int8)
     # literal j's conditions read columns j and j ^ 1 and the bodies of its
     # supportive rules and attackers; they apply once all these are assigned
     supportive = [r.kind is not RuleKind.DEFEATER for r in rules]
@@ -266,19 +237,19 @@ def _model_mask(
 
             rhs = np.zeros(n, dtype=bool) if q not in g.facts else np.ones(n, dtype=bool)
             for r in strict:
-                rhs |= conj_d[r] == 1
-            mask = (dq == 1) == rhs
+                rhs |= conj_d[r] == T
+            mask = (dq == T) == rhs
 
             rhs = np.ones(n, dtype=bool) if q not in g.facts else np.zeros(n, dtype=bool)
             for r in strict:
-                rhs &= conj_d[r] == 0
-            mask &= (dq == 0) == rhs
+                rhs &= conj_d[r] == F
+            mask &= (dq == F) == rhs
 
             some_supportive = np.zeros(n, dtype=bool)
             all_supportive_fail = np.ones(n, dtype=bool)
             for r in sd:
-                some_supportive |= conj_p[r] == 1
-                all_supportive_fail &= conj_p[r] == 0
+                some_supportive |= conj_p[r] == T
+                all_supportive_fail &= conj_p[r] == F
             every_attack_countered = np.ones(n, dtype=bool)
             some_attack_wins = np.zeros(n, dtype=bool)
             for s in attackers:
@@ -286,14 +257,14 @@ def _model_mask(
                 no_live_superior = np.ones(n, dtype=bool)
                 for t in sd:
                     if (rules[t].label, rules[s].label) in g.superiority:
-                        defeated |= conj_p[t] == 1
-                        no_live_superior &= conj_p[t] == 0
-                every_attack_countered &= (conj_p[s] == 0) | defeated
-                some_attack_wins |= (conj_p[s] == 1) & no_live_superior
-            rhs = (dq == 1) | (some_supportive & (dcomp == 0) & every_attack_countered)
-            mask &= (pq == 1) == rhs
-            rhs = (dq == 0) & (all_supportive_fail | (dcomp == 1) | some_attack_wins)
-            mask &= (pq == 0) == rhs
+                        defeated |= conj_p[t] == T
+                        no_live_superior &= conj_p[t] == F
+                every_attack_countered &= (conj_p[s] == F) | defeated
+                some_attack_wins |= (conj_p[s] == T) & no_live_superior
+            rhs = (dq == T) | (some_supportive & (dcomp == F) & every_attack_countered)
+            mask &= (pq == T) == rhs
+            rhs = (dq == F) & (all_supportive_fail | (dcomp == T) | some_attack_wins)
+            mask &= (pq == F) == rhs
             delta, partial = delta[mask], partial[mask]
     return base, delta, partial
 
@@ -303,14 +274,15 @@ def closure_forces_epistemic(g: GroundTheory, cap: Optional[int] = None) -> bool
     only interpretations satisfying the four closure conditions, and report
     whether every one of them also satisfies the epistemic conditions."""
     _, d, p = _model_mask(g, cap, well_formed_only=False)
-    breach_1 = ((d == 1) & (p != 1)).any()
-    breach_2 = ((p == 0) & (d != 0)).any()
+    breach_1 = ((d == T) & (p != T)).any()
+    breach_2 = ((p == F) & (d != F)).any()
     return not (breach_1 or breach_2)
 
 
 @dataclass(frozen=True)
 class ModelSet:
-    """Every model of a theory: one row of status codes per model."""
+    """Every model of a theory: row i of `delta` and of `partial` holds the
+    status codes (F, U, T) of model i over `base`, in table order."""
 
     base: tuple[Literal, ...]
     delta: np.ndarray
@@ -322,7 +294,7 @@ class ModelSet:
         if not len(self.delta):
             raise InternalError("theory has no models; the model conditions are broken")
         d, p = self.delta, self.partial
-        holds = (d == 1, d == 0, p == 1, p == 0)
+        holds = (d == T, d == F, p == T, p == F)
         return ConclusionSet.from_table(self.base, [column.all(axis=0).tolist() for column in holds])
 
 

@@ -229,6 +229,14 @@ def test_meta(tmp_path):
     assert "defeasibly(q) :- not definitely(~q), defeasibly(p), not overruled(r, q)." in out
 
 
+def test_meta_empty_theory(tmp_path):
+    # no clauses, no output, as `derive` prints nothing for an empty theory
+    f = tmp_path / "empty.dl"
+    f.write_text("")
+    assert run(["meta", str(f)]) == (EXIT_OK, "")
+    assert run(["derive", str(f)]) == (EXIT_OK, "")
+
+
 def test_models(tmp_path):
     f = tmp_path / "loop.dl"
     f.write_text("r: p => p.\n")

@@ -49,17 +49,10 @@ def test_literal_basics():
 
 def test_variable_convention():
     # [TRIVIAL] uppercase first letter marks a variable
-    assert not lit("p", "a").is_ground() or True
     assert lit("p", "X").variables == ("X",)
     assert lit("p", "x").variables == ()
     assert not lit("p", "X").is_ground()
     assert lit("p", "x").is_ground()
-
-
-def test_substitution():
-    # [TRIVIAL]
-    r = lit("p", "X", "Y", "X")
-    assert str(r.substitute({"X": "a", "Y": "b"})) == "p(a,b,a)"
 
 
 def test_rule_body_is_a_set():

@@ -18,6 +18,7 @@ from dlog import engine, metaprogram, modelcheck
 from dlog.core import (
     GroundingError,
     GroundTheory,
+    Literal,
     Rule,
     RuleKind,
     SourceTheory,
@@ -30,6 +31,11 @@ from dlog.differential import generate_random_theory
 from dlog.parser import parse_theory, render_theory
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def substitute(literal: Literal, binding: dict[str, str]) -> Literal:
+    """The literal with each variable bound in `binding` replaced by its constant."""
+    return lit(literal.atom.predicate, *(binding.get(t, t) for t in literal.atom.args), positive=literal.positive)
 
 
 def naive_ground(theory: SourceTheory) -> GroundTheory:
@@ -59,8 +65,8 @@ def naive_ground(theory: SourceTheory) -> GroundTheory:
                 Rule(
                     label=label,
                     kind=schema.kind,
-                    body=tuple(l.substitute(binding) for l in schema.body),
-                    head=schema.head.substitute(binding),
+                    body=tuple(substitute(l, binding) for l in schema.body),
+                    head=substitute(schema.head, binding),
                 )
             )
             labels.append(label)
@@ -274,7 +280,7 @@ def assert_positions_are_table_lookups(theory: SourceTheory, context) -> None:
         label, _, values = r.label.partition("#")
         schema = schemas[label]
         binding = dict(zip(schema.variables, values.split(",") if values else ()))
-        expected = Rule(r.label, schema.kind, tuple(l.substitute(binding) for l in schema.body), schema.head.substitute(binding))
+        expected = Rule(r.label, schema.kind, tuple(substitute(l, binding) for l in schema.body), substitute(schema.head, binding))
         assert r == expected, context
         assert head == index[expected.head], context
         assert body == tuple(index[a] for a in expected.body), context

@@ -21,12 +21,12 @@ from dlog.core import (
 )
 from dlog.differential import generate_random_theory
 from dlog.modelcheck import (
+    F,
+    T,
+    U,
     CapExceededError,
-    DefeasibleInterpretation,
-    ThreeVal,
     UsageError,
     closure_forces_epistemic,
-    conj_value,
     count_models,
     default_cap,
     enumerate_interpretations,
@@ -35,8 +35,7 @@ from dlog.modelcheck import (
 )
 from dlog.parser import parse_conclusion as c
 from dlog.parser import parse_theory
-
-T, F, U = ThreeVal.TRUE, ThreeVal.FALSE, ThreeVal.UNDEFINED
+from test_grounding import benchmark_texts, outcome, random_first_order_theory
 
 
 def g(text: str):
@@ -56,8 +55,8 @@ def full_product_mask(g: GroundTheory, well_formed_only: bool = True):
         np.arange(n, dtype=np.int64)[:, None]
         // (width ** np.arange(len(base), dtype=np.int64))
     ) % width
-    delta_codes = np.array([mc._CODE[p[0]] for p in pairs], dtype=np.int8)
-    partial_codes = np.array([mc._CODE[p[1]] for p in pairs], dtype=np.int8)
+    delta_codes = np.array([p[0] for p in pairs], dtype=np.int8)
+    partial_codes = np.array([p[1] for p in pairs], dtype=np.int8)
     delta = delta_codes[digits]
     partial = partial_codes[digits]
 
@@ -74,19 +73,19 @@ def full_product_mask(g: GroundTheory, well_formed_only: bool = True):
 
         rhs = np.zeros(n, dtype=bool) if q not in g.facts else np.ones(n, dtype=bool)
         for r in strict:
-            rhs |= conj_d[r.label] == 1
-        mask &= (dq == 1) == rhs
+            rhs |= conj_d[r.label] == T
+        mask &= (dq == T) == rhs
 
         rhs = np.ones(n, dtype=bool) if q not in g.facts else np.zeros(n, dtype=bool)
         for r in strict:
-            rhs &= conj_d[r.label] == 0
-        mask &= (dq == 0) == rhs
+            rhs &= conj_d[r.label] == F
+        mask &= (dq == F) == rhs
 
         some_supportive = np.zeros(n, dtype=bool)
         all_supportive_fail = np.ones(n, dtype=bool)
         for r in sd:
-            some_supportive |= conj_p[r.label] == 1
-            all_supportive_fail &= conj_p[r.label] == 0
+            some_supportive |= conj_p[r.label] == T
+            all_supportive_fail &= conj_p[r.label] == F
         every_attack_countered = np.ones(n, dtype=bool)
         some_attack_wins = np.zeros(n, dtype=bool)
         for s in attackers:
@@ -94,14 +93,14 @@ def full_product_mask(g: GroundTheory, well_formed_only: bool = True):
             no_live_superior = np.ones(n, dtype=bool)
             for t in sd:
                 if (t.label, s.label) in sup:
-                    defeated |= conj_p[t.label] == 1
-                    no_live_superior &= conj_p[t.label] == 0
-            every_attack_countered &= (conj_p[s.label] == 0) | defeated
-            some_attack_wins |= (conj_p[s.label] == 1) & no_live_superior
-        rhs = (dq == 1) | (some_supportive & (dcomp == 0) & every_attack_countered)
-        mask &= (pq == 1) == rhs
-        rhs = (dq == 0) & (all_supportive_fail | (dcomp == 1) | some_attack_wins)
-        mask &= (pq == 0) == rhs
+                    defeated |= conj_p[t.label] == T
+                    no_live_superior &= conj_p[t.label] == F
+            every_attack_countered &= (conj_p[s.label] == F) | defeated
+            some_attack_wins |= (conj_p[s.label] == T) & no_live_superior
+        rhs = (dq == T) | (some_supportive & (dcomp == F) & every_attack_countered)
+        mask &= (pq == T) == rhs
+        rhs = (dq == F) & (all_supportive_fail | (dcomp == T) | some_attack_wins)
+        mask &= (pq == F) == rhs
     return base, delta[mask], partial[mask]
 
 
@@ -110,60 +109,55 @@ def model_rows(base, delta, partial) -> set:
     return set(zip(map(tuple, delta.tolist()), map(tuple, partial.tolist())))
 
 
-def test_conj_value():
-    # [TRIVIAL] Kleene conjunction; empty conjunction is True
-    f = {lit("a"): T, lit("b"): F, lit("c"): U}
-    assert conj_value(f, ()) is T
-    assert conj_value(f, (lit("a"),)) is T
-    assert conj_value(f, (lit("a"), lit("c"))) is U
-    assert conj_value(f, (lit("c"), lit("b"))) is F
+def test_conj_columns():
+    # [TRIVIAL] Kleene conjunction is the least code; the empty one is True
+    values = np.array([[T, F, U]], dtype=np.int8)  # columns a, b, c
+    assert mc._conj_columns(values, []).tolist() == [T]
+    assert mc._conj_columns(values, [0]).tolist() == [T]
+    assert mc._conj_columns(values, [0, 2]).tolist() == [U]
+    assert mc._conj_columns(values, [2, 1]).tolist() == [F]
 
 
 def test_well_formed():
-    # is_model checks both epistemic conditions
+    # is_model checks both epistemic conditions; the base is (p, ~p)
     theory = g("p.")
-    base = theory.herbrand_base
-    good = DefeasibleInterpretation(base, {lit("p"): T, neg("p"): F},
-                                    {lit("p"): T, neg("p"): F})
-    assert is_model(theory, good).is_model
+    assert is_model(theory, (T, F), (T, F)).is_model
     # known definitely but not believed defeasibly
-    bad = DefeasibleInterpretation(base, {lit("p"): T, neg("p"): F},
-                                   {lit("p"): U, neg("p"): F})
-    assert ("epistemic-1", lit("p"), "if") in is_model(theory, bad).violations
+    assert ("epistemic-1", lit("p"), "if") in is_model(theory, (T, F), (U, F)).violations
     # disbelieved defeasibly but not refuted definitely
-    bad = DefeasibleInterpretation(base, {lit("p"): T, neg("p"): U},
-                                   {lit("p"): T, neg("p"): F})
-    assert ("epistemic-2", neg("p"), "if") in is_model(theory, bad).violations
+    assert ("epistemic-2", neg("p"), "if") in is_model(theory, (T, U), (T, F)).violations
 
 
-def test_is_model_requires_matching_base():
+def test_is_model_rejects_malformed_codes():
+    # one code per base literal and level, each of them F, U or T
     theory = g("p.")
-    other = DefeasibleInterpretation(frozenset({lit("q")}), {}, {})
-    with pytest.raises(UsageError):
-        is_model(theory, other)
+    for delta, partial in (((T,), (T, F)), ((T, F), (T, F, F)), ((T, F, U), (T, F, U))):
+        with pytest.raises(UsageError):
+            is_model(theory, delta, partial)
+    for delta, partial in (((T, 3), (T, F)), ((T, F), (-1, F))):
+        with pytest.raises(UsageError):
+            is_model(theory, delta, partial)
 
 
 def test_is_model_reports_direction():
     theory = g("p.")
-    base = theory.herbrand_base
     # claiming ignorance of a fact: the Δ-condition fails in the "if"
     # direction (the right-hand side holds but the status is not True)
-    m = DefeasibleInterpretation(
-        base,
-        {lit("p"): U, neg("p"): F},
-        {lit("p"): U, neg("p"): F},
-    )
-    report = is_model(theory, m)
+    report = is_model(theory, (U, F), (U, F))
     assert not report.is_model
     assert ("Δ-True", lit("p"), "if") in report.violations
     # an unfounded status fails in the "only-if" direction
-    m2 = DefeasibleInterpretation(
-        base,
-        {lit("p"): T, neg("p"): T},
-        {lit("p"): T, neg("p"): T},
-    )
-    report2 = is_model(theory, m2)
+    report2 = is_model(theory, (T, T), (T, T))
     assert ("Δ-True", neg("p"), "only-if") in report2.violations
+
+
+def test_empty_theory_has_one_interpretation():
+    # the empty base has exactly one interpretation, and it is a model
+    theory = g("")
+    assert list(enumerate_interpretations(theory)) == [((), ())]
+    assert is_model(theory, (), ()).is_model
+    assert count_models(theory) == 1
+    assert len(logical_consequences(theory)) == 0
 
 
 def test_loop_theory_has_three_models():
@@ -171,15 +165,13 @@ def test_loop_theory_has_three_models():
     # False, True, or undefined, while ~p is settled False everywhere
     theory = g("r: p => p.")
     assert count_models(theory) == 3
-    models = [
-        m for m in enumerate_interpretations(theory) if is_model(theory, m).is_model
-    ]
+    models = [m for m in enumerate_interpretations(theory) if is_model(theory, *m).is_model]
     assert len(models) == 3
-    statuses = sorted(str(m.partial[lit("p")].value) for m in models)
-    assert statuses == ["False", "True", "undefined"]
-    for m in models:
-        assert m.delta[lit("p")] is F
-        assert m.partial[neg("p")] is F
+    p, not_p = theory.position(lit("p")), theory.position(neg("p"))
+    assert sorted(partial[p] for _, partial in models) == [F, U, T]
+    for delta, partial in models:
+        assert delta[p] == F
+        assert partial[not_p] == F
 
 
 def test_loop_theory_consequences():
@@ -210,7 +202,7 @@ def test_generator_and_vectorized_routes_agree():
         reference = sum(
             1
             for m in enumerate_interpretations(theory)
-            if is_model(theory, m).is_model
+            if is_model(theory, *m).is_model
         )
         assert count_models(theory) == reference, text
 
@@ -232,19 +224,18 @@ def test_frontier_matches_is_model():
     # [DERIVED] on bases of at most 4 literals, the frontier's rows are the
     # interpretations the per-interpretation checker accepts; a window of
     # the seeds above, as the checker takes about 0.1 s per 4-literal base
-    codes = mc._CODE
     checked = 0
     for seed in range(60):
         theory = ground(generate_random_theory(seed, 3, 10))
         if len(theory.literals) > 4:
             continue
         accepted = {
-            (tuple(codes[m.delta[q]] for q in theory.literals),
-             tuple(codes[m.partial[q]] for q in theory.literals))
-            for m in enumerate_interpretations(theory)
-            if is_model(theory, m).is_model
+            m for m in enumerate_interpretations(theory) if is_model(theory, *m).is_model
         }
-        assert model_rows(*mc._model_mask(theory, None)) == accepted, seed
+        base, delta, partial = mc._model_mask(theory, None)
+        assert model_rows(base, delta, partial) == accepted, seed
+        # a row pair is read as it is, numpy rows and all
+        assert all(is_model(theory, d, p).is_model for d, p in zip(delta, partial)), seed
         checked += 1
     assert checked >= 40
 
@@ -259,6 +250,30 @@ def test_consequences_match_engine_on_small_theories():
     ):
         theory = g(text)
         assert logical_consequences(theory) == engine.derive_all(theory), text
+
+
+def engine_interpretation(theory: GroundTheory):
+    """`derive_all`'s conclusions as status codes per level: T where the
+    level's + tag holds, F where its - tag holds, U where neither does."""
+    pd, md, pp, mp = engine.derive_all(theory).over(theory.literals)
+    delta = [T if plus else F if minus else U for plus, minus in zip(pd, md)]
+    partial = [T if plus else F if minus else U for plus, minus in zip(pp, mp)]
+    return delta, partial
+
+
+def test_engine_conclusions_form_a_model(bird):
+    # [DERIVED] the completeness half of a certificate: the engine's
+    # conclusions, read as an interpretation, satisfy every closure condition
+    theories = {"bird": bird}
+    for name, text in benchmark_texts().items():
+        theories[name] = g(text)
+    for seed in range(300):
+        theories[f"random {seed}"], _ = outcome(ground, generate_random_theory(seed, 6, 20))
+        theories[f"first-order {seed}"], _ = outcome(ground, random_first_order_theory(seed))
+    checked = {name: theory for name, theory in theories.items() if theory is not None}
+    assert len(checked) >= 450  # 8 benchmark texts, 300 random, 162 first-order
+    for name, theory in checked.items():
+        assert is_model(theory, *engine_interpretation(theory)).violations == (), name
 
 
 def test_closure_forces_epistemic():
