@@ -27,7 +27,9 @@ inference rule reads the strict rules R_s[q] or the supportive ones
 R_sd[q].  The engine, the model checker and the metaprogram each give
 four flags per position (one per `Tag`), and a `ConclusionSet` is that table
 and those flags, the one readout of every oracle; the command line renders
-straight from the flags.  `herbrand_base` is a set view.
+straight from the flags.  `herbrand_base` is a set view.  The model checker
+and the metaprogram read three-valued truth as the codes `F, U, T = 0, 1, 2`
+defined here.
 
 `Atom`, `Literal`, `Rule` and `TaggedConclusion` are named tuples, so
 equality and hashing are those of the tuple of their fields: an instance also
@@ -230,11 +232,11 @@ class GroundTheory:
     """A propositional theory instantiated from the written one, its Herbrand
     base, and the written rule labels and superiority statements.
 
-    `ground` also fills in `offsets`, where each `(predicate, arity)`'s atoms
-    start in `literals`, and `positions`; a theory built by hand leaves them
-    out, and `table_positions` and `position` look its literals up instead.
-    Either way each index they read, and the rules by head position that
-    `rules_at` reads, is built once per theory, on first use."""
+    `offsets` says where each `(predicate, arity)`'s atoms start in
+    `literals`, and `positions` where every rule's head and body and every
+    fact sit there; `ground` fills both in.  The constant index that
+    `position` reads, and the rules by head position that `rules_at` reads,
+    are built once per theory, on first use."""
 
     facts: frozenset[Literal]
     rules: tuple[Rule, ...]
@@ -243,21 +245,12 @@ class GroundTheory:
     literals: tuple[Literal, ...]  # the base; literals[i ^ 1] is the complement of literals[i]
     written_labels: tuple[str, ...]  # rule labels as written, one per schema
     written_superiority: tuple[tuple[str, str], ...]  # statements as written
-    offsets: Optional[dict[tuple[str, int], int]] = field(default=None, compare=False, repr=False)
-    positions: Optional[Positions] = field(default=None, compare=False, repr=False)
-
-    def table_positions(self) -> Positions:
-        """The positions of every rule's head and body and of every fact in
-        `literals`.  A literal missing from a hand-built table is a KeyError."""
-        if self.positions is not None:
-            return self.positions
-        return self._looked_up_positions
+    offsets: dict[tuple[str, int], int] = field(compare=False, repr=False)
+    positions: Positions = field(compare=False, repr=False)
 
     def position(self, literal: Literal) -> Optional[int]:
         """The position of a ground literal in `literals`, or None when it is
         not in the base."""
-        if self.offsets is None:
-            return self._table_index.get(literal)
         return _position(literal, self.offsets, self._constant_index)
 
     @cached_property
@@ -265,22 +258,9 @@ class GroundTheory:
         return {c: i for i, c in enumerate(sorted(self.constants))}
 
     @cached_property
-    def _table_index(self) -> dict[Literal, int]:
-        return {l: i for i, l in enumerate(self.literals)}
-
-    @cached_property
-    def _looked_up_positions(self) -> Positions:
-        index = self._table_index
-        return Positions(
-            tuple(index[r.head] for r in self.rules),
-            tuple(tuple(index[a] for a in r.body) for r in self.rules),
-            tuple(index[f] for f in self.facts),
-        )
-
-    @cached_property
     def _rule_index(self) -> dict[int, list[int]]:
         by_head: dict[int, list[int]] = {}
-        for ri, h in enumerate(self.table_positions().heads):
+        for ri, h in enumerate(self.positions.heads):
             by_head.setdefault(h, []).append(ri)
         return by_head
 
@@ -294,7 +274,7 @@ class GroundTheory:
         that head, in `rules` order, and none for a position past the table.
         The strict rules R_s[q] and the supportive ones R_sd[q] are these
         filtered by kind; defeaters belong to R[q] only.  The index is built
-        from `table_positions` on first use."""
+        from `positions` on first use."""
         return self._rule_index.get(position, [])
 
 
@@ -700,6 +680,13 @@ def _has_cycle(statements: list[tuple[str, str]]) -> bool:
             if not below[hi]:
                 ready.append(hi)
     return len(ready) < len(below)
+
+
+# three-valued truth as codes in truth order, which both semantic oracles
+# read: a Kleene conjunction is the least code of its conjuncts (T when there
+# are none), a disjunction the greatest (F when there are none), and the
+# negation of v is T - v
+F, U, T = 0, 1, 2
 
 
 class Tag(Enum):

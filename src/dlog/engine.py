@@ -13,7 +13,7 @@ of them cyclic.
 
 Literals are positions in the ground theory's table (`GroundTheory.literals`):
 the heads, bodies and facts come as positions from `ground`
-(`GroundTheory.table_positions`), and a query is located by position
+(`GroundTheory.positions`), and a query is located by position
 arithmetic (`GroundTheory.position`).  The four status flag lists over the
 table are the result (`ConclusionSet.from_table`).  `explain` slices the run
 by packed steps, indexed in one flat list over `(position << 2) | code`, and
@@ -76,7 +76,7 @@ class _Propagation:
     @gc_paused
     def __init__(self, g: GroundTheory, query: Optional[Literal] = None):
         literals = g.literals
-        positions = g.table_positions()
+        positions = g.positions
         self.query: Optional[int] = None  # the queried literal's position
         if query is not None:
             if not query.is_ground():
@@ -436,7 +436,7 @@ def check_derivation(g: GroundTheory, d: Iterable[TaggedConclusion]) -> CheckRes
     size = n + 2 * len(outside)
     pD, mD, pd, md = (bytearray(size) for _ in Tag)
 
-    positions = g.table_positions()
+    positions = g.positions
     body = positions.bodies
     fact = bytearray(size)
     for f in positions.facts:

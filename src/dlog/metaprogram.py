@@ -4,6 +4,12 @@ fixpoint semantics: the least fixpoint of Fitting's operator (`fitting_step`)
 from all-unknown, which for finite ground programs coincides with Kunen's
 semantics.
 
+An interpretation maps each atom to one of `core`'s three-valued codes
+F, U, T = 0, 1, 2, the codes the model checker reads too.  A negated body
+literal reads T - v, a clause body the least code of its literals (T when it
+has none), and an atom the greatest code of its clauses' bodies (F when it
+heads none).
+
 This is the first of the two independent oracles for the engine: reading the
 fixpoint off as tagged conclusions must reproduce `engine.derive_all` on
 every theory.  Only `translate` encodes the inference rules; the fixpoint
@@ -30,14 +36,15 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     ConclusionSet,
+    F,
     GroundTheory,
     InternalError,
     Literal,
     RuleKind,
+    T,
+    U,
     gc_paused,
 )
-
-TRUE, FALSE, UNKNOWN = "t", "f", "u"
 
 DEFINITELY = "definitely"
 DEFEASIBLY = "defeasibly"
@@ -99,7 +106,7 @@ class GroundMetaProgram:
         return "".join(f"{c}\n" for c in sorted(self.clauses, key=str))
 
 
-ThreeValuedInterpretation = dict[MetaAtom, str]
+ThreeValuedInterpretation = dict[MetaAtom, int]  # an F, U or T code per atom
 
 
 def _pos(p: str, l: Literal, label: str = "") -> BodyLiteral:
@@ -128,7 +135,7 @@ def translate(g: GroundTheory) -> GroundMetaProgram:
     The attackers of a rule with head position h, and the rules that may
     defeat it, are `g.rules_at(h ^ 1)`.
     """
-    rules, heads = g.rules, g.table_positions().heads
+    rules, heads = g.rules, g.positions.heads
     clauses: list[Clause] = []
     for q in sorted(g.facts, key=str):
         clauses.append(Clause(MetaAtom(DEFINITELY, q), ()))
@@ -175,44 +182,43 @@ def translate(g: GroundTheory) -> GroundMetaProgram:
     return GroundMetaProgram(tuple(clauses))
 
 
-def _eval_body(body: Iterable[BodyLiteral], i: ThreeValuedInterpretation) -> str:
-    # Kleene conjunction: false absorbs, unknown otherwise dominates true
-    value = TRUE
+def _eval_body(body: Iterable[BodyLiteral], i: ThreeValuedInterpretation) -> int:
+    # Kleene conjunction: the least code, T when empty; the first F settles it
+    value = T
     for b in body:
         v = i[b.atom]
         if not b.positive:
-            v = FALSE if v == TRUE else TRUE if v == FALSE else UNKNOWN
-        if v == FALSE:
-            return FALSE
-        if v == UNKNOWN:
-            value = UNKNOWN
+            v = T - v
+        if v == F:
+            return F
+        if v < value:
+            value = v
     return value
 
 
 def fitting_step(
     p: GroundMetaProgram, i: ThreeValuedInterpretation
 ) -> ThreeValuedInterpretation:
-    """One Kleene 3-valued consequence step: an atom becomes true iff some
-    clause body evaluates true, false iff every clause body (none included)
-    evaluates false, unknown otherwise."""
+    """One Kleene 3-valued consequence step: an atom gets the greatest code
+    of its clause bodies, so T iff some body evaluates T, and F iff every
+    body (none included) evaluates F; the first T settles it."""
     by_head = p.clauses_by_head
     out: ThreeValuedInterpretation = {}
     for atom in i:
-        clauses = by_head.get(atom, ())
-        value = FALSE
-        for c in clauses:
+        value = F
+        for c in by_head.get(atom, ()):
             v = _eval_body(c.body, i)
-            if v == TRUE:
-                value = TRUE
+            if v == T:
+                value = T
                 break
-            if v == UNKNOWN:
-                value = UNKNOWN
+            if v > value:
+                value = v
         out[atom] = value
     return out
 
 
 def all_unknown(p: GroundMetaProgram) -> ThreeValuedInterpretation:
-    return {atom: UNKNOWN for atom in p.atoms}
+    return dict.fromkeys(p.atoms, U)
 
 
 @gc_paused
@@ -231,8 +237,8 @@ def kunen_fixpoint(p: GroundMetaProgram) -> ThreeValuedInterpretation:
     unchanged.
     """
     ids: dict[MetaAtom, int] = {}  # the atoms of `p.atoms`, numbered
-    # body occurrences per atom: (clause, whether the literal is positive)
-    occurrences: list[list[tuple[int, bool]]] = []
+    # body occurrences per atom: (clause, the atom's code that makes the literal true)
+    occurrences: list[list[tuple[int, int]]] = []
     heads: list[int] = []
     waiting: list[int] = []
     for k, c in enumerate(p.clauses):
@@ -245,33 +251,32 @@ def kunen_fixpoint(p: GroundMetaProgram) -> ThreeValuedInterpretation:
             a = ids.setdefault(b.atom, len(ids))
             if a == len(occurrences):
                 occurrences.append([])
-            occurrences[a].append((k, b.positive))
+            occurrences[a].append((k, T if b.positive else F))
     atoms = list(ids)
     falsified = [False] * len(heads)
     live = [0] * len(atoms)
     for h in heads:
         live[h] += 1
-    value: list[bool | None] = [None] * len(atoms)
-    settled = [(h, True) for h, n in zip(heads, waiting) if n == 0]
-    settled += [(a, False) for a, n in enumerate(live) if n == 0]
+    value = [U] * len(atoms)
+    settled = [(h, T) for h, n in zip(heads, waiting) if n == 0]
+    settled += [(a, F) for a, n in enumerate(live) if n == 0]
     while settled:
         a, v = settled.pop()
-        if value[a] is not None:
+        if value[a] != U:
             continue  # a second clause of a true atom came true
         value[a] = v
-        for k, positive in occurrences[a]:
-            if positive is v:  # the body literal turned true
+        for k, true_at in occurrences[a]:
+            if v == true_at:  # the body literal turned true
                 waiting[k] -= 1
                 if waiting[k] == 0 and not falsified[k]:
-                    settled.append((heads[k], True))
+                    settled.append((heads[k], T))
             elif not falsified[k]:
                 falsified[k] = True
                 h = heads[k]
                 live[h] -= 1
                 if live[h] == 0:
-                    settled.append((h, False))
-    names = {True: TRUE, False: FALSE, None: UNKNOWN}
-    fixpoint = {atom: names[v] for atom, v in zip(atoms, value)}
+                    settled.append((h, F))
+    fixpoint = dict(zip(atoms, value))
     if fitting_step(p, fixpoint) != fixpoint:
         raise InternalError("counter propagation stopped short of a Fitting fixpoint")
     return fixpoint
@@ -283,9 +288,9 @@ def to_conclusions(
 ) -> ConclusionSet:
     """Read tagged conclusions off a fixpoint: definitely(q) true/false gives
     +D/-D, defeasibly(q) true/false gives +d/-d, unknown gives nothing."""
-    levels = [[i.get(MetaAtom(p, q), UNKNOWN) for q in base] for p in (DEFINITELY, DEFEASIBLY)]
+    levels = [[i.get(MetaAtom(p, q), U) for q in base] for p in (DEFINITELY, DEFEASIBLY)]
     return ConclusionSet.from_table(
-        base, [[v == want for v in values] for values in levels for want in (TRUE, FALSE)]
+        base, [[v == want for v in values] for values in levels for want in (T, F)]
     )
 
 

@@ -8,9 +8,9 @@ small enough base, `logical_consequences` must equal `engine.derive_all`.
 
 An interpretation has one encoding: two sequences of status codes over the
 table positions of `GroundTheory.literals`, the definite level and the
-defeasible one.  The codes are F, U, T = 0, 1, 2, in truth order, U where the
-partial function is undefined, so a Kleene conjunction is the least code of
-its conjuncts.
+defeasible one.  The codes are `core`'s F, U, T = 0, 1, 2, in truth order, U
+where the partial function is undefined, so a Kleene conjunction is the least
+code of its conjuncts; the metaprogram reads its fixpoint in the same codes.
 
 Two model routes read that encoding on purpose, each with its own encoding
 of the closure conditions: `enumerate_interpretations` plus `is_model` is the
@@ -22,8 +22,8 @@ checked before enumeration.  The tests cross-check the routes against each
 other.
 
 Both routes read R[q] as `GroundTheory.rules_at` of q's position, pick its
-strict and supportive rules by kind, and read a rule's body positions from
-`GroundTheory.table_positions`.
+strict and supportive rules by kind, and read a rule's body and the facts'
+positions from `GroundTheory.positions`.
 """
 
 from __future__ import annotations
@@ -37,10 +37,13 @@ import numpy as np
 
 from .core import (
     ConclusionSet,
+    F,
     GroundTheory,
     InternalError,
     Literal,
     RuleKind,
+    T,
+    U,
 )
 
 
@@ -56,10 +59,6 @@ class CapExceededError(Exception):
         self.required = required
         self.cap = cap
 
-
-# status codes, in truth order: a Kleene conjunction is the least code of its
-# conjuncts, and the empty conjunction is T
-F, U, T = 0, 1, 2
 
 DEFAULT_CAP = 2_000_000
 
@@ -105,10 +104,9 @@ def is_model(g: GroundTheory, delta: Sequence[int], partial: Sequence[int]) -> M
         if bad:
             raise UsageError(f"status codes are F, U, T = 0, 1, 2; got {sorted(map(repr, bad))}")
     rules, sup = g.rules, g.superiority
-    positions = g.table_positions()
-    bodies = positions.bodies
+    bodies = g.positions.bodies
     fact = bytearray(len(base))
-    for f in positions.facts:
+    for f in g.positions.facts:
         fact[f] = 1
     violations: list[tuple[str, Literal, str]] = []
 
@@ -205,7 +203,10 @@ def _model_mask(
     per level."""
     cap = default_cap() if cap is None else cap
     base, rules = g.literals, g.rules
-    body = g.table_positions().bodies  # a rule's body columns
+    body = g.positions.bodies  # a rule's body columns
+    fact = bytearray(len(base))
+    for f in g.positions.facts:
+        fact[f] = 1
     pairs = _WELL_FORMED_PAIRS if well_formed_only else _WELL_FORMED_PAIRS + _EXTRA_PAIRS
     width = len(pairs)
     n = width ** len(base)
@@ -226,7 +227,6 @@ def _model_mask(
         delta = np.column_stack((np.repeat(delta, width, axis=0), np.tile(delta_codes, rows)))
         partial = np.column_stack((np.repeat(partial, width, axis=0), np.tile(partial_codes, rows)))
         for j in checked:
-            q = base[j]
             sd = [r for r in g.rules_at(j) if supportive[r]]
             strict = [r for r in sd if rules[r].kind is RuleKind.STRICT]
             attackers = g.rules_at(j ^ 1)
@@ -235,12 +235,12 @@ def _model_mask(
             n = delta.shape[0]
             dq, pq, dcomp = delta[:, j], partial[:, j], delta[:, j ^ 1]
 
-            rhs = np.zeros(n, dtype=bool) if q not in g.facts else np.ones(n, dtype=bool)
+            rhs = np.ones(n, dtype=bool) if fact[j] else np.zeros(n, dtype=bool)
             for r in strict:
                 rhs |= conj_d[r] == T
             mask = (dq == T) == rhs
 
-            rhs = np.ones(n, dtype=bool) if q not in g.facts else np.zeros(n, dtype=bool)
+            rhs = np.zeros(n, dtype=bool) if fact[j] else np.ones(n, dtype=bool)
             for r in strict:
                 rhs &= conj_d[r] == F
             mask &= (dq == F) == rhs

@@ -19,6 +19,7 @@ from dlog.core import (
     GroundingError,
     GroundTheory,
     Literal,
+    Positions,
     Rule,
     RuleKind,
     SourceTheory,
@@ -40,7 +41,9 @@ def substitute(literal: Literal, binding: dict[str, str]) -> Literal:
 
 def naive_ground(theory: SourceTheory) -> GroundTheory:
     """Every schema over `constants^vars`, superiority as the cross product,
-    and the base of every written signature over the constants, sorted by text."""
+    and the base of every written signature over the constants, sorted by text.
+    Positions are looked up in a dict over that table, and each signature's
+    offset is the position of its first literal there."""
     constants = sorted(theory.constants)
     for f in theory.facts:
         if not f.is_ground():
@@ -80,14 +83,26 @@ def naive_ground(theory: SourceTheory) -> GroundTheory:
         (lit(predicate, *args) for predicate, arity in signatures for args in itertools.product(constants, repeat=arity)),
         key=str,
     )
+    table = tuple(l for q in positives for l in (q, q.complement()))
+    index = {l: i for i, l in enumerate(table)}
+    offsets: dict[tuple[str, int], int] = {}
+    for i, q in enumerate(table):
+        offsets.setdefault((q.atom.predicate, q.atom.arity), i)
+    facts = frozenset(theory.facts)
     return GroundTheory(
-        facts=frozenset(theory.facts),
+        facts=facts,
         rules=tuple(instances),
         superiority=frozenset(expanded),
         constants=frozenset(constants),
-        literals=tuple(l for q in positives for l in (q, q.complement())),
+        literals=table,
         written_labels=tuple(r.label for r in theory.rules),
         written_superiority=tuple(theory.superiority),
+        offsets=offsets,
+        positions=Positions(
+            tuple(index[r.head] for r in instances),
+            tuple(tuple(index[a] for a in r.body) for r in instances),
+            tuple(index[f] for f in facts),
+        ),
     )
 
 

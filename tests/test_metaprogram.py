@@ -16,15 +16,14 @@ import pytest
 from test_grounding import random_first_order_theory
 
 from dlog import engine
-from dlog.core import InternalError, ground, lit, neg
+from dlog.core import F, T, U, InternalError, ground, lit, neg
 from dlog.differential import generate_random_theory
 from dlog.metaprogram import (
     DEFEASIBLY,
     DEFINITELY,
-    FALSE,
-    TRUE,
-    UNKNOWN,
+    BodyLiteral,
     Clause,
+    GroundMetaProgram,
     MetaAtom,
     all_unknown,
     conclusions,
@@ -49,7 +48,7 @@ def fitting_iteration(p):
         if nxt == current:
             return current
         for atom, v in current.items():
-            if v != UNKNOWN and nxt[atom] != v:
+            if v != U and nxt[atom] != v:
                 raise InternalError(f"fitting step retracted {atom} = {v}")
         current = nxt
     raise InternalError("fixpoint not reached within #atoms + 1 steps")
@@ -89,17 +88,23 @@ def test_fitting_step_monotone_on_information():
     p = translate(g)
     i0 = all_unknown(p)
     i1 = fitting_step(p, i0)
-    assert i1[MetaAtom(DEFINITELY, lit("a"))] == TRUE
-    assert i1[MetaAtom(DEFINITELY, neg("a"))] == FALSE
+    assert i1[MetaAtom(DEFINITELY, lit("a"))] == T
+    assert i1[MetaAtom(DEFINITELY, neg("a"))] == F
     assert fitting_iteration(p) == kunen_fixpoint(p)  # raises on any retraction
+    # the codes' arithmetic: q :- not a gives q the code T - a, and a, which
+    # heads no clause, gets F
+    q, a = MetaAtom(DEFEASIBLY, lit("q")), MetaAtom(DEFINITELY, lit("a"))
+    one = GroundMetaProgram((Clause(q, (BodyLiteral(a, positive=False),)),))
+    for v, expected in ((F, T), (U, U), (T, F)):
+        assert fitting_step(one, {q: U, a: v}) == {q: expected, a: F}, v
 
 
 def test_fixpoint_leaves_loops_unknown():
     g = ground(parse_theory("r: p => p."))
     fix = kunen_fixpoint(translate(g))
-    assert fix[MetaAtom(DEFEASIBLY, lit("p"))] == UNKNOWN
-    assert fix[MetaAtom(DEFEASIBLY, neg("p"))] == FALSE
-    assert fix[MetaAtom(DEFINITELY, lit("p"))] == FALSE
+    assert fix[MetaAtom(DEFEASIBLY, lit("p"))] == U
+    assert fix[MetaAtom(DEFEASIBLY, neg("p"))] == F
+    assert fix[MetaAtom(DEFINITELY, lit("p"))] == F
 
 
 def test_fixpoint_detects_broken_step(monkeypatch):
@@ -108,8 +113,8 @@ def test_fixpoint_detects_broken_step(monkeypatch):
 
     def retracting_step(program, i):
         out = fitting_step(program, i)
-        if all(v != UNKNOWN for v in out.values()):
-            out[MetaAtom(DEFINITELY, lit("p"))] = UNKNOWN  # illegal retraction
+        if all(v != U for v in out.values()):
+            out[MetaAtom(DEFINITELY, lit("p"))] = U  # illegal retraction
         return out
 
     import dlog.metaprogram as mp
