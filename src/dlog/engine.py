@@ -1,15 +1,30 @@
 """Tagged-conclusion derivation by monotone fixpoint over the four inference
 rules, plus replayable derivations.
 
-The propagation is worklist-driven with per-rule counters (body literals not
-yet proved at the relevant level) and occurrence lists from literals to the
-rules mentioning them, so a conclusion set is computed in time linear in the
-size of the theory plus the superiority relation.  Negative tags are derived
-by the same worklist: the inference rules are monotone in the derived set, so
-no separate failure search is needed.  The build and the run, both in
-`_Propagation.__init__`, hold the cyclic GC paused (`core.gc_paused`): they
-allocate lists over the rules and an occurrence list per body literal, none
-of them cyclic.
+The propagation is one worklist loop with per-rule counters (body literals
+not yet proved at the relevant level) and occurrence lists from literals to
+the rules mentioning them, so a conclusion set is computed in time linear in
+the size of the theory plus the superiority relation.  Negative tags are
+derived by the same worklist: the inference rules are monotone in the derived
+set, so no separate failure search is needed.  `_Propagation._run` builds the
+indexes and runs the loop over local names.  Each tag is one branch of the
+loop, and what a step sets off (a rule supported, discarded or blocked, an
+attacker neutralised, a check of a -d or +d clause) is written out in the
+branch, so an event costs no method call.  The build and the run hold the
+cyclic GC paused (`core.gc_paused`): they allocate lists over the rules and
+an occurrence list per body literal, none of them cyclic.
+
+The run's packed steps, `order`, are the worklist too, and they open with the
+*inert block*.  A literal is inert when it is not a fact, heads no rule, its
+complement is neither, and no body mentions it.  It is -D and -d whatever
+else holds, and no inference rule for another literal reads it.  So both
+steps of every inert literal are written in bulk, one `range` per run of
+inert table positions, and the loop starts after the block.  Every other
+step keeps its order.  When the loop still read an inert literal's -D step,
+that step established its -d and nothing else, so taking the pair out of the
+loop leaves every other step where it was relative to the rest.
+`explain` derivations, the whole-run replay and every rendered output are
+unchanged by it.
 
 Literals are positions in the ground theory's table (`GroundTheory.literals`):
 the heads, bodies and facts come as positions from `ground`
@@ -29,6 +44,8 @@ of each tag in `Tag`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count, islice, repeat
+from operator import not_, xor
 from typing import Iterable, Optional
 
 from .core import (
@@ -46,6 +63,7 @@ from .core import (
 )
 
 _PD, _MD, _Pd, _Md = 0, 1, 2, 3
+_STRICT, _DEFEATER = RuleKind.STRICT, RuleKind.DEFEATER
 
 
 class NoDerivationError(Exception):
@@ -76,7 +94,6 @@ class _Propagation:
     @gc_paused
     def __init__(self, g: GroundTheory, query: Optional[Literal] = None):
         literals = g.literals
-        positions = g.positions
         self.query: Optional[int] = None  # the queried literal's position
         if query is not None:
             if not query.is_ground():
@@ -87,189 +104,241 @@ class _Propagation:
                 literals += (positive, positive.complement())
                 self.query = len(literals) - 2 + (not query.positive)
         self.literals = literals
-        n = len(literals)
-        self.fact = [False] * n
-        for f in positions.facts:
-            self.fact[f] = True
+        self._run(g)
 
+    def _run(self, g: GroundTheory) -> None:
+        """Index the rules, settle the inert block, and propagate the four
+        inference rules to their fixpoint, appending each step to `order`."""
+        n = len(self.literals)
+        head, bodies, facts = g.positions
         rules = g.rules
         nr = len(rules)
-        self.rules = rules
-        self.head = positions.heads
-        self.body = positions.bodies
-        self.is_strict = [r.kind is RuleKind.STRICT for r in rules]
-        self.is_sd = [r.kind is not RuleKind.DEFEATER for r in rules]
+        self.fact = fact = [False] * n
+        for f in facts:
+            fact[f] = True
+        self.body = bodies
+        self.is_strict = is_strict = [r.kind is _STRICT for r in rules]
+        self.is_sd = is_sd = [r.kind is not _DEFEATER for r in rules]
 
         # literal -> rules mentioning it in the body, in ascending rule order
-        self.body_occ: dict[int, list[int]] = {}
-        self.strict_body_occ: dict[int, list[int]] = {}
-        for ri, body in enumerate(self.body):
+        occ: dict[int, list[int]] = {}
+        strict_occ: dict[int, list[int]] = {}  # the same for strict rules
+        strict_left = [0] * n  # strict rules for q not yet blocked
+        sd_left = [0] * n  # supportive rules for q not yet discarded
+        attackers = [0] * n  # rules with head ~q not yet neutralized
+        for ri, h, body, strict, sd in zip(count(), head, bodies, is_strict, is_sd):
             for a in body:
-                self.body_occ.setdefault(a, []).append(ri)
-                if self.is_strict[ri]:
-                    self.strict_body_occ.setdefault(a, []).append(ri)
-
-        self.n_strict_unblocked = [0] * n
-        self.n_sd_undiscarded = [0] * n
-        self.n_attackers_alive = [0] * n  # rules with head ~q not yet neutralized
-        self.n_supported_sd = [0] * n
-        self.attack_won = [False] * n
-        for ri in range(nr):
-            h = self.head[ri]
-            if self.is_strict[ri]:
-                self.n_strict_unblocked[h] += 1
-            if self.is_sd[ri]:
-                self.n_sd_undiscarded[h] += 1
-            self.n_attackers_alive[h ^ 1] += 1
+                occ.setdefault(a, []).append(ri)
+            if strict:
+                strict_left[h] += 1
+                for a in body:
+                    strict_occ.setdefault(a, []).append(ri)
+            if sd:
+                sd_left[h] += 1
+            attackers[h ^ 1] += 1
+        sd_supported = [False] * n  # some supportive rule for q is supported
+        won = [False] * n  # some attack on q succeeds: -d clause (2.3)
 
         # beats[t] = attackers s with head ~head(t) and t > s; for each such s,
         # t is one of its "live superiors" whose discard brings s closer to
         # winning its attack (clause 2.3 of the -d rule)
-        by_label = {r.label: i for i, r in enumerate(rules)}
-        self.beats: dict[int, list[int]] = {}
-        self.n_live_superiors = [0] * nr
-        for hi, lo in g.superiority:
+        self.beats = beats = {}
+        superiors = [0] * nr
+        sup = g.superiority
+        by_label = {r.label: i for i, r in enumerate(rules)} if sup else {}
+        for hi, lo in sup:
             t, s = by_label.get(hi), by_label.get(lo)
             if t is None or s is None:
                 continue
-            if self.is_sd[t] and self.head[s] == (self.head[t] ^ 1):
-                self.beats.setdefault(t, []).append(s)
-                self.n_live_superiors[s] += 1
+            if is_sd[t] and head[s] == (head[t] ^ 1):
+                beats.setdefault(t, []).append(s)
+                superiors[s] += 1
 
-        self.delta_remaining = [len(self.body[ri]) for ri in range(nr)]
-        self.partial_remaining = [len(self.body[ri]) for ri in range(nr)]
-        self.delta_blocked = [False] * nr
-        self.supported = [False] * nr
-        self.discarded = [False] * nr
-        self.neutralized = [False] * nr
+        delta_left = list(map(len, bodies))  # body literals not yet +D
+        partial_left = delta_left.copy()  # body literals not yet +d
+        blocked = [False] * nr  # some body literal is -D
+        supported = [False] * nr
+        discarded = [False] * nr
+        neutralized = [False] * nr
 
-        self.status = [[False] * n for _ in range(4)]
-        self.order: list[int] = []  # packed steps (q << 2) | code
-        self._run()
+        self.status = pD, mD, pd, md = [False] * n, [False] * n, [False] * n, [False] * n
+        self.order = order = []  # packed steps (q << 2) | code
+        append = order.append
+        occ_at, strict_occ_at, beats_of = occ.get, strict_occ.get, beats.get
 
-    # -- event plumbing ----------------------------------------------------
+        # The inert block.  A literal is touched when it is in a body, or
+        # when a fact or a rule head claims its atom; the others are -D and
+        # -d and wake nothing.  A run [low, high) of them is the steps
+        # range(4 * low + 1, 4 * high, 2): -D low, -d low, -D low + 1, ...
+        touched = set(occ)
+        touched.update(facts, head, map(xor, facts, repeat(1)), map(xor, head, repeat(1)))
+        touched = sorted(touched)
+        low = 0
+        for high in [*touched, n]:
+            if low < high:
+                order += range(4 * low + 1, 4 * high, 2)
+                mD[low:high] = md[low:high] = [True] * (high - low)
+            low = high + 1
+        worklist = len(order)
 
-    def establish(self, code: int, q: int) -> None:
-        flags = self.status[code]
-        if flags[q]:
-            return
-        if self.status[code ^ 1][q]:
-            raise InternalError(
-                f"coherence breach: both signs of a tag for {self.literals[q]}"
-            )
-        flags[q] = True
-        step = (q << 2) | code  # packed; tuples here would dominate allocation
-        self.order.append(step)
+        for q in touched:
+            if fact[q]:
+                if mD[q]:
+                    raise self._breach(q)
+                pD[q] = True
+                append(q << 2)
+            elif not strict_left[q]:
+                if pD[q]:
+                    raise self._breach(q)
+                mD[q] = True
+                append((q << 2) | _MD)
 
-    def _run(self) -> None:
-        for q in range(len(self.literals)):
-            if self.fact[q]:
-                self.establish(_PD, q)
-            elif self.n_strict_unblocked[q] == 0:
-                self.establish(_MD, q)
-        for ri in range(len(self.rules)):
-            if self.is_strict[ri] and self.delta_remaining[ri] == 0:
-                self.establish(_PD, self.head[ri])
-            if self.partial_remaining[ri] == 0:
-                self.on_supported(ri)
+        # the rules with empty bodies, in rule order, apply from the start
+        for ri in compress(count(), map(not_, partial_left)):
+            h = head[ri]
+            if is_strict[ri] and not pD[h]:
+                if mD[h]:
+                    raise self._breach(h)
+                pD[h] = True
+                append(h << 2)
+            # rule ri is supported, as in the +d branch below
+            supported[ri] = True
+            t = h ^ 1  # the literal this rule attacks
+            if is_sd[ri]:
+                sd_supported[h] = True
+                for s in beats_of(ri, ()):  # +d clause (2.3.2): s is now defeated
+                    if not neutralized[s]:
+                        neutralized[s] = True
+                        attackers[h] -= 1
+                if not pd[h] and mD[t] and not attackers[h]:
+                    if md[h]:
+                        raise self._breach(h)
+                    pd[h] = True
+                    append((h << 2) | _Pd)
+            if not superiors[ri]:  # -d clause (2.3): the attack on t succeeds
+                won[t] = True
+                if mD[t] and not md[t]:
+                    if pd[t]:
+                        raise self._breach(t)
+                    md[t] = True
+                    append((t << 2) | _Md)
+
         # `order` is the worklist too: steps appended while it is read are
         # reached by the same loop, first in first out
-        for step in self.order:
-            code, q = step & 3, step >> 2
-            if code == _PD:
-                self.on_plus_delta(q)
-            elif code == _MD:
-                self.on_minus_delta(q)
-            elif code == _Pd:
-                self.on_plus_partial(q)
-            else:
-                self.on_minus_partial(q)
+        for step in islice(order, worklist, None):
+            q = step >> 2
+            if step & 1:
+                if step & 2:  # -d q
+                    for ri in occ_at(q, ()):
+                        if discarded[ri]:
+                            continue
+                        discarded[ri] = True
+                        h = head[ri]
+                        t = h ^ 1
+                        if is_sd[ri]:
+                            left = sd_left[h] - 1
+                            sd_left[h] = left
+                            if not md[h] and mD[h] and (not left or pD[t] or won[h]):  # -d (2.1)
+                                if pd[h]:
+                                    raise self._breach(h)
+                                md[h] = True
+                                append((h << 2) | _Md)
+                            for s in beats_of(ri, ()):
+                                superiors[s] -= 1
+                                if not superiors[s] and supported[s]:
+                                    x = head[s] ^ 1  # -d clause (2.3) for x
+                                    won[x] = True
+                                    if mD[x] and not md[x]:
+                                        if pd[x]:
+                                            raise self._breach(x)
+                                        md[x] = True
+                                        append((x << 2) | _Md)
+                        if not neutralized[ri]:  # +d clause (2.3.1)
+                            neutralized[ri] = True
+                            left = attackers[t] - 1
+                            attackers[t] = left
+                            if not left and not pd[t] and sd_supported[t] and mD[h]:
+                                if md[t]:
+                                    raise self._breach(t)
+                                pd[t] = True
+                                append((t << 2) | _Pd)
+                else:  # -D q
+                    for ri in strict_occ_at(q, ()):
+                        if blocked[ri]:
+                            continue
+                        blocked[ri] = True
+                        h = head[ri]
+                        left = strict_left[h] - 1
+                        strict_left[h] = left
+                        if not left and not fact[h]:
+                            if pD[h]:
+                                raise self._breach(h)
+                            mD[h] = True
+                            append((h << 2) | _MD)
+                    c = q ^ 1
+                    if not md[q] and (not sd_left[q] or pD[c] or won[q]):
+                        if pd[q]:
+                            raise self._breach(q)
+                        md[q] = True
+                        append(step | _Md)
+                    if not pd[c] and sd_supported[c] and not attackers[c]:  # +d (2.2) for ~q
+                        if md[c]:
+                            raise self._breach(c)
+                        pd[c] = True
+                        append((c << 2) | _Pd)
+            elif step & 2:  # +d q
+                for ri in occ_at(q, ()):
+                    left = partial_left[ri] - 1
+                    partial_left[ri] = left
+                    if left:
+                        continue
+                    h = head[ri]
+                    # rule ri is supported, as for the empty bodies above
+                    supported[ri] = True
+                    t = h ^ 1
+                    if is_sd[ri]:
+                        sd_supported[h] = True
+                        for s in beats_of(ri, ()):  # +d clause (2.3.2)
+                            if not neutralized[s]:
+                                neutralized[s] = True
+                                attackers[h] -= 1
+                        if not pd[h] and mD[t] and not attackers[h]:
+                            if md[h]:
+                                raise self._breach(h)
+                            pd[h] = True
+                            append((h << 2) | _Pd)
+                    if not superiors[ri]:  # -d clause (2.3)
+                        won[t] = True
+                        if mD[t] and not md[t]:
+                            if pd[t]:
+                                raise self._breach(t)
+                            md[t] = True
+                            append((t << 2) | _Md)
+            else:  # +D q
+                if not pd[q]:  # +d clause (1)
+                    if md[q]:
+                        raise self._breach(q)
+                    pd[q] = True
+                    append(step | _Pd)
+                for ri in strict_occ_at(q, ()):
+                    left = delta_left[ri] - 1
+                    delta_left[ri] = left
+                    if not left:
+                        h = head[ri]
+                        if not pD[h]:
+                            if mD[h]:
+                                raise self._breach(h)
+                            pD[h] = True
+                            append(h << 2)
+                c = q ^ 1
+                if mD[c] and not md[c]:  # -d clause (2.2) for ~q
+                    if pd[c]:
+                        raise self._breach(c)
+                    md[c] = True
+                    append((c << 2) | _Md)
 
-    def on_plus_delta(self, q: int) -> None:
-        self.establish(_Pd, q)  # +d clause (1)
-        for ri in self.strict_body_occ.get(q, ()):
-            self.delta_remaining[ri] -= 1
-            if self.delta_remaining[ri] == 0:
-                self.establish(_PD, self.head[ri])
-        self.check_minus_partial(q ^ 1)  # -d clause (2.2)
-
-    def on_minus_delta(self, q: int) -> None:
-        for ri in self.strict_body_occ.get(q, ()):
-            if not self.delta_blocked[ri]:
-                self.delta_blocked[ri] = True
-                h = self.head[ri]
-                self.n_strict_unblocked[h] -= 1
-                if self.n_strict_unblocked[h] == 0 and not self.fact[h]:
-                    self.establish(_MD, h)
-        self.check_minus_partial(q)
-        self.check_plus_partial(q ^ 1)  # +d clause (2.2)
-
-    def on_plus_partial(self, q: int) -> None:
-        for ri in self.body_occ.get(q, ()):
-            self.partial_remaining[ri] -= 1
-            if self.partial_remaining[ri] == 0:
-                self.on_supported(ri)
-
-    def on_minus_partial(self, q: int) -> None:
-        for ri in self.body_occ.get(q, ()):
-            if not self.discarded[ri]:
-                self.on_discarded(ri)
-
-    def on_supported(self, ri: int) -> None:
-        if self.supported[ri]:
-            return
-        self.supported[ri] = True
-        h = self.head[ri]
-        target = h ^ 1  # the literal this rule attacks
-        if self.is_sd[ri]:
-            self.n_supported_sd[h] += 1
-            for s in self.beats.get(ri, ()):  # +d clause (2.3.2): s is now defeated
-                if not self.neutralized[s]:
-                    self.neutralized[s] = True
-                    self.n_attackers_alive[h] -= 1
-            self.check_plus_partial(h)
-        if self.n_live_superiors[ri] == 0:  # -d clause (2.3): attack succeeds
-            self.attack_won[target] = True
-            self.check_minus_partial(target)
-
-    def on_discarded(self, ri: int) -> None:
-        if self.discarded[ri]:
-            return
-        self.discarded[ri] = True
-        h = self.head[ri]
-        target = h ^ 1
-        if self.is_sd[ri]:
-            self.n_sd_undiscarded[h] -= 1
-            self.check_minus_partial(h)  # -d clause (2.1)
-            for s in self.beats.get(ri, ()):
-                self.n_live_superiors[s] -= 1
-                if self.n_live_superiors[s] == 0 and self.supported[s]:
-                    self.attack_won[self.head[s] ^ 1] = True
-                    self.check_minus_partial(self.head[s] ^ 1)
-        if not self.neutralized[ri]:  # +d clause (2.3.1)
-            self.neutralized[ri] = True
-            self.n_attackers_alive[target] -= 1
-            self.check_plus_partial(target)
-
-    def check_plus_partial(self, q: int) -> None:
-        if self.status[_Pd][q]:
-            return
-        if (
-            self.n_supported_sd[q] > 0
-            and self.status[_MD][q ^ 1]
-            and self.n_attackers_alive[q] == 0
-        ):
-            self.establish(_Pd, q)
-
-    def check_minus_partial(self, q: int) -> None:
-        if self.status[_Md][q] or not self.status[_MD][q]:
-            return
-        if (
-            self.n_sd_undiscarded[q] == 0
-            or self.status[_PD][q ^ 1]
-            or self.attack_won[q]
-        ):
-            self.establish(_Md, q)
+    def _breach(self, q: int) -> InternalError:
+        return InternalError(f"coherence breach: both signs of a tag for {self.literals[q]}")
 
     # -- results -----------------------------------------------------------
 

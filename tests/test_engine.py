@@ -1,6 +1,10 @@
 """The conclusion engine: fixpoint results, explanations, derivation replay."""
 
 import gc
+import inspect
+import itertools
+import random
+import sys
 
 import pytest
 
@@ -29,7 +33,7 @@ from dlog.engine import (
     prove,
 )
 from dlog.parser import ParseError, parse_conclusion, parse_theory
-from test_grounding import random_first_order_theory
+from test_grounding import benchmark_texts, random_first_order_theory
 
 
 def conclude(text: str):
@@ -226,12 +230,15 @@ def test_check_derivation_outside_base(bird):
 
 def checker_corpus(family: str):
     """Ground theories for the checker-against-engine test: 300 random
-    propositional theories and 100 first-order ones, less those that fail
-    grounding or validation."""
+    propositional theories, and 100 first-order ones with the benchmark's
+    seed-1 and seed-1009 `reach` texts, less those that fail grounding or
+    validation."""
     if family == "propositional":
         theories = (generate_random_theory(seed, 6, 16) for seed in range(300))
     else:
-        theories = (random_first_order_theory(seed) for seed in range(100))
+        texts = benchmark_texts()
+        reach = (parse_theory(texts[name]) for name in ("reach-1", "reach-1009"))
+        theories = itertools.chain((random_first_order_theory(seed) for seed in range(100)), reach)
     for theory in theories:
         try:
             g = ground(theory)
@@ -241,11 +248,24 @@ def checker_corpus(family: str):
         yield g
 
 
+def at_most(items, k: int) -> list:
+    """`items` when there are at most k of them, else a seeded sample of k in
+    their order."""
+    items = list(items)
+    if len(items) <= k:
+        return items
+    return [items[i] for i in sorted(random.Random(0).sample(range(len(items)), k))]
+
+
 @pytest.mark.parametrize("family", ["propositional", "first-order"])
 def test_checker_agrees_with_engine(family):
     # the replay and the engine are two encodings of the four inference rules:
     # the engine's whole run replays valid, so does every explanation, and a
-    # conclusion the engine does not draw is rejected after the whole run
+    # conclusion the engine does not draw is rejected after the whole run.
+    # Each rejection replays the whole run, so a theory gets at most 40,000
+    # replayed steps of them: all of a random theory's (at most 192 pairs,
+    # 96 conclusions), a dozen of a `reach` text's, whose runs open with
+    # blocks of 1,946 and 1,856 inert steps
     tags = tuple(Tag)
     accepted = rejected = 0
     for g in checker_corpus(family):
@@ -253,21 +273,88 @@ def test_checker_agrees_with_engine(family):
         run = [TaggedConclusion(tags[s & 3], prop.literals[s >> 2]) for s in prop.order]
         assert check_derivation(g, run), run
         derived = derive_all(g)
-        for conclusion in derived:
+        for conclusion in at_most(derived, 100):
             d = explain(g, conclusion)
             assert d[-1] == conclusion
             assert check_derivation(g, d), d
             accepted += 1
-        for literal in g.literals:
-            for tag in Tag:
-                extra = TaggedConclusion(tag, literal)
-                if extra in derived:
-                    continue
-                result = check_derivation(g, run + [extra])
-                assert result.index == len(run) + 1, (extra, result)
-                assert result.reason.startswith(f"{extra}: ")
-                rejected += 1
+        extras = (TaggedConclusion(tag, literal) for literal in g.literals for tag in Tag)
+        for extra in at_most((x for x in extras if x not in derived), 40_000 // (len(run) + 1)):
+            result = check_derivation(g, run + [extra])
+            assert result.index == len(run) + 1, (extra, result)
+            assert result.reason.startswith(f"{extra}: ")
+            rejected += 1
     assert accepted > 1000 and rejected > 1000
+
+
+def inert_block(g: GroundTheory) -> list[int]:
+    """The packed -D and -d steps of the inert literals, in table order.  A
+    literal is inert when no fact and no rule head has its atom and no rule
+    body mentions it."""
+    claimed = {l.atom for l in g.facts} | {r.head.atom for r in g.rules}
+    in_body = {l for r in g.rules for l in r.body}
+    return [
+        (q << 2) | code
+        for q, l in enumerate(g.literals)
+        if l.atom not in claimed and l not in in_body
+        for code in (1, 3)
+    ]
+
+
+def inert_texts() -> dict[str, str]:
+    # `p` heads only a defeater; `r` has no instance, as `u` is dead
+    return {"reach-1": benchmark_texts()["reach-1"], "defeater": "a. d: a ~> p. r: u => v."}
+
+
+def test_inert_literals_settle_first():
+    # an inert literal is -D and -d, and its two steps open the run, before
+    # any other step; no other literal's explanation reads them
+    for name, text in inert_texts().items():
+        g = ground(parse_theory(text))
+        block = inert_block(g)
+        prop = _Propagation(g)
+        assert prop.order[: len(block)] == block, name
+        derived = derive_all(g)
+        inert = {g.literals[s >> 2] for s in block}
+        for literal in inert:
+            for tag in Tag:
+                assert (TaggedConclusion(tag, literal) in derived) == (tag in (Tag.MINUS_DELTA, Tag.MINUS_PARTIAL))
+        for conclusion in at_most((c for c in derived if c.literal not in inert), 300):
+            assert not inert & {step.literal for step in explain(g, conclusion)}, (name, conclusion)
+        if name == "defeater":
+            assert sorted(map(str, inert)) == ["u", "v", "~u", "~v"]
+        else:
+            assert len(block) == 2 * 973  # of 1,600 base literals
+
+
+def test_worklist_skips_the_inert_block():
+    # inert steps wake nothing, so the worklist reads only the steps after
+    # the block: the loop body's first line runs once per step it reads
+    g = ground(parse_theory(inert_texts()["reach-1"]))
+    lines, first = inspect.getsourcelines(_Propagation._run)
+    (body,) = [first + i for i, line in enumerate(lines) if line.strip() == "q = step >> 2"]
+    code = _Propagation._run.__code__
+    reads = 0
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+
+        def line(frame, event, arg):
+            nonlocal reads
+            if event == "line" and frame.f_lineno == body:
+                reads += 1
+            return line
+
+        return line
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        prop = _Propagation(g)
+    finally:
+        sys.settrace(previous)
+    assert reads == len(prop.order) - len(inert_block(g)) > 0
 
 
 def test_coherence_guard():
