@@ -20,11 +20,10 @@ complement is neither, and no body mentions it.  It is -D and -d whatever
 else holds, and no inference rule for another literal reads it.  So both
 steps of every inert literal are written in bulk, one `range` per run of
 inert table positions, and the loop starts after the block.  Every other
-step keeps its order.  When the loop still read an inert literal's -D step,
-that step established its -d and nothing else, so taking the pair out of the
-loop leaves every other step where it was relative to the rest.
-`explain` derivations, the whole-run replay and every rendered output are
-unchanged by it.
+step keeps its order: read by the loop, an inert literal's -D step would
+establish its -d and nothing else, so taking the pair out of the loop leaves
+the other steps in the order they would have had.  `explain` derivations,
+the whole-run replay and every rendered output are the same either way.
 
 Literals are positions in the ground theory's table (`GroundTheory.literals`):
 the heads, bodies and facts come as positions from `ground`
