@@ -34,7 +34,6 @@ defined here.
 `Atom`, `Literal`, `Rule` and `TaggedConclusion` are named tuples, so
 equality and hashing are those of the tuple of their fields: an instance also
 equals a plain tuple of its field values, and it can be iterated and unpacked.
-The same holds for `metaprogram.MetaAtom`, `BodyLiteral` and `Clause`.
 `Rule`'s constructor deduplicates the body; `ground` builds its instances
 without it, their bodies already distinct.
 

@@ -4,11 +4,23 @@ fixpoint semantics: the least fixpoint of Fitting's operator (`fitting_step`)
 from all-unknown, which for finite ground programs coincides with Kunen's
 semantics.
 
-An interpretation maps each atom to one of `core`'s three-valued codes
-F, U, T = 0, 1, 2, the codes the model checker reads too.  A negated body
+Atoms are numbered by arithmetic, as `core` numbers ground literals by table
+position.  For a theory with n base literals and m rules, `definitely(q)` is
+atom q and `defeasibly(q)` is n + q, for q a position in
+`GroundTheory.literals`; `overruled(r, head r)` is 2n + r and
+`defeated(s, head s)` is 2n + m + s, for r and s indexes into
+`GroundTheory.rules`.  A clause is a `(head, body)` pair of such numbers, and
+a negated (negation-as-failure) body literal is `~atom`.  Only
+`GroundMetaProgram.name` turns a number back into text.  Rules sharing a
+label and a head get an `overruled` atom each; their clauses are the same,
+so are their values, and `validate` rejects duplicate labels anyway.
+
+An interpretation is a list of `core`'s three-valued codes F, U, T = 0, 1, 2
+indexed by atom, the codes the model checker reads too.  A negated body
 literal reads T - v, a clause body the least code of its literals (T when it
 has none), and an atom the greatest code of its clauses' bodies (F when it
-heads none).
+heads none).  The fixpoint's slices `[0:n]` and `[n:2n]` are the definite
+and the defeasible level of the base.
 
 This is the first of the two independent oracles for the engine: reading the
 fixpoint off as tagged conclusions must reproduce `engine.derive_all` on
@@ -23,16 +35,15 @@ per ground rule, so the program consists of ground clauses only.
 the size of the program, and checks it with one `fitting_step` pass.  Rerunning
 `fitting_step` until nothing changes gives the same interpretation but is
 quadratic on a chain; the tests keep that loop as the reference.
-`translate`, `kunen_fixpoint` and `to_conclusions` build an object per clause
-or atom and hold the cyclic GC paused (`core.gc_paused`), as the engine does:
-on a 100k-rule chain the readout took 7.2 s with the GC on and 3.1 s paused.
+`translate` and `kunen_fixpoint` build an object per clause or atom and hold
+the cyclic GC paused (`core.gc_paused`), as the engine does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     ConclusionSet,
@@ -51,70 +62,46 @@ DEFEASIBLY = "defeasibly"
 OVERRULED = "overruled"
 DEFEATED = "defeated"
 
-
-class MetaAtom(NamedTuple):
-    predicate: str
-    literal: Literal
-    label: str = ""  # rule label, for overruled/defeated only
-
-    def __str__(self) -> str:
-        if self.label:
-            return f"{self.predicate}({self.label}, {self.literal})"
-        return f"{self.predicate}({self.literal})"
-
-
-class BodyLiteral(NamedTuple):
-    atom: MetaAtom
-    positive: bool = True  # False marks negation-as-failure
-
-    def __str__(self) -> str:
-        return str(self.atom) if self.positive else f"not {self.atom}"
-
-
-class Clause(NamedTuple):
-    head: MetaAtom
-    body: tuple[BodyLiteral, ...]
-
-    def __str__(self) -> str:
-        if not self.body:
-            return f"{self.head}."
-        return f"{self.head} :- {', '.join(str(b) for b in self.body)}."
+Clause = tuple[int, tuple[int, ...]]  # (head atom, body atoms; ~atom negated)
+ThreeValuedInterpretation = list[int]  # an F, U or T code per atom
 
 
 @dataclass(frozen=True)
 class GroundMetaProgram:
     clauses: tuple[Clause, ...]
+    theory: GroundTheory = field(compare=False, repr=False)  # names the atoms
+
+    @property
+    def size(self) -> int:
+        """The number of atoms, 2n + 2m."""
+        return 2 * (len(self.theory.literals) + len(self.theory.rules))
 
     @cached_property
-    def clauses_by_head(self) -> dict[MetaAtom, tuple[Clause, ...]]:
-        by_head: dict[MetaAtom, list[Clause]] = {}
+    def clauses_by_head(self) -> list[list[Clause]]:
+        by_head: list[list[Clause]] = [[] for _ in range(self.size)]
         for c in self.clauses:
-            by_head.setdefault(c.head, []).append(c)
-        return {h: tuple(cs) for h, cs in by_head.items()}
+            by_head[c[0]].append(c)
+        return by_head
 
-    @cached_property
-    def atoms(self) -> frozenset[MetaAtom]:
-        # every base literal q has the clause defeasibly(q) :- definitely(q),
-        # so both of its atoms are among the clauses' atoms
-        universe: set[MetaAtom] = set()
-        for c in self.clauses:
-            universe.add(c.head)
-            universe.update(b.atom for b in c.body)
-        return frozenset(universe)
+    def name(self, atom: int) -> str:
+        """The atom's text, such as `defeasibly(~p)` or `overruled(r, p)`."""
+        literals, rules = self.theory.literals, self.theory.rules
+        n = len(literals)
+        if atom < 2 * n:
+            k, q = divmod(atom, n)
+            return f"{(DEFINITELY, DEFEASIBLY)[k]}({literals[q]})"
+        k, r = divmod(atom - 2 * n, len(rules))
+        return f"{(OVERRULED, DEFEATED)[k]}({rules[r].label}, {rules[r].head})"
+
+    def text(self, clause: Clause) -> str:
+        head, body = clause
+        if not body:
+            return f"{self.name(head)}."
+        names = [self.name(b) if b >= 0 else f"not {self.name(~b)}" for b in body]
+        return f"{self.name(head)} :- {', '.join(names)}."
 
     def render(self) -> str:
-        return "".join(f"{c}\n" for c in sorted(self.clauses, key=str))
-
-
-ThreeValuedInterpretation = dict[MetaAtom, int]  # an F, U or T code per atom
-
-
-def _pos(p: str, l: Literal, label: str = "") -> BodyLiteral:
-    return BodyLiteral(MetaAtom(p, l, label))
-
-
-def _naf(p: str, l: Literal, label: str = "") -> BodyLiteral:
-    return BodyLiteral(MetaAtom(p, l, label), positive=False)
+        return "".join(f"{t}\n" for t in sorted(map(self.text, self.clauses)))
 
 
 @gc_paused
@@ -135,60 +122,33 @@ def translate(g: GroundTheory) -> GroundMetaProgram:
     The attackers of a rule with head position h, and the rules that may
     defeat it, are `g.rules_at(h ^ 1)`.
     """
-    rules, heads = g.rules, g.positions.heads
-    clauses: list[Clause] = []
-    for q in sorted(g.facts, key=str):
-        clauses.append(Clause(MetaAtom(DEFINITELY, q), ()))
-    for r in rules:
-        if r.kind is RuleKind.STRICT:
-            clauses.append(
-                Clause(
-                    MetaAtom(DEFINITELY, r.head),
-                    tuple(_pos(DEFINITELY, a) for a in r.body),
-                )
-            )
-    for q in g.literals:
-        clauses.append(Clause(MetaAtom(DEFEASIBLY, q), (_pos(DEFINITELY, q),)))
-    for r, h in zip(rules, heads):
-        if r.kind is RuleKind.DEFEATER:
+    rules, (heads, bodies, facts) = g.rules, g.positions
+    n = len(g.literals)
+    overruled, defeated = 2 * n, 2 * n + len(rules)
+    clauses: list[Clause] = [(q, ()) for q in sorted(facts)]
+    for r, rule in enumerate(rules):
+        if rule.kind is RuleKind.STRICT:
+            clauses.append((heads[r], bodies[r]))
+    clauses += [(n + q, (q,)) for q in range(n)]
+    for r, rule in enumerate(rules):
+        if rule.kind is RuleKind.DEFEATER:
             continue
-        q = r.head
-        comp = q.complement()
-        clauses.append(
-            Clause(
-                MetaAtom(DEFEASIBLY, q),
-                (_naf(DEFINITELY, comp),)
-                + tuple(_pos(DEFEASIBLY, a) for a in r.body)
-                + (_naf(OVERRULED, q, r.label),),
-            )
-        )
-        for s in map(rules.__getitem__, g.rules_at(h ^ 1)):
-            clauses.append(
-                Clause(
-                    MetaAtom(OVERRULED, q, r.label),
-                    tuple(_pos(DEFEASIBLY, u) for u in s.body)
-                    + (_naf(DEFEATED, comp, s.label),),
-                )
-            )
-    for s, h in zip(rules, heads):
-        for t in map(rules.__getitem__, g.rules_at(h ^ 1)):
-            if t.kind is not RuleKind.DEFEATER and (t.label, s.label) in g.superiority:
-                clauses.append(
-                    Clause(
-                        MetaAtom(DEFEATED, s.head, s.label),
-                        tuple(_pos(DEFEASIBLY, v) for v in t.body),
-                    )
-                )
-    return GroundMetaProgram(tuple(clauses))
+        h = heads[r]
+        clauses.append((n + h, (~(h ^ 1), *[n + a for a in bodies[r]], ~(overruled + r))))
+        for s in g.rules_at(h ^ 1):
+            clauses.append((overruled + r, (*[n + u for u in bodies[s]], ~(defeated + s))))
+    for s, h in enumerate(heads):
+        for t in g.rules_at(h ^ 1):
+            if rules[t].kind is not RuleKind.DEFEATER and (rules[t].label, rules[s].label) in g.superiority:
+                clauses.append((defeated + s, tuple([n + v for v in bodies[t]])))
+    return GroundMetaProgram(tuple(clauses), g)
 
 
-def _eval_body(body: Iterable[BodyLiteral], i: ThreeValuedInterpretation) -> int:
+def _eval_body(body: Iterable[int], i: ThreeValuedInterpretation) -> int:
     # Kleene conjunction: the least code, T when empty; the first F settles it
     value = T
     for b in body:
-        v = i[b.atom]
-        if not b.positive:
-            v = T - v
+        v = i[b] if b >= 0 else T - i[~b]
         if v == F:
             return F
         if v < value:
@@ -202,23 +162,22 @@ def fitting_step(
     """One Kleene 3-valued consequence step: an atom gets the greatest code
     of its clause bodies, so T iff some body evaluates T, and F iff every
     body (none included) evaluates F; the first T settles it."""
-    by_head = p.clauses_by_head
-    out: ThreeValuedInterpretation = {}
-    for atom in i:
+    out: ThreeValuedInterpretation = []
+    for clauses in p.clauses_by_head:
         value = F
-        for c in by_head.get(atom, ()):
-            v = _eval_body(c.body, i)
+        for _, body in clauses:
+            v = _eval_body(body, i)
             if v == T:
                 value = T
                 break
             if v > value:
                 value = v
-        out[atom] = value
+        out.append(value)
     return out
 
 
 def all_unknown(p: GroundMetaProgram) -> ThreeValuedInterpretation:
-    return dict.fromkeys(p.atoms, U)
+    return [U] * p.size
 
 
 @gc_paused
@@ -236,28 +195,23 @@ def kunen_fixpoint(p: GroundMetaProgram) -> ThreeValuedInterpretation:
     The result is checked with one `fitting_step`, which must return it
     unchanged.
     """
-    ids: dict[MetaAtom, int] = {}  # the atoms of `p.atoms`, numbered
+    size = p.size
     # body occurrences per atom: (clause, the atom's code that makes the literal true)
-    occurrences: list[list[tuple[int, int]]] = []
+    occurrences: list[list[tuple[int, int]]] = [[] for _ in range(size)]
     heads: list[int] = []
     waiting: list[int] = []
-    for k, c in enumerate(p.clauses):
-        h = ids.setdefault(c.head, len(ids))
-        if h == len(occurrences):
-            occurrences.append([])
+    live = [0] * size
+    for k, (h, body) in enumerate(p.clauses):
         heads.append(h)
-        waiting.append(len(c.body))
-        for b in c.body:
-            a = ids.setdefault(b.atom, len(ids))
-            if a == len(occurrences):
-                occurrences.append([])
-            occurrences[a].append((k, T if b.positive else F))
-    atoms = list(ids)
-    falsified = [False] * len(heads)
-    live = [0] * len(atoms)
-    for h in heads:
+        waiting.append(len(body))
         live[h] += 1
-    value = [U] * len(atoms)
+        for b in body:
+            if b >= 0:
+                occurrences[b].append((k, T))
+            else:
+                occurrences[~b].append((k, F))
+    falsified = [False] * len(heads)
+    value = [U] * size
     settled = [(h, T) for h, n in zip(heads, waiting) if n == 0]
     settled += [(a, F) for a, n in enumerate(live) if n == 0]
     while settled:
@@ -276,19 +230,19 @@ def kunen_fixpoint(p: GroundMetaProgram) -> ThreeValuedInterpretation:
                 live[h] -= 1
                 if live[h] == 0:
                     settled.append((h, F))
-    fixpoint = dict(zip(atoms, value))
-    if fitting_step(p, fixpoint) != fixpoint:
+    if fitting_step(p, value) != value:
         raise InternalError("counter propagation stopped short of a Fitting fixpoint")
-    return fixpoint
+    return value
 
 
-@gc_paused
 def to_conclusions(
     i: ThreeValuedInterpretation, base: Sequence[Literal]
 ) -> ConclusionSet:
-    """Read tagged conclusions off a fixpoint: definitely(q) true/false gives
-    +D/-D, defeasibly(q) true/false gives +d/-d, unknown gives nothing."""
-    levels = [[i.get(MetaAtom(p, q), U) for q in base] for p in (DEFINITELY, DEFEASIBLY)]
+    """Read tagged conclusions off a fixpoint over `base`, the theory's
+    literal table: definitely(q) true/false gives +D/-D, defeasibly(q)
+    true/false gives +d/-d, unknown gives nothing."""
+    n = len(base)
+    levels = (i[:n], i[n : 2 * n])
     return ConclusionSet.from_table(
         base, [[v == want for v in values] for values in levels for want in (T, F)]
     )

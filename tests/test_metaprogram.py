@@ -19,12 +19,7 @@ from dlog import engine
 from dlog.core import F, T, U, InternalError, ground, lit, neg
 from dlog.differential import generate_random_theory
 from dlog.metaprogram import (
-    DEFEASIBLY,
-    DEFINITELY,
-    BodyLiteral,
-    Clause,
     GroundMetaProgram,
-    MetaAtom,
     all_unknown,
     conclusions,
     fitting_step,
@@ -47,9 +42,9 @@ def fitting_iteration(p):
         nxt = fitting_step(p, current)
         if nxt == current:
             return current
-        for atom, v in current.items():
+        for atom, v in enumerate(current):
             if v != U and nxt[atom] != v:
-                raise InternalError(f"fitting step retracted {atom} = {v}")
+                raise InternalError(f"fitting step retracted {p.name(atom)} = {v}")
         current = nxt
     raise InternalError("fixpoint not reached within #atoms + 1 steps")
 
@@ -73,12 +68,32 @@ def test_translation_clause_shapes():
     assert "not overruled(d, ~q)" not in text
 
 
+def test_translation_numbers_overruled_by_rule():
+    # team defeat: the two supportive rules for p, and the two for ~p, each
+    # get their own overruled atom 2n + r, not one atom per head
+    g = ground(parse_theory("r1: => p. r2: => p. s1: => ~p. s2: => ~p. r1 > s1. r2 > s2."))
+    p = translate(g)
+    n, m = len(g.literals), len(g.rules)
+    assert {h for h, _ in p.clauses if 2 * n <= h < 2 * n + m} == {2 * n + r for r in range(m)}
+    text = p.render()
+    assert "defeasibly(p) :- not definitely(~p), not overruled(r1, p)." in text
+    assert "defeasibly(p) :- not definitely(~p), not overruled(r2, p)." in text
+    assert conclusions(g) == engine.derive_all(g)
+
+
 def test_translation_universe_covers_base():
+    # definitely(q) is atom q and defeasibly(q) atom n + q, for every base
+    # position q; every clause names atoms below the program's size
     g = ground(parse_theory("r: p => p."))
     p = translate(g)
+    n = len(g.literals)
+    assert p.size == 2 * n + 2 * len(g.rules)
     for q in (lit("p"), neg("p")):
-        assert MetaAtom(DEFINITELY, q) in p.atoms
-        assert MetaAtom(DEFEASIBLY, q) in p.atoms
+        assert p.name(g.position(q)) == f"definitely({q})"
+        assert p.name(n + g.position(q)) == f"defeasibly({q})"
+    assert {h for h, _ in p.clauses} >= set(range(n, 2 * n))
+    for h, body in p.clauses:
+        assert all(0 <= a < p.size for a in (h, *[b if b >= 0 else ~b for b in body]))
 
 
 def test_fitting_step_monotone_on_information():
@@ -88,23 +103,30 @@ def test_fitting_step_monotone_on_information():
     p = translate(g)
     i0 = all_unknown(p)
     i1 = fitting_step(p, i0)
-    assert i1[MetaAtom(DEFINITELY, lit("a"))] == T
-    assert i1[MetaAtom(DEFINITELY, neg("a"))] == F
+    assert i1[g.position(lit("a"))] == T
+    assert i1[g.position(neg("a"))] == F
     assert fitting_iteration(p) == kunen_fixpoint(p)  # raises on any retraction
-    # the codes' arithmetic: q :- not a gives q the code T - a, and a, which
-    # heads no clause, gets F
-    q, a = MetaAtom(DEFEASIBLY, lit("q")), MetaAtom(DEFINITELY, lit("a"))
-    one = GroundMetaProgram((Clause(q, (BodyLiteral(a, positive=False),)),))
+    # the codes' arithmetic: q :- not a gives q the code T - a, and a, like
+    # every other atom that heads no clause, gets F
+    names = ground(parse_theory("a. q."))  # the program below reads its atoms only
+    q, a = len(names.literals) + names.position(lit("q")), names.position(lit("a"))
+    one = GroundMetaProgram(((q, (~a,)),), names)
+    assert one.render() == "defeasibly(q) :- not definitely(a).\n"
     for v, expected in ((F, T), (U, U), (T, F)):
-        assert fitting_step(one, {q: U, a: v}) == {q: expected, a: F}, v
+        i = all_unknown(one)
+        i[a] = v
+        out = [F] * one.size
+        out[q] = expected
+        assert fitting_step(one, i) == out, v
 
 
 def test_fixpoint_leaves_loops_unknown():
     g = ground(parse_theory("r: p => p."))
     fix = kunen_fixpoint(translate(g))
-    assert fix[MetaAtom(DEFEASIBLY, lit("p"))] == U
-    assert fix[MetaAtom(DEFEASIBLY, neg("p"))] == F
-    assert fix[MetaAtom(DEFINITELY, lit("p"))] == F
+    n = len(g.literals)
+    assert fix[n + g.position(lit("p"))] == U
+    assert fix[n + g.position(neg("p"))] == F
+    assert fix[g.position(lit("p"))] == F
 
 
 def test_fixpoint_detects_broken_step(monkeypatch):
@@ -113,8 +135,8 @@ def test_fixpoint_detects_broken_step(monkeypatch):
 
     def retracting_step(program, i):
         out = fitting_step(program, i)
-        if all(v != U for v in out.values()):
-            out[MetaAtom(DEFINITELY, lit("p"))] = U  # illegal retraction
+        if all(v != U for v in out):
+            out[g.position(lit("p"))] = U  # illegal retraction
         return out
 
     import dlog.metaprogram as mp
@@ -176,10 +198,24 @@ def test_matches_engine_on_handpicked_theories():
 
 
 def test_clause_str_forms():
-    # [TRIVIAL]
-    a = MetaAtom(DEFINITELY, lit("p"))
-    assert str(Clause(a, ())) == "definitely(p)."
-    assert str(MetaAtom("overruled", lit("p"), "r")) == "overruled(r, p)"
+    # the atom numbers of the four predicates, their names and clause texts
+    g = ground(parse_theory("f. r: f => p. s: => ~p. r > s."))
+    p = translate(g)
+    n, m = len(g.literals), len(g.rules)
+    f, q = g.position(lit("f")), g.position(lit("p"))
+    r, s = ([x.label for x in g.rules].index(label) for label in "rs")
+    assert [p.name(a) for a in (f, n + q, 2 * n + r, 2 * n + m + s)] == [
+        "definitely(f)", "defeasibly(p)", "overruled(r, p)", "defeated(s, ~p)"
+    ]
+    texts = {
+        (f, ()): "definitely(f).",
+        (n + q, (~(q ^ 1), n + f, ~(2 * n + r))):
+            "defeasibly(p) :- not definitely(~p), defeasibly(f), not overruled(r, p).",
+        (2 * n + r, (~(2 * n + m + s),)): "overruled(r, p) :- not defeated(s, ~p).",
+        (2 * n + m + s, (n + f,)): "defeated(s, ~p) :- defeasibly(f).",
+    }
+    assert {c: p.text(c) for c in texts} == texts
+    assert set(texts) <= set(p.clauses)
 
 
 TRANSLATE_CLAUSES = """
@@ -187,8 +223,9 @@ import sys
 from dlog.core import ground
 from dlog.metaprogram import translate
 from dlog.parser import parse_theory
-for c in translate(ground(parse_theory(sys.argv[1]))).clauses:
-    print(c)
+p = translate(ground(parse_theory(sys.argv[1])))
+for c in p.clauses:
+    print(p.text(c))
 """
 
 

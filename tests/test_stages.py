@@ -59,4 +59,6 @@ def test_stage_record(tmp_path):
             expected = stages | (meta if name.startswith("meta") else set())
         for tree in ("parent", "change"):
             assert set(workload["median_s"][tree]) == expected
+            assert set(workload["median_scaled_s"][tree]) == set(workload["median_s"][tree])
             assert len(workload["runs_s"][tree]) == 1
+            assert len(workload["scales"][tree]) == 1 and workload["scales"][tree][0] > 0

@@ -13,7 +13,12 @@ The model workload runs the stages of `compare_semantics` on each of its
 theories, `modelcheck.logical_consequences` among them, and sums each stage.
 Every run is a fresh interpreter that imports dlog from one tree's `src/`;
 runs alternate between the trees, and the record holds each stage's median
-over `--repeats` runs per tree, and the runs themselves.
+over `--repeats` runs per tree, and the runs themselves.  Each run also takes
+5 pace probes (`benchmark/pace.py`) before its stages and 5 after, and
+records `scale`, `pace.REFERENCE_S` over their median; `median_scaled_s` is
+the median of each stage's seconds times its run's scale, the stage's time
+with the machine's current speed divided out, so that stages can be compared
+between trees measured minutes apart.
 
 Workloads: the chain `p0 => p1 => ... => pN` with an overruled attacker on
 every tenth link (`--chain`, 100,000 links by default; explained at `+d pN`),
@@ -47,6 +52,7 @@ STAGES = ("parse", "ground", "validate", "derive", "render")
 EXPLAIN_STAGES = ("explain", "check")
 META_STAGES = ("translate", "fixpoint")
 MODEL_STAGES = STAGES[:-1] + META_STAGES + ("consequences",)  # compare_semantics: no render
+PROBES = 5  # pace probes before a run's stages, and as many after
 
 
 def chain_text(links: int, attack_every: int = 10) -> str:
@@ -119,6 +125,21 @@ def measure_models(texts: list[str]) -> dict:
     return {"seconds": seconds, "sizes": sizes}
 
 
+def paced(path: Path, kind: str, target: str) -> dict:
+    """`measure`, between pace probes, with the scale they give."""
+    sys.path.insert(0, str(ROOT / "benchmark"))
+    import pace
+
+    probes = pace.Pace()
+    for _ in range(PROBES):
+        probes.probe()
+    result = measure(path, kind, target)
+    for _ in range(PROBES):
+        probes.probe()
+    result["scale"] = pace.REFERENCE_S / statistics.median(probes.seconds)
+    return result
+
+
 def measure(path: Path, kind: str, target: str) -> dict:
     """Seconds per stage and sizes for one workload file, in this process."""
     if kind == "models":
@@ -170,7 +191,7 @@ def measure(path: Path, kind: str, target: str) -> dict:
 
 
 def run_in(tree: Path, path: Path, kind: str, target: str) -> dict:
-    """`measure` in a fresh interpreter importing dlog from `tree/src`."""
+    """`paced` in a fresh interpreter importing dlog from `tree/src`."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     argv = [sys.executable, __file__, "--measure", str(path), "--kind", kind, "--target", target]
     done = subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True, check=True)
@@ -200,7 +221,7 @@ def main() -> int:
     ap.add_argument("--target", default="", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.measure:
-        print(json.dumps(measure(args.measure, args.kind, args.target)))
+        print(json.dumps(paced(args.measure, args.kind, args.target)))
         return 0
     if args.out is None:
         ap.error("--out is required")
@@ -209,17 +230,20 @@ def main() -> int:
     if args.parent:
         trees = {"parent": args.parent.resolve(), **trees}
     runs: dict[str, dict[str, list[dict]]] = {}
+    scales: dict[str, dict[str, list[float]]] = {}
     sizes: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as work:
         for name, (kind, text, target) in inputs(args.chain, args.reach, args.meta_chain).items():
             path = Path(work) / f"{name}.dl"
             path.write_text(text)
             runs[name] = {label: [] for label in trees}
+            scales[name] = {label: [] for label in trees}
             for r in range(args.repeats):
                 order = list(trees.items())
                 for label, tree in order if r % 2 == 0 else reversed(order):
                     result = run_in(tree, path, kind, target)
                     runs[name][label].append(result["seconds"])
+                    scales[name][label].append(result["scale"])
                     if sizes.setdefault(name, result["sizes"]) != result["sizes"]:
                         raise SystemExit(f"{name}: the trees disagree on the sizes {result['sizes']}")
                 print(f"{name}: run {r + 1} of {args.repeats} done", file=sys.stderr)
@@ -236,7 +260,15 @@ def main() -> int:
                     label: {key: statistics.median(run[key] for run in by_tree[label]) for key in by_tree[label][0]}
                     for label in trees
                 },
+                "median_scaled_s": {
+                    label: {
+                        key: statistics.median(run[key] * scale for run, scale in zip(by_tree[label], scales[name][label]))
+                        for key in by_tree[label][0]
+                    }
+                    for label in trees
+                },
                 "runs_s": by_tree,
+                "scales": scales[name],
             }
             for name, by_tree in runs.items()
         },
