@@ -78,7 +78,6 @@ def test_translation_numbers_overruled_by_rule():
     text = p.render()
     assert "defeasibly(p) :- not definitely(~p), not overruled(r1, p)." in text
     assert "defeasibly(p) :- not definitely(~p), not overruled(r2, p)." in text
-    assert conclusions(g) == engine.derive_all(g)
 
 
 def test_translation_universe_covers_base():
