@@ -49,6 +49,7 @@ import gc
 import graphlib
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -618,28 +619,25 @@ def validate(g: GroundTheory, allow_cyclic_superiority: bool = False) -> Validat
     Raises ValidationError on duplicate rule labels, superiority statements
     naming an undeclared label, or superiority cycles (unless
     `allow_cyclic_superiority`).  These are checked on the written labels and
-    statements, so a schema without surviving instances still counts.  A
-    cycle among the statements exists iff one exists among the instance pairs
-    of the full grounding, which relates every instance of the superior schema
-    to every instance of the inferior one, and every schema has an instance
-    there.  A statement that leaves no pair of instances with conflicting
-    heads gets a warning: inference consults the relation only for
-    conflicting pairs, so it has no effect.
+    statements, so a schema without surviving instances still counts; each
+    bad label is reported once, in the order first met.  A cycle among the
+    statements exists iff one exists among the instance pairs of the full
+    grounding, which relates every instance of the superior schema to every
+    instance of the inferior one, and every schema has an instance there.
+    A statement that leaves no pair of instances with conflicting heads gets
+    a warning: inference consults the relation only for conflicting pairs,
+    so it has no effect.
     """
     report = ValidationReport()
-    declared: set[str] = set()
-    for label in g.written_labels:
-        if label in declared:
-            report.errors.append(f"duplicate rule label {label}")
-        declared.add(label)
+    declared = Counter(g.written_labels)
+    report.errors += [f"duplicate rule label {l}" for l, k in declared.items() if k > 1]
     # an instance label is its schema's label, or that label, "#" and the bindings
     effective = {(hi.partition("#")[0], lo.partition("#")[0]) for hi, lo in g.superiority}
     statements = sorted(set(g.written_superiority))
+    undeclared = dict.fromkeys(l for pair in statements for l in pair if l not in declared)
+    report.errors += [f"superiority references undeclared label {l}" for l in undeclared]
     for hi, lo in statements:
-        undeclared = [l for l in (hi, lo) if l not in declared]
-        for l in undeclared:
-            report.errors.append(f"superiority references undeclared label {l}")
-        if not undeclared and (hi, lo) not in effective:
+        if hi in declared and lo in declared and (hi, lo) not in effective:
             report.warnings.append(
                 f"superiority {hi} > {lo} relates no instances with conflicting heads"
             )

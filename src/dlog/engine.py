@@ -14,6 +14,12 @@ branch, so an event costs no method call.  The build and the run hold the
 cyclic GC paused (`core.gc_paused`): they allocate lists over the rules and
 an occurrence list per body literal, none of them cyclic.
 
+Coherence and containment are checked once, when the run ends by building
+its `ConclusionSet` (`_Propagation.conclusions`), so `derive_all`, `prove`
+and `explain` all get the check.  One check suffices: a flag is only ever
+set, never cleared, so a breach anywhere in the run is still there at the
+end, and every append is guarded by its flag, so a breaching run still ends.
+
 The run's packed steps, `order`, are the worklist too, and they open with the
 *inert block*.  A literal is inert when it is not a fact, heads no rule, its
 complement is neither, and no body mentions it.  It is -D and -d whatever
@@ -107,7 +113,8 @@ class _Propagation:
 
     def _run(self, g: GroundTheory) -> None:
         """Index the rules, settle the inert block, and propagate the four
-        inference rules to their fixpoint, appending each step to `order`."""
+        inference rules to their fixpoint, appending each step to `order`;
+        then check the result as `conclusions`."""
         n = len(self.literals)
         head, bodies, facts = g.positions
         rules = g.rules
@@ -182,13 +189,9 @@ class _Propagation:
 
         for q in touched:
             if fact[q]:
-                if mD[q]:
-                    raise self._breach(q)
                 pD[q] = True
                 append(q << 2)
             elif not strict_left[q]:
-                if pD[q]:
-                    raise self._breach(q)
                 mD[q] = True
                 append((q << 2) | _MD)
 
@@ -196,8 +199,6 @@ class _Propagation:
         for ri in compress(count(), map(not_, partial_left)):
             h = head[ri]
             if is_strict[ri] and not pD[h]:
-                if mD[h]:
-                    raise self._breach(h)
                 pD[h] = True
                 append(h << 2)
             # rule ri is supported, as in the +d branch below
@@ -210,15 +211,11 @@ class _Propagation:
                         neutralized[s] = True
                         attackers[h] -= 1
                 if not pd[h] and mD[t] and not attackers[h]:
-                    if md[h]:
-                        raise self._breach(h)
                     pd[h] = True
                     append((h << 2) | _Pd)
             if not superiors[ri]:  # -d clause (2.3): the attack on t succeeds
                 won[t] = True
                 if mD[t] and not md[t]:
-                    if pd[t]:
-                        raise self._breach(t)
                     md[t] = True
                     append((t << 2) | _Md)
 
@@ -238,8 +235,6 @@ class _Propagation:
                             left = sd_left[h] - 1
                             sd_left[h] = left
                             if not md[h] and mD[h] and (not left or pD[t] or won[h]):  # -d (2.1)
-                                if pd[h]:
-                                    raise self._breach(h)
                                 md[h] = True
                                 append((h << 2) | _Md)
                             for s in beats_of(ri, ()):
@@ -248,8 +243,6 @@ class _Propagation:
                                     x = head[s] ^ 1  # -d clause (2.3) for x
                                     won[x] = True
                                     if mD[x] and not md[x]:
-                                        if pd[x]:
-                                            raise self._breach(x)
                                         md[x] = True
                                         append((x << 2) | _Md)
                         if not neutralized[ri]:  # +d clause (2.3.1)
@@ -257,8 +250,6 @@ class _Propagation:
                             left = attackers[t] - 1
                             attackers[t] = left
                             if not left and not pd[t] and sd_supported[t] and mD[h]:
-                                if md[t]:
-                                    raise self._breach(t)
                                 pd[t] = True
                                 append((t << 2) | _Pd)
                 else:  # -D q
@@ -270,19 +261,13 @@ class _Propagation:
                         left = strict_left[h] - 1
                         strict_left[h] = left
                         if not left and not fact[h]:
-                            if pD[h]:
-                                raise self._breach(h)
                             mD[h] = True
                             append((h << 2) | _MD)
                     c = q ^ 1
                     if not md[q] and (not sd_left[q] or pD[c] or won[q]):
-                        if pd[q]:
-                            raise self._breach(q)
                         md[q] = True
                         append(step | _Md)
                     if not pd[c] and sd_supported[c] and not attackers[c]:  # +d (2.2) for ~q
-                        if md[c]:
-                            raise self._breach(c)
                         pd[c] = True
                         append((c << 2) | _Pd)
             elif step & 2:  # +d q
@@ -302,21 +287,15 @@ class _Propagation:
                                 neutralized[s] = True
                                 attackers[h] -= 1
                         if not pd[h] and mD[t] and not attackers[h]:
-                            if md[h]:
-                                raise self._breach(h)
                             pd[h] = True
                             append((h << 2) | _Pd)
                     if not superiors[ri]:  # -d clause (2.3)
                         won[t] = True
                         if mD[t] and not md[t]:
-                            if pd[t]:
-                                raise self._breach(t)
                             md[t] = True
                             append((t << 2) | _Md)
             else:  # +D q
                 if not pd[q]:  # +d clause (1)
-                    if md[q]:
-                        raise self._breach(q)
                     pd[q] = True
                     append(step | _Pd)
                 for ri in strict_occ_at(q, ()):
@@ -325,24 +304,15 @@ class _Propagation:
                     if not left:
                         h = head[ri]
                         if not pD[h]:
-                            if mD[h]:
-                                raise self._breach(h)
                             pD[h] = True
                             append(h << 2)
                 c = q ^ 1
                 if mD[c] and not md[c]:  # -d clause (2.2) for ~q
-                    if pd[c]:
-                        raise self._breach(c)
                     md[c] = True
                     append((c << 2) | _Md)
 
-    def _breach(self, q: int) -> InternalError:
-        return InternalError(f"coherence breach: both signs of a tag for {self.literals[q]}")
-
-    # -- results -----------------------------------------------------------
-
-    def conclusions(self) -> ConclusionSet:
-        return ConclusionSet.from_table(self.literals, self.status)
+        # the one coherence and containment check of the run
+        self.conclusions = ConclusionSet.from_table(self.literals, self.status)
 
     def holds(self, tag: Tag) -> bool:
         """Whether the run established `tag` of the queried literal."""
@@ -355,7 +325,7 @@ def derive_all(g: GroundTheory) -> ConclusionSet:
     Literals whose status is settled neither positively nor negatively at a
     level (circular support, for instance) simply carry no conclusion there.
     """
-    return _Propagation(g).conclusions()
+    return _Propagation(g).conclusions
 
 
 def prove(g: GroundTheory, c: TaggedConclusion) -> bool:

@@ -195,12 +195,14 @@ def test_validate_ok_with_warning_on_nonconflicting_pairs():
         "p(a). r: p(X) => q(X). r: => s.",
         "p(a). r: p(X), p(Y) => s(X,Y). r: => t.",
         "p(a). r: p(X) => q(X). r: p(Y) => s(Y).",
+        "r: => p. r: => q. r: => s.",
     ],
-    ids=["variable-free", "schema-and-rule", "two-variables", "same-instance-labels"],
+    ids=["variable-free", "schema-and-rule", "two-variables", "same-instance-labels", "three-copies"],
 )
 def test_validate_duplicate_labels(text):
     # written labels are checked, not instance labels: a schema r next to a
-    # rule r is a duplicate, and two schemas r are reported as r, not r#a
+    # rule r is a duplicate, and two schemas r are reported as r, not r#a;
+    # a label written three times is reported once
     if text is None:
         t = SourceTheory(
             rules=(
@@ -215,11 +217,12 @@ def test_validate_duplicate_labels(text):
 
 
 def test_validate_dangling_superiority():
+    # a label missing from two statements is reported once
     t = SourceTheory(
-        rules=(Rule("r1", RuleKind.DEFEASIBLE, (), lit("p")),),
-        superiority=(("r1", "zz"),),
+        rules=(Rule("r1", RuleKind.DEFEASIBLE, (), lit("p")), Rule("r2", RuleKind.DEFEASIBLE, (), neg("p"))),
+        superiority=(("r1", "zz"), ("r2", "zz")),
     )
-    with pytest.raises(ValidationError, match="undeclared"):
+    with pytest.raises(ValidationError, match="^superiority references undeclared label zz$"):
         validate(ground(t))
 
 

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from dlog.core import (
+    ConclusionSet,
     GroundTheory,
     GroundingError,
     InternalError,
@@ -357,17 +358,23 @@ def test_worklist_skips_the_inert_block():
     assert reads == len(prop.order) - len(inert_block(g)) > 0
 
 
-def test_coherence_guard():
+def test_coherence_guard(bird, monkeypatch):
     # a fact together with an unbeaten attacker stays coherent: the engine
-    # never concludes both signs of one tag (guarded by an internal check)
+    # never concludes both signs of one tag
     cs = conclude("p. r: => ~p.")
     assert c("+D p") in cs and c("+d p") in cs
     with pytest.raises(InternalError):
-        # force the guard directly: feeding an incoherent set to the
-        # invariant checker must raise
-        from dlog.core import ConclusionSet
-
         ConclusionSet([c("+d q"), c("-d q"), c("-D q")])
+    # every run ends by building its ConclusionSet, so derive_all, prove and
+    # explain all raise what that construction's check raises
+    def breach(self):
+        raise InternalError("containment violated: +D not within +d")
+
+    monkeypatch.setattr(ConclusionSet, "verify_invariants", breach)
+    target = c("+d flies(tweety)")
+    for call in (lambda: derive_all(bird), lambda: prove(bird, target), lambda: explain(bird, target)):
+        with pytest.raises(InternalError, match="^containment violated"):
+            call()
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
