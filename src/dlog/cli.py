@@ -10,8 +10,10 @@ Bad input (exit 2, one `error:` line on stderr) is a file that cannot be read
 or is not UTF-8, a parse error, a rule whose variables cannot be grounded, a
 failed validation (duplicate labels, undeclared superiority labels, a
 superiority cycle without --allow-cycles), an invalid option value, which
-argparse reports after its usage line, or a DLOG_CAP value that is not an
-integer of at least 1.
+argparse reports after its usage line, a DLOG_CAP value that is not an
+integer of at least 1, or `models` (or `fuzz` without --no-models) where
+numpy cannot be imported: only model enumeration needs it, and a theory over
+the cap is still refused with exit 4 first.
 
 `derive` (and `models --consequences`) lists the conclusions by tag, in the
 order +D, -D, +d, -d, and each tag's literals in text order, so every

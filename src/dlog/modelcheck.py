@@ -24,6 +24,14 @@ other.
 Both routes read R[q] as `GroundTheory.rules_at` of q's position, pick its
 strict and supportive rules by kind, and read a rule's body and the facts'
 positions from `GroundTheory.positions`.
+
+numpy is imported inside `_model_mask`, after the cap check, and nowhere
+else: it is the only function that builds status rows, and every other
+numpy call is a method of the rows it returns.  Importing numpy costs more
+than the rest of dlog together, so `dlog derive` and `import dlog` start
+without it, and so does an interpreter that lacks it; there the model
+routes raise `UsageError`, and a theory over the cap still raises
+`CapExceededError` first.
 """
 
 from __future__ import annotations
@@ -31,9 +39,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .core import (
     ConclusionSet,
@@ -45,6 +51,9 @@ from .core import (
     T,
     U,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class UsageError(Exception):
@@ -191,9 +200,7 @@ def enumerate_interpretations(
 def _conj_columns(values: np.ndarray, idx: list[int]) -> np.ndarray:
     """Row-wise Kleene conjunction of the selected columns: their least code,
     T when none are selected."""
-    if not idx:
-        return np.full(values.shape[0], T, dtype=np.int8)
-    return values[:, idx].min(axis=1)
+    return values[:, idx].min(axis=1, initial=T)
 
 
 def _model_mask(
@@ -212,6 +219,10 @@ def _model_mask(
     n = width ** len(base)
     if n > cap:
         raise CapExceededError(n, cap)
+    try:
+        import numpy as np
+    except ImportError as e:
+        raise UsageError(f"model enumeration needs numpy, which cannot be imported ({e})") from None
     delta_codes = np.array([p[0] for p in pairs], dtype=np.int8)
     partial_codes = np.array([p[1] for p in pairs], dtype=np.int8)
     # literal j's conditions read columns j and j ^ 1 and the bodies of its

@@ -444,3 +444,57 @@ def test_closed_output_pipe_leaks_no_descriptor(bird_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stderr) == [EXIT_CLOSED_OUTPUT, []]
+
+
+def test_commands_without_numpy(bird_path, tmp_path):
+    # only the model routes need numpy: every other command starts and answers
+    # without it, and `models` says in one line that it is missing.  Each run
+    # is a fresh interpreter, so that no earlier import has loaded numpy
+    loop = tmp_path / "loop.dl"
+    loop.write_text("r: p => p.\n")
+    bird = str(bird_path)
+    commands = [
+        ["check", bird],
+        ["derive", bird],
+        ["derive", "--json", bird],
+        ["query", "+d", "flies(tweety)", bird],
+        ["query", "+d", "flies(ethel)", bird],
+        ["explain", "-d", "flies(ethel)", bird],
+        ["meta", bird],
+        ["fuzz", "--count", "20", "--no-models"],
+        ["models", bird],  # over the cap: refused before numpy is needed
+        ["models", str(loop)],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "if sys.argv[1] == 'blocked':\n"
+        "    sys.modules['numpy'] = None\n"
+        "import dlog, dlog.cli\n"
+        "runs = []\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        code = dlog.cli.main(argv, out)\n"
+        "    runs.append([code, out.getvalue(), err.getvalue(), 'numpy' in sys.modules])\n"
+        "json.dump(runs, sys.stdout)\n"
+    )
+    src = pathlib.Path(__file__).parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    runs = {}
+    for mode in ("blocked", "free"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, mode, json.dumps(commands)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[mode] = json.loads(proc.stdout)
+    *answered, (blocked_code, blocked_out, blocked_err, _) = runs["blocked"]
+    assert [run[:2] for run in answered] == [run[:2] for run in runs["free"][:-1]]
+    assert [run[0] for run in answered] == [EXIT_OK] * 4 + [EXIT_NOT_DERIVABLE] + [EXIT_OK] * 3 + [EXIT_CAP]
+    assert (blocked_code, blocked_out) == (EXIT_PARSE, "")
+    assert blocked_err.startswith("error: model enumeration needs numpy")
+    assert blocked_err.count("\n") == 1
+    assert runs["free"][-1][:2] == [EXIT_OK, "models: 3\n"]
+    # unblocked, numpy is first loaded by the one command that enumerates models
+    assert [run[3] for run in runs["free"]] == [False] * (len(commands) - 1) + [True]

@@ -46,7 +46,7 @@ def test_stage_record(tmp_path):
     # +d p50 rests on +D p0, +d p0 ... p50 and -D ~p1 ... ~p50
     assert workloads["chain-50"]["sizes"]["derivation_steps"] == 102
     assert workloads["models-seed1"]["sizes"]["theories"] == 199
-    stages = {"parse_s", "ground_s", "validate_s", "derive_s", "render_s", "total_s"}
+    stages = {"import_s", "parse_s", "ground_s", "validate_s", "derive_s", "render_s", "total_s"}
     meta = {"translate_s", "fixpoint_s"}
     explained = {"explain_s", "check_s"}
     for name, workload in workloads.items():
@@ -62,3 +62,5 @@ def test_stage_record(tmp_path):
             assert set(workload["median_scaled_s"][tree]) == set(workload["median_s"][tree])
             assert len(workload["runs_s"][tree]) == 1
             assert len(workload["scales"][tree]) == 1 and workload["scales"][tree][0] > 0
+            # numpy is only for the model oracle, and no run has reached it after derive
+            assert workload["numpy_loaded"][tree] == [False]

@@ -13,12 +13,17 @@ The model workload runs the stages of `compare_semantics` on each of its
 theories, `modelcheck.logical_consequences` among them, and sums each stage.
 Every run is a fresh interpreter that imports dlog from one tree's `src/`;
 runs alternate between the trees, and the record holds each stage's median
-over `--repeats` runs per tree, and the runs themselves.  Each run also takes
-5 pace probes (`benchmark/pace.py`) before its stages and 5 after, and
-records `scale`, `pace.REFERENCE_S` over their median; `median_scaled_s` is
-the median of each stage's seconds times its run's scale, the stage's time
-with the machine's current speed divided out, so that stages can be compared
-between trees measured minutes apart.
+over `--repeats` runs per tree, and the runs themselves.  A run's `import_s`
+is its first `import dlog.cli`, timed before any stage and after this
+script's own standard-library imports; `total_s` sums the stages without
+it.  Each run also notes whether numpy was loaded once the derive stages
+had run (`numpy_loaded`, per tree): only the model oracle needs it, so the
+model workload reads it after its first theory's derive stage.  Each run
+also takes 5 pace probes (`benchmark/pace.py`) before its stages and 5
+after, and records `scale`, `pace.REFERENCE_S` over their median;
+`median_scaled_s` is the median of each stage's seconds times its run's
+scale, the stage's time with the machine's current speed divided out, so
+that stages can be compared between trees measured minutes apart.
 
 Workloads: the chain `p0 => p1 => ... => pN` with an overruled attacker on
 every tenth link (`--chain`, 100,000 links by default; explained at `+d pN`),
@@ -96,6 +101,7 @@ def measure_models(texts: list[str]) -> dict:
     from dlog.parser import parse_theory
 
     seconds = dict.fromkeys((f"{s}_s" for s in MODEL_STAGES), 0.0)
+    numpy_loaded = None
     sizes = dict.fromkeys(("theories", "input_bytes", "rules", "base", "interpretations", "conclusions"), 0)
     for text in texts:
         clock = [perf_counter()]
@@ -107,6 +113,8 @@ def measure_models(texts: list[str]) -> dict:
         clock.append(perf_counter())
         conclusions = engine.derive_all(g)
         clock.append(perf_counter())
+        if numpy_loaded is None:
+            numpy_loaded = "numpy" in sys.modules
         program = metaprogram.translate(g)
         clock.append(perf_counter())
         metaprogram.kunen_fixpoint(program)
@@ -122,7 +130,7 @@ def measure_models(texts: list[str]) -> dict:
         sizes["interpretations"] += 6 ** len(g.herbrand_base)
         sizes["conclusions"] += len(conclusions)
     seconds["total_s"] = sum(seconds.values())
-    return {"seconds": seconds, "sizes": sizes}
+    return {"seconds": seconds, "sizes": sizes, "numpy_loaded": numpy_loaded}
 
 
 def paced(path: Path, kind: str, target: str) -> dict:
@@ -161,6 +169,7 @@ def measure(path: Path, kind: str, target: str) -> dict:
     out = io.StringIO()
     cli._print_conclusions(g, conclusions, out, False)
     clock.append(perf_counter())
+    numpy_loaded = "numpy" in sys.modules
     stages = list(STAGES)
     if kind == "explain":
         derivation = engine.explain(g, parse_conclusion(target))
@@ -187,7 +196,7 @@ def measure(path: Path, kind: str, target: str) -> dict:
     }
     if kind == "explain":
         sizes["derivation_steps"] = len(derivation)
-    return {"seconds": seconds, "sizes": sizes}
+    return {"seconds": seconds, "sizes": sizes, "numpy_loaded": numpy_loaded}
 
 
 def run_in(tree: Path, path: Path, kind: str, target: str) -> dict:
@@ -221,7 +230,12 @@ def main() -> int:
     ap.add_argument("--target", default="", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.measure:
-        print(json.dumps(paced(args.measure, args.kind, args.target)))
+        start = perf_counter()
+        import dlog.cli  # noqa: F401
+        import_s = perf_counter() - start
+        result = paced(args.measure, args.kind, args.target)
+        result["seconds"]["import_s"] = import_s
+        print(json.dumps(result))
         return 0
     if args.out is None:
         ap.error("--out is required")
@@ -231,6 +245,7 @@ def main() -> int:
         trees = {"parent": args.parent.resolve(), **trees}
     runs: dict[str, dict[str, list[dict]]] = {}
     scales: dict[str, dict[str, list[float]]] = {}
+    numpy_loaded: dict[str, dict[str, list[bool]]] = {}
     sizes: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as work:
         for name, (kind, text, target) in inputs(args.chain, args.reach, args.meta_chain).items():
@@ -238,12 +253,14 @@ def main() -> int:
             path.write_text(text)
             runs[name] = {label: [] for label in trees}
             scales[name] = {label: [] for label in trees}
+            numpy_loaded[name] = {label: [] for label in trees}
             for r in range(args.repeats):
                 order = list(trees.items())
                 for label, tree in order if r % 2 == 0 else reversed(order):
                     result = run_in(tree, path, kind, target)
                     runs[name][label].append(result["seconds"])
                     scales[name][label].append(result["scale"])
+                    numpy_loaded[name][label].append(result["numpy_loaded"])
                     if sizes.setdefault(name, result["sizes"]) != result["sizes"]:
                         raise SystemExit(f"{name}: the trees disagree on the sizes {result['sizes']}")
                 print(f"{name}: run {r + 1} of {args.repeats} done", file=sys.stderr)
@@ -269,6 +286,7 @@ def main() -> int:
                 },
                 "runs_s": by_tree,
                 "scales": scales[name],
+                "numpy_loaded": numpy_loaded[name],
             }
             for name, by_tree in runs.items()
         },
