@@ -25,6 +25,14 @@ holding `"models": N` and, with `--consequences`, the `conclusions` and
 
 The environment variable DLOG_CAP overrides the default model-enumeration
 cap.
+
+A command loads only what it runs: `meta`, `models`, `fuzz` and `bench`
+import the oracle modules inside their functions, and `json` is imported
+where `--json` output is written, so `check`, `derive`, `query` and
+`explain` load `core`, `parser` and `engine` only.  That is why
+`UsageError` and `CapExceededError` are defined in `core`.  An oracle is
+called through its module (`metaprogram.translate`), so a wrapper put on
+the module's function is the one called.
 """
 
 from __future__ import annotations
@@ -32,17 +40,18 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import operator
 import os
 import sys
 
-from . import differential, engine, metaprogram, modelcheck
+from . import engine
 from .core import (
+    CapExceededError,
     GroundTheory,
     GroundingError,
     InternalError,
     Tag,
+    UsageError,
     ValidationError,
     ground,
     validate,
@@ -92,6 +101,8 @@ def _print_conclusions(g: GroundTheory, conclusions, out, as_json: bool, doc: di
         for i in itertools.compress(range(len(names)), map(operator.not_, settled))
     ]
     if as_json:
+        import json
+
         doc = {
             **(doc or {}),
             "conclusions": [
@@ -151,12 +162,16 @@ def cmd_explain(args, out) -> int:
 
 
 def cmd_meta(args, out) -> int:
+    from . import metaprogram
+
     g = _load(args.file)
     out.write(metaprogram.translate(g).render())
     return EXIT_OK
 
 
 def cmd_models(args, out) -> int:
+    from . import modelcheck
+
     g = _load(args.file)
     found = modelcheck.models(g, args.cap)
     count = len(found.delta)
@@ -165,11 +180,15 @@ def cmd_models(args, out) -> int:
     if args.consequences:
         _print_conclusions(g, found.consequences(), out, args.json, {"models": count})
     elif args.json:
+        import json
+
         out.write(json.dumps({"models": count}, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
 def cmd_fuzz(args, out) -> int:
+    from . import differential
+
     witnesses = differential.fuzz(
         count=args.count,
         seed=args.seed,
@@ -188,6 +207,8 @@ def cmd_fuzz(args, out) -> int:
 
 
 def cmd_bench(args, out) -> int:
+    from . import differential
+
     points = differential.bench_chain(args.sizes)
     for p in points:
         out.write(
@@ -300,12 +321,12 @@ def main(argv=None, out=None) -> int:
         os.close(devnull)
         return EXIT_CLOSED_OUTPUT
     except (
-        ParseError, GroundingError, ValidationError, modelcheck.UsageError,
+        ParseError, GroundingError, ValidationError, UsageError,
         UnicodeDecodeError, OSError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except modelcheck.CapExceededError as e:
+    except CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
     except InternalError as e:

@@ -31,11 +31,21 @@ straight from the flags.  `herbrand_base` is a set view.  The model checker
 and the metaprogram read three-valued truth as the codes `F, U, T = 0, 1, 2`
 defined here.
 
-`Atom`, `Literal`, `Rule` and `TaggedConclusion` are named tuples, so
-equality and hashing are those of the tuple of their fields: an instance also
-equals a plain tuple of its field values, and it can be iterated and unpacked.
-`Rule`'s constructor deduplicates the body; `ground` builds its instances
-without it, their bodies already distinct.
+Every record in dlog is a named tuple (`typing.NamedTuple`), here and in the
+other modules, so equality and hashing are those of the tuple of their
+fields: an instance also equals a plain tuple of its field values, and it
+can be iterated, indexed and unpacked.  A record holding a dict
+(`GroundTheory.offsets`, and so `metaprogram.GroundMetaProgram`) or numpy
+rows (`modelcheck.ModelSet`) is not hashable.  A record that caches a value
+on first use (`GroundTheory`, `GroundMetaProgram`) is a subclass without
+`__slots__`, so it keeps a `__dict__` for `cached_property`.  `Rule`'s
+constructor deduplicates the body; `ground` builds its instances without it,
+their bodies already distinct.  The one mutable record, `ValidationReport`,
+is a plain class.
+
+`UsageError` and `CapExceededError`, which only the model oracle raises,
+are defined here too, so that the command line catches them without
+importing that oracle.
 
 `parse_theory`, `ground` and the engine's build and run hold the cyclic GC
 paused (`gc_paused`): each builds objects per rule and literal, none cyclic,
@@ -46,11 +56,9 @@ from __future__ import annotations
 
 import functools
 import gc
-import graphlib
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -68,6 +76,22 @@ class ValidationError(Exception):
 
 class InternalError(Exception):
     """An internal invariant was violated.  Always indicates a bug."""
+
+
+class UsageError(Exception):
+    """A request the program cannot serve as given: a bad `DLOG_CAP`, status
+    codes that are not F, U, T, or model enumeration without numpy."""
+
+
+class CapExceededError(Exception):
+    """Model enumeration would build more interpretations than the cap."""
+
+    def __init__(self, required: int, cap: int):
+        super().__init__(
+            f"enumeration needs {required} interpretations, cap is {cap}"
+        )
+        self.required = required
+        self.cap = cap
 
 
 def gc_paused(fn):
@@ -195,8 +219,7 @@ class Rule(_RuleFields):
         return f"{self.label}: {lhs}{arrow} {self.head}."
 
 
-@dataclass(frozen=True)
-class SourceTheory:
+class SourceTheory(NamedTuple):
     """A theory as written: facts, rule schemas, superiority over labels."""
 
     facts: tuple[Literal, ...] = ()
@@ -227,8 +250,19 @@ class Positions(NamedTuple):
     facts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GroundTheory:
+class _GroundTheoryFields(NamedTuple):
+    facts: frozenset[Literal]
+    rules: tuple[Rule, ...]
+    superiority: frozenset[tuple[str, str]]
+    constants: frozenset[str]
+    literals: tuple[Literal, ...]  # the base; literals[i ^ 1] is the complement of literals[i]
+    written_labels: tuple[str, ...]  # rule labels as written, one per schema
+    written_superiority: tuple[tuple[str, str], ...]  # statements as written
+    offsets: dict[tuple[str, int], int]
+    positions: Positions
+
+
+class GroundTheory(_GroundTheoryFields):
     """A propositional theory instantiated from the written one, its Herbrand
     base, and the written rule labels and superiority statements.
 
@@ -237,16 +271,6 @@ class GroundTheory:
     fact sit there; `ground` fills both in.  The constant index that
     `position` reads, and the rules by head position that `rules_at` reads,
     are built once per theory, on first use."""
-
-    facts: frozenset[Literal]
-    rules: tuple[Rule, ...]
-    superiority: frozenset[tuple[str, str]]
-    constants: frozenset[str]
-    literals: tuple[Literal, ...]  # the base; literals[i ^ 1] is the complement of literals[i]
-    written_labels: tuple[str, ...]  # rule labels as written, one per schema
-    written_superiority: tuple[tuple[str, str], ...]  # statements as written
-    offsets: dict[tuple[str, int], int] = field(compare=False, repr=False)
-    positions: Positions = field(compare=False, repr=False)
 
     def position(self, literal: Literal) -> Optional[int]:
         """The position of a ground literal in `literals`, or None when it is
@@ -603,10 +627,20 @@ def _live_assignments(schema, slots, offsets, index, fact_args, head_signatures,
             yield entry[:in_body] + more, body
 
 
-@dataclass
 class ValidationReport:
-    errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    """The errors and warnings of `validate`, each a list of messages."""
+
+    def __init__(self, errors: Optional[list[str]] = None, warnings: Optional[list[str]] = None):
+        self.errors = [] if errors is None else errors
+        self.warnings = [] if warnings is None else warnings
+
+    def __repr__(self) -> str:
+        return f"ValidationReport(errors={self.errors!r}, warnings={self.warnings!r})"
+
+    def __eq__(self, other) -> bool:  # by value, so unhashable, as the dataclass was
+        if not isinstance(other, ValidationReport):
+            return NotImplemented
+        return (self.errors, self.warnings) == (other.errors, other.warnings)
 
     @property
     def ok(self) -> bool:
@@ -642,6 +676,8 @@ def validate(g: GroundTheory, allow_cyclic_superiority: bool = False) -> Validat
                 f"superiority {hi} > {lo} relates no instances with conflicting heads"
             )
     if _has_cycle(statements):
+        import graphlib  # loaded only to name a cycle
+
         graph = graphlib.TopologicalSorter()
         for hi, lo in statements:
             graph.add(hi, lo)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import engine, metaprogram, modelcheck
 from .core import (
@@ -73,8 +72,7 @@ def generate_random_theory(
     return SourceTheory(tuple(facts), tuple(rules), tuple(superiority))
 
 
-@dataclass(frozen=True)
-class DivergenceWitness:
+class DivergenceWitness(NamedTuple):
     theory_text: str
     engine_conclusions: ConclusionSet
     metaprogram_conclusions: ConclusionSet
@@ -155,8 +153,7 @@ def chain_theory(n: int, attack_every: int = 10) -> GroundTheory:
     return ground(SourceTheory(facts, tuple(rules), tuple(superiority)))
 
 
-@dataclass(frozen=True)
-class BenchPoint:
+class BenchPoint(NamedTuple):
     size: int
     seconds: float
     conclusions: int

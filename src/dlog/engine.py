@@ -48,10 +48,9 @@ of each tag in `Tag`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 from operator import not_, xor
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import (
     _CODE,
@@ -78,9 +77,10 @@ class NoDerivationError(Exception):
 Derivation = tuple[TaggedConclusion, ...]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of replaying a derivation: valid, or invalid at a 1-based index."""
+class CheckResult(NamedTuple):
+    """Outcome of replaying a derivation: valid, or invalid at a 1-based
+    index.  Its truth is its validity, not the tuple's length, and its
+    `index` field stands where the tuple's `index` method would."""
 
     index: Optional[int] = None
     reason: str = ""

@@ -41,9 +41,8 @@ the cyclic GC paused (`core.gc_paused`), as the engine does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     ConclusionSet,
@@ -66,10 +65,14 @@ Clause = tuple[int, tuple[int, ...]]  # (head atom, body atoms; ~atom negated)
 ThreeValuedInterpretation = list[int]  # an F, U or T code per atom
 
 
-@dataclass(frozen=True)
-class GroundMetaProgram:
+class _GroundMetaProgramFields(NamedTuple):
     clauses: tuple[Clause, ...]
-    theory: GroundTheory = field(compare=False, repr=False)  # names the atoms
+    theory: GroundTheory  # names the atoms
+
+
+class GroundMetaProgram(_GroundMetaProgramFields):
+    """The clauses of `translate`, and the theory whose table and rules
+    number their atoms."""
 
     @property
     def size(self) -> int:

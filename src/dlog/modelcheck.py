@@ -31,17 +31,20 @@ numpy call is a method of the rows it returns.  Importing numpy costs more
 than the rest of dlog together, so `dlog derive` and `import dlog` start
 without it, and so does an interpreter that lacks it; there the model
 routes raise `UsageError`, and a theory over the cap still raises
-`CapExceededError` first.
+`CapExceededError` first.  Both errors are defined in `core`, so that the
+command line catches them without importing this module, and re-exported
+here.  `ModelReport` and `ModelSet` are named tuples, as every record in
+dlog is.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
+    CapExceededError,
     ConclusionSet,
     F,
     GroundTheory,
@@ -50,23 +53,11 @@ from .core import (
     RuleKind,
     T,
     U,
+    UsageError,
 )
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-class UsageError(Exception):
-    pass
-
-
-class CapExceededError(Exception):
-    def __init__(self, required: int, cap: int):
-        super().__init__(
-            f"enumeration needs {required} interpretations, cap is {cap}"
-        )
-        self.required = required
-        self.cap = cap
 
 
 DEFAULT_CAP = 2_000_000
@@ -85,8 +76,7 @@ def default_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class ModelReport:
+class ModelReport(NamedTuple):
     violations: tuple[tuple[str, Literal, str], ...]  # (condition, literal, direction)
 
     @property
@@ -290,8 +280,7 @@ def closure_forces_epistemic(g: GroundTheory, cap: Optional[int] = None) -> bool
     return not (breach_1 or breach_2)
 
 
-@dataclass(frozen=True)
-class ModelSet:
+class ModelSet(NamedTuple):
     """Every model of a theory: row i of `delta` and of `partial` holds the
     status codes (F, U, T) of model i over `base`, in table order."""
 

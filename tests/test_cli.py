@@ -446,10 +446,41 @@ def test_closed_output_pipe_leaks_no_descriptor(bird_path):
     assert json.loads(proc.stderr) == [EXIT_CLOSED_OUTPUT, []]
 
 
+# the modules that `derive` and `check` must not load: the oracles, and the
+# standard-library modules that records built with `dataclasses` pulled in
+UNLOADED = ("dataclasses", "inspect", "json", "dlog.modelcheck", "dlog.metaprogram", "dlog.differential")
+
+# the names `dlog` exported when it imported every module up front, by the
+# module that defines them; the two errors moved to core and are re-exported
+# by modelcheck, so they are listed under both
+EXPORTED = {
+    "dlog.core": [
+        "Atom", "CapExceededError", "ConclusionSet", "GroundTheory", "GroundingError", "InternalError",
+        "Literal", "Rule", "RuleKind", "SourceTheory", "Tag", "TaggedConclusion", "UsageError",
+        "ValidationError", "ValidationReport", "ground", "lit", "neg", "validate",
+    ],
+    "dlog.differential": [
+        "BenchPoint", "DivergenceWitness", "bench_chain", "chain_theory", "compare_semantics", "fuzz",
+        "generate_random_theory",
+    ],
+    "dlog.engine": ["CheckResult", "NoDerivationError", "check_derivation", "derive_all", "explain", "prove"],
+    "dlog.metaprogram": ["GroundMetaProgram", "kunen_fixpoint", "to_conclusions", "translate"],
+    "dlog.modelcheck": [
+        "CapExceededError", "DEFAULT_CAP", "UsageError", "closure_forces_epistemic", "count_models",
+        "default_cap", "enumerate_interpretations", "is_model", "logical_consequences",
+    ],
+    "dlog.parser": ["ParseError", "parse_conclusion", "parse_theory", "render_theory"],
+}
+
+
 def test_commands_without_numpy(bird_path, tmp_path):
     # only the model routes need numpy: every other command starts and answers
     # without it, and `models` says in one line that it is missing.  Each run
-    # is a fresh interpreter, so that no earlier import has loaded numpy
+    # is a fresh interpreter, so that no earlier import has loaded numpy.
+    # After each command it also notes which of UNLOADED are loaded, and, once
+    # all have run, which EXPORTED names `dlog` lists in `dir` and `__all__`
+    # and resolves to the defining module's object (the oracles' names on
+    # first access)
     loop = tmp_path / "loop.dl"
     loop.write_text("r: p => p.\n")
     bird = str(bird_path)
@@ -465,18 +496,28 @@ def test_commands_without_numpy(bird_path, tmp_path):
         ["models", bird],  # over the cap: refused before numpy is needed
         ["models", str(loop)],
     ]
+    # json is imported only once the commands have run: it is among UNLOADED
     script = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "if sys.argv[1] == 'blocked':\n"
         "    sys.modules['numpy'] = None\n"
         "import dlog, dlog.cli\n"
+        f"commands, unloaded, exported = {commands!r}, {UNLOADED!r}, {EXPORTED!r}\n"
         "runs = []\n"
-        "for argv in json.loads(sys.argv[2]):\n"
+        "for argv in commands:\n"
         "    out, err = io.StringIO(), io.StringIO()\n"
         "    with contextlib.redirect_stderr(err):\n"
         "        code = dlog.cli.main(argv, out)\n"
-        "    runs.append([code, out.getvalue(), err.getvalue(), 'numpy' in sys.modules])\n"
-        "json.dump(runs, sys.stdout)\n"
+        "    loaded = [m for m in unloaded if m in sys.modules]\n"
+        "    runs.append([code, out.getvalue(), err.getvalue(), 'numpy' in sys.modules, loaded])\n"
+        "import importlib, json\n"
+        "listed = dir(dlog)\n"
+        "wrong = [\n"
+        "    name for module, names in exported.items() for name in names\n"
+        "    if name not in listed or name not in dlog.__all__\n"
+        "    or getattr(dlog, name) is not getattr(importlib.import_module(module), name)\n"
+        "]\n"
+        "json.dump([runs, wrong], sys.stdout)\n"
     )
     src = pathlib.Path(__file__).parent.parent / "src"
     env = dict(os.environ)
@@ -484,12 +525,13 @@ def test_commands_without_numpy(bird_path, tmp_path):
     runs = {}
     for mode in ("blocked", "free"):
         proc = subprocess.run(
-            [sys.executable, "-c", script, mode, json.dumps(commands)],
+            [sys.executable, "-c", script, mode],
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        runs[mode] = json.loads(proc.stdout)
-    *answered, (blocked_code, blocked_out, blocked_err, _) = runs["blocked"]
+        runs[mode], wrong = json.loads(proc.stdout)
+        assert wrong == []
+    *answered, (blocked_code, blocked_out, blocked_err, *_) = runs["blocked"]
     assert [run[:2] for run in answered] == [run[:2] for run in runs["free"][:-1]]
     assert [run[0] for run in answered] == [EXIT_OK] * 4 + [EXIT_NOT_DERIVABLE] + [EXIT_OK] * 3 + [EXIT_CAP]
     assert (blocked_code, blocked_out) == (EXIT_PARSE, "")
@@ -498,3 +540,11 @@ def test_commands_without_numpy(bird_path, tmp_path):
     assert runs["free"][-1][:2] == [EXIT_OK, "models: 3\n"]
     # unblocked, numpy is first loaded by the one command that enumerates models
     assert [run[3] for run in runs["free"]] == [False] * (len(commands) - 1) + [True]
+    # each command loads only what it runs: `--json` loads json, `meta` the
+    # metaprogram, `fuzz` the differential module and both oracles
+    oracles = ["dlog.modelcheck", "dlog.metaprogram", "dlog.differential"]
+    for mode in runs:
+        assert [run[4] for run in runs[mode][:-1]] == [
+            [], [], ["json"], ["json"], ["json"], ["json"], ["json", "dlog.metaprogram"],
+            ["json", *oracles], ["json", *oracles],
+        ]
