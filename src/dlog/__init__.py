@@ -5,11 +5,11 @@ cross-validates the proof theory against two independent semantics: a
 3-valued fixpoint of a translated logic program, and exhaustive model
 enumeration on small instances.
 
-`import dlog` loads `core`, `parser` and `engine` only.  The names of the
+`import dlog` loads `core`, `parser` and `engine` only.  The modules of the
 two oracles and of the differential tests (`metaprogram`, `modelcheck`,
-`differential`) are resolved on first access, by the module `__getattr__`
-below (PEP 562), and then kept here: `from dlog import translate` imports
-`dlog.metaprogram` at that point.  `dir(dlog)` and `__all__` list them all,
+`differential`), and the names taken from them, are resolved on first
+access by the module `__getattr__` below (PEP 562), and then kept here:
+`from dlog import translate` imports `dlog.metaprogram` at that point.  `dir(dlog)` and `__all__` list them all,
 so `from dlog import *` imports every module, as it always did.
 """
 
@@ -59,7 +59,6 @@ _LAZY = {
     ),
 }
 _ORIGIN = {name: module for module, names in _LAZY.items() for name in names}
-
 
 __all__ = sorted({name for name in globals() if not name.startswith("_")} | {*_LAZY, *_ORIGIN})
 
