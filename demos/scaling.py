@@ -23,9 +23,8 @@ def main():
             f"({rate:,.0f} rules/s, {p.conclusions} conclusions)"
         )
     if len(points) >= 2:
-        ratio = points[-1].seconds / points[0].seconds
         growth = points[-1].size / points[0].size
-        print(f"time ratio over a {growth:.0f}x size range: {ratio:.2f}")
+        print(f"median paired time ratio over a {growth:.0f}x size range: {points[-1].ratio:.2f}")
 
 
 if __name__ == "__main__":

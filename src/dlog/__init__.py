@@ -6,10 +6,11 @@ cross-validates the proof theory against two independent semantics: a
 enumeration on small instances.
 
 `import dlog` loads `core`, `parser` and `engine` only.  The modules of the
-two oracles and of the differential tests (`metaprogram`, `modelcheck`,
-`differential`), and the names taken from them, are resolved on first
-access by the module `__getattr__` below (PEP 562), and then kept here:
-`from dlog import translate` imports `dlog.metaprogram` at that point.  `dir(dlog)` and `__all__` list them all,
+two oracles, of the differential tests and of the scaling measurement
+(`metaprogram`, `modelcheck`, `differential`, `scaling`), and the names
+taken from them, are resolved on first access by the module `__getattr__`
+below (PEP 562), and then kept here: `from dlog import translate` imports
+`dlog.metaprogram` at that point.  `dir(dlog)` and `__all__` list them all,
 so `from dlog import *` imports every module, as it always did.
 """
 
@@ -48,15 +49,13 @@ __version__ = "0.1.0"
 
 # the names resolved on first access, by the module that defines them
 _LAZY = {
-    "differential": (
-        "BenchPoint", "DivergenceWitness", "bench_chain", "chain_theory",
-        "compare_semantics", "fuzz", "generate_random_theory",
-    ),
+    "differential": ("DivergenceWitness", "compare_semantics", "fuzz", "generate_random_theory"),
     "metaprogram": ("GroundMetaProgram", "kunen_fixpoint", "to_conclusions", "translate"),
     "modelcheck": (
         "DEFAULT_CAP", "closure_forces_epistemic", "count_models", "default_cap",
         "enumerate_interpretations", "is_model", "logical_consequences",
     ),
+    "scaling": ("BenchPoint", "bench_chain", "chain_theory"),
 }
 _ORIGIN = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -26,13 +26,13 @@ holding `"models": N` and, with `--consequences`, the `conclusions` and
 The environment variable DLOG_CAP overrides the default model-enumeration
 cap.
 
-A command loads only what it runs: `meta`, `models`, `fuzz` and `bench`
-import the oracle modules inside their functions, and `json` is imported
-where `--json` output is written, so `check`, `derive`, `query` and
-`explain` load `core`, `parser` and `engine` only.  That is why
-`UsageError` and `CapExceededError` are defined in `core`.  An oracle is
-called through its module (`metaprogram.translate`), so a wrapper put on
-the module's function is the one called.
+A command loads only what it runs: `meta`, `models` and `fuzz` import the
+oracle modules inside their functions, `bench` imports `scaling` there and
+no oracle, and `json` is imported where `--json` output is written, so
+`check`, `derive`, `query` and `explain` load `core`, `parser` and `engine`
+only.  That is why `UsageError` and `CapExceededError` are defined in
+`core`.  An oracle is called through its module (`metaprogram.translate`),
+so a wrapper put on the module's function is the one called.
 """
 
 from __future__ import annotations
@@ -207,17 +207,16 @@ def cmd_fuzz(args, out) -> int:
 
 
 def cmd_bench(args, out) -> int:
-    from . import differential
+    from . import scaling
 
-    points = differential.bench_chain(args.sizes)
+    points = scaling.bench_chain(args.sizes)
     for p in points:
         out.write(
             f"chain {p.size}: {p.seconds:.3f}s, {p.conclusions} conclusions\n"
         )
     if len(points) >= 2:
-        ratio = points[-1].seconds / max(points[0].seconds, 1e-9)
         out.write(
-            f"scaling ratio ({points[-1].size}/{points[0].size}): {ratio:.2f}\n"
+            f"scaling ratio ({points[-1].size}/{points[0].size}): {points[-1].ratio:.2f}\n"
         )
     return EXIT_OK
 

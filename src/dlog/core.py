@@ -334,13 +334,15 @@ def ground(theory: SourceTheory) -> GroundTheory:
     Instance labels are `<schema>#<c1,...,ck>` with variables taken in first
     occurrence order; variable-free schemas keep their label unchanged.
     Instances come in the order of the full grounding: schemas in written
-    order, each one's assignments in sorted order of the constants.  An
-    instance's literals are the table's own objects, found by position (see
-    `_template`), and a body literal that an assignment repeats (`p(X), p(Y)`
-    with X = Y) is kept once.  The superiority relation holds the pairs of
-    instances of related schemas whose heads conflict, the only pairs
-    inference consults.  The written labels and superiority statements are
-    kept for `validate`.
+    order, each one's assignments in sorted order of the constants.  The
+    instances of a schema with variables take the table's own objects as
+    literals, found by position (see `_template`), and a body literal that an
+    assignment repeats (`p(X), p(Y)` with X = Y) is kept once.  A
+    variable-free schema is handed over as written, so its literals are the
+    parser's objects: equal to the table's, but not the same objects.  The
+    superiority relation holds the pairs of instances of related schemas
+    whose heads conflict, the only pairs inference consults.  The written
+    labels and superiority statements are kept for `validate`.
     """
     constants, signatures, variables_of = _scan(theory)
     if any(variables_of) and not constants:

@@ -1,5 +1,4 @@
-"""Differential testing of the three semantics against each other, plus the
-chain-theory families used for scaling measurements.
+"""Differential testing of the three semantics against each other.
 
 Any disagreement between the engine, the metaprogram fixpoint, and the
 all-models consequences on a theory is a falsifying witness for one of the
@@ -10,18 +9,15 @@ hard failure: it carries the rendered theory and is re-runnable as-is.
 from __future__ import annotations
 
 import random
-import time
 from typing import NamedTuple, Optional
 
 from . import engine, metaprogram, modelcheck
 from .core import (
     ConclusionSet,
-    GroundTheory,
     Literal,
     Rule,
     RuleKind,
     SourceTheory,
-    Tag,
     TaggedConclusion,
     ground,
     lit,
@@ -130,61 +126,3 @@ def fuzz(
         if w is not None:
             witnesses.append(w)
     return witnesses
-
-
-def chain_theory(n: int, attack_every: int = 10) -> GroundTheory:
-    """A defeasible chain p0 => p1 => ... => pn with periodic attacks.
-
-    The fact p0 starts the chain; every `attack_every` steps an empty-bodied
-    attacker for ~pi is added together with a superiority statement in favour
-    of the chain rule, so clause (2.3) is exercised along the way while
-    +d pn stays derivable.  Structure grows linearly with n.
-    """
-    facts = (lit("p0"),)
-    rules = []
-    superiority = []
-    for i in range(1, n + 1):
-        label = f"c{i}"
-        rules.append(Rule(label, RuleKind.DEFEASIBLE, (lit(f"p{i-1}"),), lit(f"p{i}")))
-        if attack_every and i % attack_every == 0:
-            attacker = f"a{i}"
-            rules.append(Rule(attacker, RuleKind.DEFEASIBLE, (), neg(f"p{i}")))
-            superiority.append((label, attacker))
-    return ground(SourceTheory(facts, tuple(rules), tuple(superiority)))
-
-
-class BenchPoint(NamedTuple):
-    size: int
-    seconds: float
-    conclusions: int
-
-
-def bench_chain(
-    sizes: tuple[int, ...], attack_every: int = 10, repeats: int = 3
-) -> list[BenchPoint]:
-    """Time `derive_all` on chain theories of the given sizes and sanity-check
-    that the end of each chain is defeasibly proved.
-
-    Runs are interleaved across sizes, each size is timed `repeats` times, and
-    the fastest run per size is reported; scaling ratios from single runs are
-    dominated by allocator and scheduler noise.
-    """
-    theories = [chain_theory(n, attack_every) for n in sizes]
-    best: list[Optional[float]] = [None] * len(sizes)
-    counts = [0] * len(sizes)
-    for _ in range(max(1, repeats)):
-        for i, g in enumerate(theories):
-            start = time.perf_counter()
-            conclusions = engine.derive_all(g)
-            elapsed = time.perf_counter() - start
-            if best[i] is None or elapsed < best[i]:
-                best[i] = elapsed
-            counts[i] = len(conclusions)
-            end = TaggedConclusion(Tag.PLUS_PARTIAL, lit(f"p{sizes[i]}"))
-            if end not in conclusions:
-                raise AssertionError(
-                    f"chain of {sizes[i]} failed to prove its last link"
-                )
-    return [
-        BenchPoint(n, best[i], counts[i]) for i, n in enumerate(sizes)
-    ]

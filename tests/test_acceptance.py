@@ -4,16 +4,16 @@ Run as part of the normal suite; each test prints its pass/fail line outside
 pytest's capture so the verdicts are visible in any log.
 """
 
-import statistics
 import time
 
 import pytest
 
 from dlog import engine, metaprogram, modelcheck
 from dlog.core import ConclusionSet, Tag, ground
-from dlog.differential import chain_theory, fuzz, generate_random_theory
+from dlog.differential import fuzz, generate_random_theory
 from dlog.parser import parse_conclusion as c
 from dlog.parser import parse_theory
+from dlog.scaling import ROUNDS, bench_chain
 
 
 def report(capsys, n, ok, detail):
@@ -141,29 +141,13 @@ def test_criterion_5_model_theory(capsys):
     )
 
 
-SCALING_ROUNDS = 7
-
-
 def test_criterion_6_scaling(capsys):
-    # the gate is the median of paired ratios: each round times derive_all on
-    # the 50k chain and on the 100k one back to back, in alternating order,
-    # so a pair shares the machine's phase, and the median drops the rounds
-    # that a speed swing caught anyway.  A ratio of two best-of times can
-    # take its two minima from different phases (see `bench_chain`)
-    theories = {n: chain_theory(n) for n in (50_000, 100_000)}
-    times = {n: [] for n in theories}
-    for i in range(SCALING_ROUNDS):
-        for n in sorted(theories, reverse=i % 2 == 1):
-            start = time.perf_counter()
-            conclusions = engine.derive_all(theories[n])
-            times[n].append(time.perf_counter() - start)
-            if i == 0:  # each run is the same; a lookup indexes the whole table
-                assert c(f"+d p{n}") in conclusions
-    ratios = [t100 / t50 for t50, t100 in zip(times[50_000], times[100_000])]
-    ratio, t100 = statistics.median(ratios), statistics.median(times[100_000])
-    ok = t100 < 5.0 and ratio <= 2.5
+    # the gate is `bench_chain`'s statistic, the median of the 100k/50k ratios
+    # of derive_all times paired within each of its rounds (see dlog.scaling)
+    _, t100 = bench_chain((50_000, 100_000))
+    ok = t100.seconds < 5.0 and t100.ratio <= 2.5
     report(
         capsys, 6, ok,
-        f"100k rules in {t100:.2f} s (median), median ratio 100k/50k = {ratio:.2f} "
-        f"over {SCALING_ROUNDS} paired rounds ({min(ratios):.2f}-{max(ratios):.2f})",
+        f"100k rules in {t100.seconds:.2f} s (median), median ratio 100k/50k = {t100.ratio:.2f} "
+        f"over {ROUNDS} paired rounds",
     )

@@ -6,14 +6,10 @@ import pytest
 
 from dlog import engine, metaprogram
 from dlog.core import RuleKind, Tag, TaggedConclusion, ground, lit, neg, validate
-from dlog.differential import (
-    bench_chain,
-    chain_theory,
-    compare_semantics,
-    fuzz,
-    generate_random_theory,
-)
+from dlog import scaling
+from dlog.differential import compare_semantics, fuzz, generate_random_theory
 from dlog.parser import parse_theory, render_theory
+from dlog.scaling import bench_chain, chain_theory
 
 
 def test_generator_is_deterministic():
@@ -129,10 +125,41 @@ def test_chain_without_attacks():
 
 
 def test_bench_chain_reports_points():
-    pts = bench_chain((100, 200), repeats=1)
+    pts = bench_chain((100, 200))
     assert [p.size for p in pts] == [100, 200]
     assert all(p.seconds >= 0 for p in pts)
     assert all(p.conclusions > 0 for p in pts)
+    assert pts[0].ratio == 1.0
+
+
+def test_bench_chain_pairs_rounds(monkeypatch):
+    # a fake clock that each fake derive_all advances by the size's next
+    # scripted time, so the procedure is read without timing anything.  The
+    # per-round ratios of size 3 to size 2 are 4, 4, 4, 1, 2, 2, 2, whose
+    # median is 2; the ratio of the median times is 1 and of the best times 4
+    scripted = {2: [1, 1, 1, 4, 4, 4, 4], 3: [4, 4, 4, 4, 8, 8, 8]}
+    now, order, lookups = [0.0], [], []
+
+    class Conclusions:
+        def __len__(self):
+            return 7
+
+        def __contains__(self, conclusion):
+            lookups.append(conclusion)
+            return True
+
+    def derive_all(g):
+        size = len(g.rules)  # below the first attacker, one rule per link
+        order.append(size)
+        now[0] += scripted[size].pop(0)
+        return Conclusions()
+
+    monkeypatch.setattr(scaling.time, "perf_counter", lambda: now[0])
+    monkeypatch.setattr(scaling.engine, "derive_all", derive_all)
+    pts = bench_chain((2, 3))
+    assert order == [2, 3, 3, 2] * 3 + [2, 3]
+    assert pts == [scaling.BenchPoint(2, 4, 7, 1.0), scaling.BenchPoint(3, 4, 7, 2.0)]
+    assert [str(c) for c in lookups] == ["+d p2", "+d p3"]
 
 
 def circle_text(rng: random.Random, atoms: int, loops: int) -> str:

@@ -7,8 +7,8 @@ import sys
 from pathlib import Path
 
 from dlog.core import ground
-from dlog.differential import chain_theory
 from dlog.parser import parse_theory
+from dlog.scaling import chain_theory
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -61,7 +61,7 @@ PROBES = 5  # pace probes before a run's stages, and as many after
 
 
 def chain_text(links: int, attack_every: int = 10) -> str:
-    """The chain of `dlog.differential.chain_theory` as written text."""
+    """The chain of `dlog.scaling.chain_theory` as written text."""
     lines = ["p0."]
     for i in range(1, links + 1):
         lines.append(f"c{i}: p{i - 1} => p{i}.")
