@@ -124,7 +124,7 @@ def cmd_check(args, out) -> int:
     report = validate(g, allow_cyclic_superiority=args.allow_cycles)
     out.write(
         f"ok: {len(g.facts)} facts, {len(g.rules)} rules, "
-        f"{len(g.superiority)} superiority pairs, "
+        f"{len(g.positions.superiority)} superiority pairs, "
         f"base {len(g.literals)}\n"
     )
     for w in report.warnings:

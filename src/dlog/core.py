@@ -20,7 +20,12 @@ indexes read as a number in base |constants|; a literal's position is found
 by that arithmetic, never by hashing it.  `ground` hands the position of
 every rule head, body literal and fact over as `GroundTheory.positions`, and
 from there on a ground literal is named by its position: the engine reads
-integers only.  R[q], the rules with head q, is one index by head position
+integers only.  A rule is named by its index in `GroundTheory.rules`, and
+superiority is handed over in `positions` too, as the index pairs `(t, s)`
+for which rule t beats rule s; the engine, `check_derivation`, the model
+checker and the metaprogram all test `(t, s) in positions.superiority`.
+`GroundTheory.superiority` gives the same pairs as labels; no semantics
+reads it.  R[q], the rules with head q, is one index by head position
 (`GroundTheory.rules_at`), which `explain`, `check_derivation`, the model
 checker and the metaprogram share; each filters it by kind where its
 inference rule reads the strict rules R_s[q] or the supportive ones
@@ -243,17 +248,18 @@ class SourceTheory(NamedTuple):
 
 
 class Positions(NamedTuple):
-    """Where a ground theory's rules and facts sit in its literal table."""
+    """Where a ground theory's rules and facts sit in its literal table, and
+    the superiority relation over its rules by index."""
 
     heads: tuple[int, ...]  # heads[r]: the position of rule r's head
     bodies: tuple[tuple[int, ...], ...]  # bodies[r]: those of its body, in order
     facts: tuple[int, ...]
+    superiority: frozenset[tuple[int, int]]  # (t, s): rule t beats rule s
 
 
 class _GroundTheoryFields(NamedTuple):
     facts: frozenset[Literal]
     rules: tuple[Rule, ...]
-    superiority: frozenset[tuple[str, str]]
     constants: frozenset[str]
     literals: tuple[Literal, ...]  # the base; literals[i ^ 1] is the complement of literals[i]
     written_labels: tuple[str, ...]  # rule labels as written, one per schema
@@ -268,9 +274,10 @@ class GroundTheory(_GroundTheoryFields):
 
     `offsets` says where each `(predicate, arity)`'s atoms start in
     `literals`, and `positions` where every rule's head and body and every
-    fact sit there; `ground` fills both in.  The constant index that
-    `position` reads, and the rules by head position that `rules_at` reads,
-    are built once per theory, on first use."""
+    fact sit there, and which rules beat which; `ground` fills both in.  The
+    constant index that `position` reads, the rules by head position that
+    `rules_at` reads, and the superiority relation as label pairs are built
+    once per theory, on first use."""
 
     def position(self, literal: Literal) -> Optional[int]:
         """The position of a ground literal in `literals`, or None when it is
@@ -287,6 +294,13 @@ class GroundTheory(_GroundTheoryFields):
         for ri, h in enumerate(self.positions.heads):
             by_head.setdefault(h, []).append(ri)
         return by_head
+
+    @cached_property
+    def superiority(self) -> frozenset[tuple[str, str]]:
+        """`positions.superiority` as pairs of rule labels, built on first
+        use; no semantics reads it."""
+        rules = self.rules
+        return frozenset((rules[t].label, rules[s].label) for t, s in self.positions.superiority)
 
     @cached_property
     def herbrand_base(self) -> frozenset[Literal]:
@@ -340,9 +354,11 @@ def ground(theory: SourceTheory) -> GroundTheory:
     assignment repeats (`p(X), p(Y)` with X = Y) is kept once.  A
     variable-free schema is handed over as written, so its literals are the
     parser's objects: equal to the table's, but not the same objects.  The
-    superiority relation holds the pairs of instances of related schemas
-    whose heads conflict, the only pairs inference consults.  The written
-    labels and superiority statements are kept for `validate`.
+    superiority relation, `positions.superiority`, holds the index pairs of
+    instances of related schemas whose heads conflict, the only pairs
+    inference consults; with duplicate labels, every schema of a label is
+    related.  The written labels and superiority statements are kept for
+    `validate`.
     """
     constants, signatures, variables_of = _scan(theory)
     if any(variables_of) and not constants:
@@ -404,13 +420,12 @@ def ground(theory: SourceTheory) -> GroundTheory:
     return GroundTheory(
         facts=facts,
         rules=tuple(instances),
-        superiority=_conflicting_pairs(theory.superiority, members, instances, heads),
         constants=frozenset(constants),
         literals=literals,
         written_labels=tuple(r.label for r in theory.rules),
         written_superiority=tuple(theory.superiority),
         offsets=offsets,
-        positions=Positions(tuple(heads), tuple(bodies), tuple(fact_positions)),
+        positions=Positions(tuple(heads), tuple(bodies), tuple(fact_positions), _conflicting_pairs(theory.superiority, members, heads)),
     )
 
 
@@ -537,11 +552,10 @@ def _mark(live: bytearray, template: tuple[int, tuple[tuple[int, int], ...]], co
         live[s : s + inner * count : inner] = ones
 
 
-def _conflicting_pairs(statements, members, instances, heads) -> frozenset[tuple[str, str]]:
-    """The pairs of instance labels that a superiority statement relates and
+def _conflicting_pairs(statements, members, heads) -> frozenset[tuple[int, int]]:
+    """The pairs of instance indexes that a superiority statement relates and
     whose heads are complementary.  `members` maps a schema label to the
-    indexes of its instances in `instances`, and `heads` holds their head
-    positions.  Complementary heads are the positions `h` and `h ^ 1`; the
+    indexes of its instances, and `heads` holds their head positions.  Complementary heads are the positions `h` and `h ^ 1`; the
     instances of an inferior schema with more than one are indexed by head
     atom (`h >> 1`) on first use."""
     by_atom: dict[str, dict[int, list[int]]] = {}
@@ -557,7 +571,7 @@ def _conflicting_pairs(statements, members, instances, heads) -> frozenset[tuple
         for a in superior:
             for b in inferior if len(inferior) == 1 else by_atom[lo].get(heads[a] >> 1, ()):
                 if heads[a] ^ 1 == heads[b]:
-                    pairs.add((instances[a].label, instances[b].label))
+                    pairs.add((a, b))
     return frozenset(pairs)
 
 
@@ -668,7 +682,8 @@ def validate(g: GroundTheory, allow_cyclic_superiority: bool = False) -> Validat
     declared = Counter(g.written_labels)
     report.errors += [f"duplicate rule label {l}" for l, k in declared.items() if k > 1]
     # an instance label is its schema's label, or that label, "#" and the bindings
-    effective = {(hi.partition("#")[0], lo.partition("#")[0]) for hi, lo in g.superiority}
+    rules = g.rules
+    effective = {(rules[t].label.partition("#")[0], rules[s].label.partition("#")[0]) for t, s in g.positions.superiority}
     statements = sorted(set(g.written_superiority))
     undeclared = dict.fromkeys(l for pair in statements for l in pair if l not in declared)
     report.errors += [f"superiority references undeclared label {l}" for l in undeclared]

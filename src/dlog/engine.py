@@ -116,7 +116,7 @@ class _Propagation:
         inference rules to their fixpoint, appending each step to `order`;
         then check the result as `conclusions`."""
         n = len(self.literals)
-        head, bodies, facts = g.positions
+        head, bodies, facts, sup = g.positions
         rules = g.rules
         nr = len(rules)
         self.fact = fact = [False] * n
@@ -148,14 +148,9 @@ class _Propagation:
         # beats[t] = attackers s with head ~head(t) and t > s; for each such s,
         # t is one of its "live superiors" whose discard brings s closer to
         # winning its attack (clause 2.3 of the -d rule)
-        self.beats = beats = {}
+        beats = {}
         superiors = [0] * nr
-        sup = g.superiority
-        by_label = {r.label: i for i, r in enumerate(rules)} if sup else {}
-        for hi, lo in sup:
-            t, s = by_label.get(hi), by_label.get(lo)
-            if t is None or s is None:
-                continue
+        for t, s in sup:
             if is_sd[t] and head[s] == (head[t] ^ 1):
                 beats.setdefault(t, []).append(s)
                 superiors[s] += 1
@@ -370,6 +365,7 @@ def _justify(g: GroundTheory, prop: _Propagation, at: list[int], step: int) -> l
         return at[(l << 2) | c] < limit
 
     body, is_strict, is_sd, rules_at = prop.body, prop.is_strict, prop.is_sd, g.rules_at
+    sup = g.positions.superiority
     if code == _PD:
         if prop.fact[q]:
             return []
@@ -400,13 +396,13 @@ def _justify(g: GroundTheory, prop: _Propagation, at: list[int], step: int) -> l
         premises.append((comp_q << 2) | _MD)
         for s in rules_at(comp_q):
             # each attacker is either discarded or counter-attacked by a
-            # superior supportive rule (`beats` holds supportive rules only)
+            # superior supportive rule
             w = next((a for a in body[s] if before(_Md, a)), None)
             if w is not None:
                 premises.append((w << 2) | _Md)
                 continue
             for t in rules_at(q):
-                if s in prop.beats.get(t, ()) and all(before(_Pd, a) for a in body[t]):
+                if is_sd[t] and (t, s) in sup and all(before(_Pd, a) for a in body[t]):
                     premises.extend((a << 2) | _Pd for a in body[t])
                     break
             else:
@@ -435,7 +431,7 @@ def _justify(g: GroundTheory, prop: _Propagation, at: list[int], step: int) -> l
             continue
         counter = []
         for t in rules_at(q):
-            if s not in prop.beats.get(t, ()):
+            if not (is_sd[t] and (t, s) in sup):
                 continue  # t is not a supportive rule superior to s
             w = next((a for a in body[t] if before(_Md, a)), None)
             if w is None:
@@ -457,8 +453,8 @@ def check_derivation(g: GroundTheory, d: Iterable[TaggedConclusion]) -> CheckRes
     a literal outside the table gets one more pair after it.  The prefix is
     four flag arrays over positions, one per `Tag`, and a position's rules
     come from `GroundTheory.rules_at`, with the kind test of each inference
-    rule made here.  Superiority is read as label pairs.  A non-ground literal
-    is a `GroundingError`, as in `prove` and `explain`."""
+    rule made here.  A non-ground literal is a `GroundingError`, as in
+    `prove` and `explain`."""
     steps = list(d)
     n = len(g.literals)
     outside: dict[Atom, int] = {}  # atom -> the position of its pair after the table
@@ -481,8 +477,7 @@ def check_derivation(g: GroundTheory, d: Iterable[TaggedConclusion]) -> CheckRes
         fact[f] = 1
     rules_at = g.rules_at
     kinds = [r.kind for r in g.rules]
-    labels = [r.label for r in g.rules]
-    sup = g.superiority
+    sup = positions.superiority
 
     def supported(r: int) -> bool:
         return all(pd[a] for a in body[r])
@@ -513,7 +508,7 @@ def check_derivation(g: GroundTheory, d: Iterable[TaggedConclusion]) -> CheckRes
                 and all(
                     discarded(s)
                     or any(
-                        supported(t) and (labels[t], labels[s]) in sup for t in sd
+                        supported(t) and (t, s) in sup for t in sd
                     )
                     for s in rules_at(q ^ 1)
                 )
@@ -528,7 +523,7 @@ def check_derivation(g: GroundTheory, d: Iterable[TaggedConclusion]) -> CheckRes
                 or any(
                     supported(s)
                     and all(
-                        discarded(t) or (labels[t], labels[s]) not in sup
+                        discarded(t) or (t, s) not in sup
                         for t in sd
                     )
                     for s in rules_at(q ^ 1)

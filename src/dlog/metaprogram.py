@@ -123,9 +123,10 @@ def translate(g: GroundTheory) -> GroundMetaProgram:
                                defeated(s, ~q) :- defeasibly(v1), ...
 
     The attackers of a rule with head position h, and the rules that may
-    defeat it, are `g.rules_at(h ^ 1)`.
+    defeat it, are `g.rules_at(h ^ 1)`; t > s is `(t, s)` in
+    `g.positions.superiority`, by rule index.
     """
-    rules, (heads, bodies, facts) = g.rules, g.positions
+    rules, (heads, bodies, facts, sup) = g.rules, g.positions
     n = len(g.literals)
     overruled, defeated = 2 * n, 2 * n + len(rules)
     clauses: list[Clause] = [(q, ()) for q in sorted(facts)]
@@ -142,7 +143,7 @@ def translate(g: GroundTheory) -> GroundMetaProgram:
             clauses.append((overruled + r, (*[n + u for u in bodies[s]], ~(defeated + s))))
     for s, h in enumerate(heads):
         for t in g.rules_at(h ^ 1):
-            if rules[t].kind is not RuleKind.DEFEATER and (rules[t].label, rules[s].label) in g.superiority:
+            if rules[t].kind is not RuleKind.DEFEATER and (t, s) in sup:
                 clauses.append((defeated + s, tuple([n + v for v in bodies[t]])))
     return GroundMetaProgram(tuple(clauses), g)
 
@@ -177,10 +178,6 @@ def fitting_step(
                 value = v
         out.append(value)
     return out
-
-
-def all_unknown(p: GroundMetaProgram) -> ThreeValuedInterpretation:
-    return [U] * p.size
 
 
 @gc_paused

@@ -22,8 +22,8 @@ checked before enumeration.  The tests cross-check the routes against each
 other.
 
 Both routes read R[q] as `GroundTheory.rules_at` of q's position, pick its
-strict and supportive rules by kind, and read a rule's body and the facts'
-positions from `GroundTheory.positions`.
+strict and supportive rules by kind, and read a rule's body, the facts'
+positions and superiority by rule index from `GroundTheory.positions`.
 
 numpy is imported inside `_model_mask`, after the cap check, and nowhere
 else: it is the only function that builds status rows, and every other
@@ -102,7 +102,7 @@ def is_model(g: GroundTheory, delta: Sequence[int], partial: Sequence[int]) -> M
         bad = set(level) - {F, U, T}
         if bad:
             raise UsageError(f"status codes are F, U, T = 0, 1, 2; got {sorted(map(repr, bad))}")
-    rules, sup = g.rules, g.superiority
+    rules, sup = g.rules, g.positions.superiority
     bodies = g.positions.bodies
     fact = bytearray(len(base))
     for f in g.positions.facts:
@@ -111,9 +111,6 @@ def is_model(g: GroundTheory, delta: Sequence[int], partial: Sequence[int]) -> M
 
     def conj(level: Sequence[int], r: int) -> int:
         return min((level[a] for a in bodies[r]), default=T)
-
-    def beats(t: int, s: int) -> bool:
-        return (rules[t].label, rules[s].label) in sup
 
     def check(condition: str, j: int, status: bool, rhs: bool) -> None:
         if rhs and not status:
@@ -137,7 +134,7 @@ def is_model(g: GroundTheory, delta: Sequence[int], partial: Sequence[int]) -> M
                 and dcomp == F
                 and all(
                     conj(partial, s) == F
-                    or any(conj(partial, t) == T and beats(t, s) for t in sd)
+                    or any(conj(partial, t) == T and (t, s) in sup for t in sd)
                     for s in attackers
                 )
             ),
@@ -150,7 +147,7 @@ def is_model(g: GroundTheory, delta: Sequence[int], partial: Sequence[int]) -> M
                 or dcomp == T
                 or any(
                     conj(partial, s) == T
-                    and all(conj(partial, t) == F or not beats(t, s) for t in sd)
+                    and all(conj(partial, t) == F or (t, s) not in sup for t in sd)
                     for s in attackers
                 )
             ),
@@ -200,7 +197,7 @@ def _model_mask(
     per level."""
     cap = default_cap() if cap is None else cap
     base, rules = g.literals, g.rules
-    body = g.positions.bodies  # a rule's body columns
+    body, sup = g.positions.bodies, g.positions.superiority  # a rule's body columns; t > s by index
     fact = bytearray(len(base))
     for f in g.positions.facts:
         fact[f] = 1
@@ -257,7 +254,7 @@ def _model_mask(
                 defeated = np.zeros(n, dtype=bool)
                 no_live_superior = np.ones(n, dtype=bool)
                 for t in sd:
-                    if (rules[t].label, rules[s].label) in g.superiority:
+                    if (t, s) in sup:
                         defeated |= conj_p[t] == T
                         no_live_superior &= conj_p[t] == F
                 every_attack_countered &= (conj_p[s] == F) | defeated

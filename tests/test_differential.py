@@ -103,6 +103,22 @@ def test_fuzz_four_atoms_all_semantics():
     assert fuzz(200, seed=0, max_atoms=4, max_rules=12) == []
 
 
+def test_duplicate_labels_agree_without_validate():
+    # `validate` rejects a repeated label, but the semantics must not depend
+    # on it: superiority relates rules by index, so `r > s` reaches the first
+    # `r`, whose head conflicts with s's, in every semantics alike
+    from dlog import modelcheck
+
+    g = ground(parse_theory("r: => p. r: => q. s: => ~p. r > s."))
+    assert g.positions.superiority == {(0, 2)}
+    cs = engine.derive_all(g)
+    assert cs == metaprogram.conclusions(g) == modelcheck.logical_consequences(g)
+    goal = TaggedConclusion(Tag.PLUS_PARTIAL, lit("p"))
+    assert goal in cs
+    assert engine.prove(g, goal)
+    assert engine.check_derivation(g, engine.explain(g, goal)).valid
+
+
 def test_chain_theory_shape():
     g = chain_theory(20, attack_every=10)
     assert len(g.facts) == 1

@@ -385,13 +385,12 @@ def test_gc_state_is_restored(bird, enabled):
     broken = GroundTheory(
         facts=frozenset({lit("q")}),
         rules=(Rule("r", RuleKind.DEFEASIBLE, (), lit("q")),),
-        superiority=frozenset(),
         constants=frozenset(),
         literals=(lit("p"), neg("p")),
         written_labels=("r",),
         written_superiority=(),
         offsets={("p", 0): 0},
-        positions=Positions(heads=(2,), bodies=((),), facts=(2,)),
+        positions=Positions(heads=(2,), bodies=((),), facts=(2,), superiority=frozenset()),
     )
     calls = [lambda g, target: derive_all(g), prove, explain, lambda g, target: check_derivation(g, [target])]
     resume = gc.isenabled()

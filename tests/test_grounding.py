@@ -40,44 +40,45 @@ def substitute(literal: Literal, binding: dict[str, str]) -> Literal:
 
 
 def naive_ground(theory: SourceTheory) -> GroundTheory:
-    """Every schema over `constants^vars`, superiority as the cross product,
-    and the base of every written signature over the constants, sorted by text.
-    Positions are looked up in a dict over that table, and each signature's
-    offset is the position of its first literal there."""
+    """Every schema over `constants^vars`, superiority as the cross product of
+    the instance indexes of each statement's two schemas, and the base of
+    every written signature over the constants, sorted by text.  Positions
+    are looked up in a dict over that table, and each signature's offset is
+    the position of its first literal there."""
     constants = sorted(theory.constants)
     for f in theory.facts:
         if not f.is_ground():
             raise GroundingError(f"fact {f} contains a variable")
     instances: list[Rule] = []
-    instances_of: dict[str, list[str]] = {}
+    instances_of: dict[str, list[int]] = {}  # a schema label -> the indexes of its instances
     for schema in theory.rules:
         variables = schema.variables
         if variables and not constants:
             raise GroundingError(
                 f"rule {schema.label} has variables but the theory has no constants"
             )
-        labels = instances_of.setdefault(schema.label, [])
+        indexes = instances_of.setdefault(schema.label, [])
         if not variables:
+            indexes.append(len(instances))
             instances.append(schema)
-            labels.append(schema.label)
             continue
         for assignment in itertools.product(constants, repeat=len(variables)):
             binding = dict(zip(variables, assignment))
-            label = f"{schema.label}#{','.join(assignment)}"
+            indexes.append(len(instances))
             instances.append(
                 Rule(
-                    label=label,
+                    label=f"{schema.label}#{','.join(assignment)}",
                     kind=schema.kind,
                     body=tuple(substitute(l, binding) for l in schema.body),
                     head=substitute(schema.head, binding),
                 )
             )
-            labels.append(label)
-    expanded = set()
-    for hi, lo in theory.superiority:
-        for a in instances_of.get(hi, [hi]):
-            for b in instances_of.get(lo, [lo]):
-                expanded.add((a, b))
+    expanded = {
+        (a, b)
+        for hi, lo in theory.superiority
+        for a in instances_of.get(hi, ())
+        for b in instances_of.get(lo, ())
+    }
     signatures = {(l.atom.predicate, l.atom.arity) for l in theory._all_literals()}
     positives = sorted(
         (lit(predicate, *args) for predicate, arity in signatures for args in itertools.product(constants, repeat=arity)),
@@ -92,7 +93,6 @@ def naive_ground(theory: SourceTheory) -> GroundTheory:
     return GroundTheory(
         facts=facts,
         rules=tuple(instances),
-        superiority=frozenset(expanded),
         constants=frozenset(constants),
         literals=table,
         written_labels=tuple(r.label for r in theory.rules),
@@ -102,6 +102,7 @@ def naive_ground(theory: SourceTheory) -> GroundTheory:
             tuple(index[r.head] for r in instances),
             tuple(tuple(index[a] for a in r.body) for r in instances),
             tuple(index[f] for f in facts),
+            frozenset(expanded),
         ),
     )
 

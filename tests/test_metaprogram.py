@@ -20,7 +20,6 @@ from dlog.core import F, T, U, InternalError, ground, lit, neg
 from dlog.differential import generate_random_theory
 from dlog.metaprogram import (
     GroundMetaProgram,
-    all_unknown,
     conclusions,
     fitting_step,
     kunen_fixpoint,
@@ -37,7 +36,7 @@ def fitting_iteration(p):
     monotonicity), so the fixpoint is reached within #atoms + 1 steps; going
     past that bound means the step operator is broken.
     """
-    current = all_unknown(p)
+    current = [U] * p.size
     for _ in range(len(current) + 1):
         nxt = fitting_step(p, current)
         if nxt == current:
@@ -100,7 +99,7 @@ def test_fitting_step_monotone_on_information():
     # iterating never retracts them (checked internally by kunen_fixpoint)
     g = ground(parse_theory("a. r1: a -> b. r2: b => c. r3: => ~c."))
     p = translate(g)
-    i0 = all_unknown(p)
+    i0 = [U] * p.size
     i1 = fitting_step(p, i0)
     assert i1[g.position(lit("a"))] == T
     assert i1[g.position(neg("a"))] == F
@@ -112,7 +111,7 @@ def test_fitting_step_monotone_on_information():
     one = GroundMetaProgram(((q, (~a,)),), names)
     assert one.render() == "defeasibly(q) :- not definitely(a).\n"
     for v, expected in ((F, T), (U, U), (T, F)):
-        i = all_unknown(one)
+        i = [U] * one.size
         i[a] = v
         out = [F] * one.size
         out[q] = expected

@@ -21,7 +21,7 @@ def test_chain_text_is_chain_theory():
     for links, attack_every in ((20, 10), (23, 7)):
         written = ground(parse_theory(stages.chain_text(links, attack_every)))
         built = chain_theory(links, attack_every)
-        for name in ("rules", "superiority", "facts", "literals"):
+        for name in ("rules", "superiority", "facts", "literals", "positions"):
             assert getattr(written, name) == getattr(built, name), (links, attack_every, name)
 
 
