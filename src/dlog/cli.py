@@ -85,11 +85,19 @@ def _print_conclusions(g: GroundTheory, conclusions, out, as_json: bool, doc: di
     # the conclusions are four flag lists over the table, whose even positions
     # hold the positive literals in text order and whose odd ones hold their
     # complements (see GroundTheory.literals): a tag's literals in text order
-    # are the names at its even flags, then at its odd ones.  Each name is
+    # are the names at its even flags, then at its odd ones.  The atoms'
+    # names are made per signature, in table order, from the strings of the
+    # constants' product, so the table itself is not built.  Each name is
     # made once, as a str, which the cyclic GC does not track: a tuple per
     # conclusion set off collections that rescan the whole theory
-    flags = conclusions.over(g.literals)
-    atoms = [str(q.atom) for q in g.literals[0::2]]
+    flags = conclusions.over_theory(g)
+    constants = sorted(g.constants)
+    arguments = {0: [""]}  # arity -> "(c1,...,ck)" for each tuple of constants, in order
+    atoms = []
+    for predicate, arity in g.offsets:
+        if arity not in arguments:
+            arguments[arity] = [f"({','.join(args)})" for args in itertools.product(constants, repeat=arity)]
+        atoms += [predicate + args for args in arguments[arity]]
     names = atoms + [f"~{a}" for a in atoms]
     ordered = [held[0::2] + held[1::2] for held in flags]
     tagged = {tag.value: list(itertools.compress(names, held)) for tag, held in zip(Tag, ordered)}
@@ -123,9 +131,9 @@ def cmd_check(args, out) -> int:
     g = ground(parse_theory(_read(args.file)))
     report = validate(g, allow_cyclic_superiority=args.allow_cycles)
     out.write(
-        f"ok: {len(g.facts)} facts, {len(g.rules)} rules, "
+        f"ok: {len(g.facts)} facts, {len(g.kinds)} rules, "
         f"{len(g.positions.superiority)} superiority pairs, "
-        f"base {len(g.literals)}\n"
+        f"base {g.table_size}\n"
     )
     for w in report.warnings:
         out.write(f"warning: {w}\n")

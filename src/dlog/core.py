@@ -11,17 +11,22 @@ heads conflict.  Neither changes a conclusion or a model (see `ground`).
 Grounding works on integers: which literals are live is one flag per table
 position, and instances are joined over the constants' indexes.
 
-`GroundTheory.literals` is the Herbrand base, built once by `ground`: the
-positive literals in text order, each followed by its complement, so
-position `i ^ 1` holds the complement of position `i`.  Each written
-`(predicate, arity)` has a block of it starting at an offset
-(`GroundTheory.offsets`), in which an atom's place is its arguments' constant
-indexes read as a number in base |constants|; a literal's position is found
-by that arithmetic, never by hashing it.  `ground` hands the position of
-every rule head, body literal and fact over as `GroundTheory.positions`, and
-from there on a ground literal is named by its position: the engine reads
-integers only.  A rule is named by its index in `GroundTheory.rules`, and
-superiority is handed over in `positions` too, as the index pairs `(t, s)`
+The Herbrand base is a table: the positive literals in text order, each
+followed by its complement, so position `i ^ 1` holds the complement of
+position `i`.  Each written `(predicate, arity)` has a block of it starting
+at an offset (`GroundTheory.offsets`), in which an atom's place is its
+arguments' constant indexes read as a number in base |constants|; a
+literal's position is found by that arithmetic, never by hashing it.
+`ground` builds neither the table's literals nor a rule per instance.  It
+hands the position of every rule head, body literal and fact over as
+`GroundTheory.positions`, and each rule's schema index, bindings and kind as
+columns beside them; from there on a ground literal is named by its position
+and a rule by its index.  The derive path (`validate`, the engine,
+`check_derivation` and the command line's render) reads these integers
+only.  `GroundTheory.literals`, the table as `Literal`s, and
+`GroundTheory.rules`, the rules as `Rule`s, are each built once, on first
+read, for `explain`'s output, the model checker and the metaprogram.
+Superiority is handed over in `positions` too, as the index pairs `(t, s)`
 for which rule t beats rule s; the engine, `check_derivation`, the model
 checker and the metaprogram all test `(t, s) in positions.superiority`.
 `GroundTheory.superiority` gives the same pairs as labels; no semantics
@@ -31,8 +36,9 @@ checker and the metaprogram share; each filters it by kind where its
 inference rule reads the strict rules R_s[q] or the supportive ones
 R_sd[q].  The engine, the model checker and the metaprogram each give
 four flags per position (one per `Tag`), and a `ConclusionSet` is that table
-and those flags, the one readout of every oracle; the command line renders
-straight from the flags.  `herbrand_base` is a set view.  The model checker
+and those flags, the one readout of every oracle; the engine's reads the
+table only when a literal is named, and the command line renders straight
+from the flags.  `herbrand_base` is a set view.  The model checker
 and the metaprogram read three-valued truth as the codes `F, U, T = 0, 1, 2`
 defined here.
 
@@ -44,15 +50,16 @@ can be iterated, indexed and unpacked.  A record holding a dict
 rows (`modelcheck.ModelSet`) is not hashable.  A record that caches a value
 on first use (`GroundTheory`, `GroundMetaProgram`) is a subclass without
 `__slots__`, so it keeps a `__dict__` for `cached_property`.  `Rule`'s
-constructor deduplicates the body; `ground` builds its instances without it,
-their bodies already distinct.  The one mutable record, `ValidationReport`,
-is a plain class.
+constructor deduplicates the body; `GroundTheory.rules` builds its instances
+without it, their bodies already distinct.  The one mutable record,
+`ValidationReport`, is a plain class.
 
 `UsageError` and `CapExceededError`, which only the model oracle raises,
 are defined here too, so that the command line catches them without
 importing that oracle.
 
-`parse_theory`, `ground` and the engine's build and run hold the cyclic GC
+`parse_theory`, `ground`, the builds of `GroundTheory.literals` and
+`GroundTheory.rules`, and the engine's build and run hold the cyclic GC
 paused (`gc_paused`): each builds objects per rule and literal, none cyclic,
 and every collection those allocations set off rescans everything live.
 """
@@ -259,25 +266,50 @@ class Positions(NamedTuple):
 
 class _GroundTheoryFields(NamedTuple):
     facts: frozenset[Literal]
-    rules: tuple[Rule, ...]
     constants: frozenset[str]
-    literals: tuple[Literal, ...]  # the base; literals[i ^ 1] is the complement of literals[i]
-    written_labels: tuple[str, ...]  # rule labels as written, one per schema
+    schemas: tuple[Rule, ...]  # the rule schemas as written
     written_superiority: tuple[tuple[str, str], ...]  # statements as written
-    offsets: dict[tuple[str, int], int]
+    offsets: dict[tuple[str, int], int]  # in table order
     positions: Positions
+    # one entry per rule, beside `positions`: rule r instantiates
+    # schemas[schema_of[r]] with its variables, in first occurrence order,
+    # bound to the constants at indexes bindings[r] of the sorted constants
+    # (none for a variable-free schema), and its kind is kinds[r]
+    schema_of: tuple[int, ...]
+    bindings: tuple[tuple[int, ...], ...]
+    kinds: tuple[RuleKind, ...]
 
 
 class GroundTheory(_GroundTheoryFields):
-    """A propositional theory instantiated from the written one, its Herbrand
-    base, and the written rule labels and superiority statements.
+    """A propositional theory instantiated from the written one, as columns
+    over its Herbrand base, with the written rule schemas and superiority
+    statements.
 
-    `offsets` says where each `(predicate, arity)`'s atoms start in
-    `literals`, and `positions` where every rule's head and body and every
-    fact sit there, and which rules beat which; `ground` fills both in.  The
-    constant index that `position` reads, the rules by head position that
-    `rules_at` reads, and the superiority relation as label pairs are built
-    once per theory, on first use."""
+    `offsets` says where each `(predicate, arity)`'s atoms start in the
+    table, and `positions` where every rule's head and body and every fact
+    sit there, and which rules beat which; `ground` fills both in, with each
+    rule's schema, bindings and kind.  The table itself (`literals`), the
+    rules as `Rule`s (`rules`), the constant index that `position` reads, the
+    rules by head position that `rules_at` reads, and the superiority
+    relation as label pairs are built once per theory, on first use."""
+
+    @property
+    def table_size(self) -> int:
+        """The number of positions in the table, `len(literals)`, read off
+        the layout without building the table."""
+        return _table_size(self.offsets, len(self.constants))
+
+    @cached_property
+    def literals(self) -> tuple[Literal, ...]:
+        """The Herbrand base, built on first read: `literals[i ^ 1]` is the
+        complement of `literals[i]` (see `_literal_table`)."""
+        return _literal_table(self.offsets, sorted(self.constants))
+
+    @cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        """The rules as `Rule`s, in index order, built on first read (see
+        `_instances`)."""
+        return _instances(self)
 
     def position(self, literal: Literal) -> Optional[int]:
         """The position of a ground literal in `literals`, or None when it is
@@ -345,29 +377,29 @@ def ground(theory: SourceTheory) -> GroundTheory:
     over the constants last.  Each body position is computed once, for the
     live test, the dedupe and the instance.
 
-    Instance labels are `<schema>#<c1,...,ck>` with variables taken in first
-    occurrence order; variable-free schemas keep their label unchanged.
     Instances come in the order of the full grounding: schemas in written
-    order, each one's assignments in sorted order of the constants.  The
-    instances of a schema with variables take the table's own objects as
-    literals, found by position (see `_template`), and a body literal that an
-    assignment repeats (`p(X), p(Y)` with X = Y) is kept once.  A
-    variable-free schema is handed over as written, so its literals are the
-    parser's objects: equal to the table's, but not the same objects.  The
-    superiority relation, `positions.superiority`, holds the index pairs of
-    instances of related schemas whose heads conflict, the only pairs
-    inference consults; with duplicate labels, every schema of a label is
-    related.  The written labels and superiority statements are kept for
-    `validate`.
+    order, each one's assignments in sorted order of the constants.  Each is
+    handed over as columns: its head and body positions (`positions`), its
+    schema's index, its variables' constants as indexes into the sorted
+    constants (`bindings`, none for a variable-free schema) and its kind.  A
+    body position that an assignment repeats (`p(X), p(Y)` with X = Y) is
+    kept once.  No `Rule` and no `Literal` is built for an instance: the
+    table and the rules as `Rule`s are built on first read, and the derive
+    path reads neither (see `_instances`).  The superiority relation,
+    `positions.superiority`, holds the index pairs of instances of related
+    schemas whose heads conflict, the only pairs inference consults; with
+    duplicate labels, every schema of a label is related.  The written
+    schemas are kept, for `validate` and to build `rules`, and so are the
+    superiority statements, for `validate`.
     """
     constants, signatures, variables_of = _scan(theory)
     if any(variables_of) and not constants:
         schema = next(s for s, variables in zip(theory.rules, variables_of) if variables)
         raise GroundingError(f"rule {schema.label} has variables but the theory has no constants")
-    literals, offsets = _literal_table(signatures, constants)
+    offsets = _layout(signatures, len(constants))
     index = {c: i for i, c in enumerate(constants)}
     facts = frozenset(theory.facts)
-    live = bytearray(len(literals))  # the facts and every instance of a supportive head
+    live = bytearray(_table_size(offsets, len(constants)))  # the facts and every instance of a supportive head
     fact_positions = []
     fact_args: dict[tuple, list[tuple[str, ...]]] = {}
     for f in facts:
@@ -389,43 +421,44 @@ def ground(theory: SourceTheory) -> GroundTheory:
         {_signature(s.head) for s in theory.rules if s.kind is not RuleKind.DEFEATER} if any(variables_of) else set()
     )
 
-    new = tuple.__new__  # the bodies below are distinct positions: Rule's dedupe is done
-    instances: list[Rule] = []
     # the label of each schema that a superiority statement names -> the indexes of its instances
     members: dict[str, list[int]] = {label: [] for statement in theory.superiority for label in statement}
     heads: list[int] = []
     bodies: list[tuple[int, ...]] = []
-    for schema, variables, head in zip(theory.rules, variables_of, head_at):
+    schema_of: list[int] = []
+    bindings: list[tuple[int, ...]] = []
+    for s, (schema, variables, head) in enumerate(zip(theory.rules, variables_of, head_at)):
         related = members.get(schema.label)
         if not variables:
             body = tuple([_position(l, offsets, index) for l in schema.body])
             if all(map(live.__getitem__, body)):
                 if related is not None:
-                    related.append(len(instances))
-                instances.append(schema)
+                    related.append(len(heads))
                 heads.append(head)
                 bodies.append(body)
+                schema_of.append(s)
+                bindings.append(())
             continue
         slots = {v: k for k, v in enumerate(variables)}
         head = _template(schema.head, offsets, index, slots)
-        label, kind = f"{schema.label}#", schema.kind
         for values, body in _live_assignments(schema, slots, offsets, index, fact_args, head_signatures, live):
-            at = _instantiate(head, values)
             if related is not None:
-                related.append(len(instances))
-            name = label + ",".join([constants[i] for i in values])
-            instances.append(new(Rule, (name, kind, tuple(map(literals.__getitem__, body)), literals[at])))
-            heads.append(at)
+                related.append(len(heads))
+            heads.append(_instantiate(head, values))
             bodies.append(body)
+            schema_of.append(s)
+            bindings.append(values)
+    kind_of = [schema.kind for schema in theory.rules]
     return GroundTheory(
         facts=facts,
-        rules=tuple(instances),
         constants=frozenset(constants),
-        literals=literals,
-        written_labels=tuple(r.label for r in theory.rules),
+        schemas=tuple(theory.rules),
         written_superiority=tuple(theory.superiority),
         offsets=offsets,
         positions=Positions(tuple(heads), tuple(bodies), tuple(fact_positions), _conflicting_pairs(theory.superiority, members, heads)),
+        schema_of=tuple(schema_of),
+        bindings=tuple(bindings),
+        kinds=tuple([kind_of[s] for s in schema_of]),
     )
 
 
@@ -456,11 +489,33 @@ def _scan(theory: SourceTheory) -> tuple[list[str], list[tuple[str, int]], list[
     return sorted(constants), sorted(signatures), variables_of
 
 
-def _literal_table(signatures: list[tuple[str, int]], constants: list[str]) -> tuple[tuple[Literal, ...], dict[tuple[str, int], int]]:
-    """Both signs of every atom of the sorted `signatures` over the sorted
-    `constants`, the positive one first, and the position at which each
-    signature's atoms start.  Every ground fact, body and head literal is
-    among them: it instantiates a written literal over the same constants.
+def _layout(signatures: list[tuple[str, int]], count: int) -> dict[tuple[str, int], int]:
+    """The position at which each of the sorted `signatures` starts in the
+    table over `count` constants: both signs of each atom, one block per
+    signature, in order."""
+    offsets: dict[tuple[str, int], int] = {}
+    at = 0
+    for predicate, arity in signatures:
+        offsets[predicate, arity] = at
+        at += 2 * count**arity
+    return offsets
+
+
+def _table_size(offsets: dict[tuple[str, int], int], count: int) -> int:
+    """The number of positions in the table that `offsets` lays out over
+    `count` constants: where its last signature's block ends."""
+    if not offsets:
+        return 0
+    (_, arity), at = next(reversed(offsets.items()))
+    return at + 2 * count**arity
+
+
+@gc_paused
+def _literal_table(offsets: dict[tuple[str, int], int], constants: list[str]) -> tuple[Literal, ...]:
+    """Both signs of every atom of the signatures in `offsets` over the
+    sorted `constants`, the positive one first, each signature's block at
+    its offset.  Every ground fact, body and head literal is among them: it
+    instantiates a written literal over the same constants.
 
     The atoms come sorted by predicate, arity and arguments.  For the names
     the parser accepts, that is text order: `(`, `,` and `)` sort before
@@ -475,16 +530,35 @@ def _literal_table(signatures: list[tuple[str, int]], constants: list[str]) -> t
     # half on reach; the signatures of one arity share its argument tuples
     new = tuple.__new__
     table: list[Literal] = []
-    offsets: dict[tuple[str, int], int] = {}
     arguments: dict[int, list[tuple[str, ...]]] = {}
-    for predicate, arity in signatures:
-        offsets[predicate, arity] = len(table)
+    for predicate, arity in offsets:
         if arity not in arguments:
             arguments[arity] = list(itertools.product(constants, repeat=arity))
         for args in arguments[arity]:
             atom = new(Atom, (predicate, args))
             table += (new(Literal, (True, atom)), new(Literal, (False, atom)))
-    return tuple(table), offsets
+    return tuple(table)
+
+
+@gc_paused
+def _instances(g: GroundTheory) -> tuple[Rule, ...]:
+    """Each rule of `g` as a `Rule`.  A variable-free schema is its own one
+    instance, as written, so its literals are the parser's objects: equal to
+    the table's, but not the same objects.  An instance of a schema with
+    variables is labelled `<schema>#<c1,...,ck>`, its constants in the order
+    of its bindings, and takes the table's own objects as literals, found by
+    position."""
+    literals, constants, schemas = g.literals, sorted(g.constants), g.schemas
+    new = tuple.__new__  # the bodies are distinct positions: Rule's dedupe is done
+    rules = []
+    for s, values, head, body in zip(g.schema_of, g.bindings, g.positions.heads, g.positions.bodies):
+        schema = schemas[s]
+        if not values:
+            rules.append(schema)
+            continue
+        label = f"{schema.label}#{','.join([constants[i] for i in values])}"
+        rules.append(new(Rule, (label, schema.kind, tuple(map(literals.__getitem__, body)), literals[head])))
+    return tuple(rules)
 
 
 def _position(literal: Literal, offsets: dict[tuple[str, int], int], index: dict[str, int]) -> Optional[int]:
@@ -679,11 +753,10 @@ def validate(g: GroundTheory, allow_cyclic_superiority: bool = False) -> Validat
     so it has no effect.
     """
     report = ValidationReport()
-    declared = Counter(g.written_labels)
+    schemas, of = g.schemas, g.schema_of
+    declared = Counter(r.label for r in schemas)
     report.errors += [f"duplicate rule label {l}" for l, k in declared.items() if k > 1]
-    # an instance label is its schema's label, or that label, "#" and the bindings
-    rules = g.rules
-    effective = {(rules[t].label.partition("#")[0], rules[s].label.partition("#")[0]) for t, s in g.positions.superiority}
+    effective = {(schemas[of[t]].label, schemas[of[s]].label) for t, s in g.positions.superiority}
     statements = sorted(set(g.written_superiority))
     undeclared = dict.fromkeys(l for pair in statements for l in pair if l not in declared)
     report.errors += [f"superiority references undeclared label {l}" for l in undeclared]
@@ -776,12 +849,13 @@ class ConclusionSet:
     `Tag` order, where `flags[k][i]` says that the k-th tag holds of
     `table[i]`.  Coherence and containment are checked on construction, on
     the flags.  The per-tag sets, and the index from a literal to its
-    position, are built only when asked for."""
+    position, are built only when asked for; so is the table of a set made
+    over a ground theory's (`from_theory`)."""
 
     def __init__(self, conclusions: Iterable[TaggedConclusion]):
         held = dict.fromkeys(conclusions)
         table = tuple(dict.fromkeys(c.literal for c in held))
-        self._set(table, [[TaggedConclusion(tag, l) in held for l in table] for tag in Tag])
+        self._set([[TaggedConclusion(tag, l) in held for l in table] for tag in Tag], len(table), table)
 
     @classmethod
     def from_tag_sets(cls, by_tag: dict[Tag, frozenset[Literal]]) -> "ConclusionSet":
@@ -793,16 +867,36 @@ class ConclusionSet:
         `literals[i]` iff `holds[k][i]` is true, for one sequence of truth
         values per tag, such as a row of flags or a numpy bool column."""
         self = cls.__new__(cls)
-        self._set(literals, [list(flags) for flags in holds])
+        self._set([list(flags) for flags in holds], len(literals), literals)
         return self
 
-    def _set(self, table: Sequence[Literal], flags: list[list[bool]]) -> None:
-        if [len(f) for f in flags] != [len(table)] * len(Tag):
-            raise ValueError(f"expected {len(Tag)} flag sequences of length {len(table)}")
-        self._table = table
+    @classmethod
+    def from_theory(cls, g: GroundTheory, holds: list[list[bool]], extra: tuple[Literal, ...] = ()) -> "ConclusionSet":
+        """The conclusions over the table `g.literals + extra`, as
+        `from_table` gives them for the flag lists `holds`, which the set
+        keeps rather than copies.  The table is read from `g` only when a
+        literal is named: flags read by position (`over_theory`) do not
+        build it."""
+        self = cls.__new__(cls)
+        self._set(list(holds), g.table_size + len(extra), None, g, extra)
+        return self
+
+    def _set(self, flags: list[list[bool]], size: int, table: Optional[Sequence[Literal]],
+             theory: Optional[GroundTheory] = None, extra: tuple[Literal, ...] = ()) -> None:
+        if [len(f) for f in flags] != [size] * len(Tag):
+            raise ValueError(f"expected {len(Tag)} flag sequences of length {size}")
+        self._literals = table
+        self._theory, self._extra = theory, extra
         self._flags = flags
         self._index: Optional[dict[Literal, int]] = None
         self.verify_invariants()
+
+    @property
+    def _table(self) -> Sequence[Literal]:
+        if self._literals is None:
+            literals = self._theory.literals
+            self._literals = literals + self._extra if self._extra else literals
+        return self._literals
 
     def verify_invariants(self) -> None:
         pd, md, pp, mp = self._flags
@@ -823,6 +917,13 @@ class ConclusionSet:
         index = self._positions()
         at = [index.get(l) for l in literals]
         return [[i is not None and flags[i] for i in at] for flags in self._flags]
+
+    def over_theory(self, g: GroundTheory) -> list[list[bool]]:
+        """`over(g.literals)`, without building that table when it is this
+        set's own (`from_theory`)."""
+        if self._theory is g and not self._extra:
+            return self._flags
+        return self.over(g.literals)
 
     def _positions(self) -> dict[Literal, int]:
         if self._index is None:

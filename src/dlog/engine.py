@@ -33,11 +33,14 @@ the whole-run replay and every rendered output are the same either way.
 
 Literals are positions in the ground theory's table (`GroundTheory.literals`):
 the heads, bodies and facts come as positions from `ground`
-(`GroundTheory.positions`), and a query is located by position
-arithmetic (`GroundTheory.position`).  The four status flag lists over the
-table are the result (`ConclusionSet.from_table`).  `explain` slices the run
-by packed steps, indexed in one flat list over `(position << 2) | code`, and
-names literals only to return the derivation.  `check_derivation` locates each
+(`GroundTheory.positions`), the rule kinds as its kind column
+(`GroundTheory.kinds`), the table's size from its layout
+(`GroundTheory.table_size`), and a query is located by position arithmetic
+(`GroundTheory.position`).  The four status flag lists over the table are
+the result (`ConclusionSet.from_theory`), so a run builds the table only
+when something names a literal.  `explain` slices the run by packed steps,
+indexed in one flat list over `(position << 2) | code`, and names literals
+only to return the derivation.  `check_derivation` locates each
 step's literal once in the same way and replays the steps over four flag
 arrays by position.  Both find R[q] through `GroundTheory.rules_at` and test
 rule kinds in place, and both run with the cyclic GC paused.
@@ -48,6 +51,7 @@ of each tag in `Tag`.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import compress, count, islice, repeat
 from operator import not_, xor
 from typing import Iterable, NamedTuple, Optional
@@ -98,33 +102,40 @@ class _Propagation:
 
     @gc_paused
     def __init__(self, g: GroundTheory, query: Optional[Literal] = None):
-        literals = g.literals
+        self.g = g
+        self.size = g.table_size  # positions, the queried pair past the table included
         self.query: Optional[int] = None  # the queried literal's position
+        self.outside: tuple[Literal, ...] = ()  # the queried pair, when it is past the table
         if query is not None:
             if not query.is_ground():
                 raise GroundingError(f"queried literal {query} is not ground")
             self.query = g.position(query)
             if self.query is None:  # one more pair, after the table
                 positive = Literal(True, query.atom)
-                literals += (positive, positive.complement())
-                self.query = len(literals) - 2 + (not query.positive)
-        self.literals = literals
+                self.outside = (positive, positive.complement())
+                self.query = self.size + (not query.positive)
+                self.size += 2
         self._run(g)
+
+    @cached_property
+    def literals(self) -> tuple[Literal, ...]:
+        """The literal at each position, built on first read."""
+        return self.g.literals + self.outside if self.outside else self.g.literals
 
     def _run(self, g: GroundTheory) -> None:
         """Index the rules, settle the inert block, and propagate the four
         inference rules to their fixpoint, appending each step to `order`;
         then check the result as `conclusions`."""
-        n = len(self.literals)
+        n = self.size
         head, bodies, facts, sup = g.positions
-        rules = g.rules
-        nr = len(rules)
+        kinds = g.kinds
+        nr = len(kinds)
         self.fact = fact = [False] * n
         for f in facts:
             fact[f] = True
         self.body = bodies
-        self.is_strict = is_strict = [r.kind is _STRICT for r in rules]
-        self.is_sd = is_sd = [r.kind is not _DEFEATER for r in rules]
+        self.is_strict = is_strict = [k is _STRICT for k in kinds]
+        self.is_sd = is_sd = [k is not _DEFEATER for k in kinds]
 
         # literal -> rules mentioning it in the body, in ascending rule order
         occ: dict[int, list[int]] = {}
@@ -307,7 +318,7 @@ class _Propagation:
                     append((c << 2) | _Md)
 
         # the one coherence and containment check of the run
-        self.conclusions = ConclusionSet.from_table(self.literals, self.status)
+        self.conclusions = ConclusionSet.from_theory(g, self.status, self.outside)
 
     def holds(self, tag: Tag) -> bool:
         """Whether the run established `tag` of the queried literal."""
@@ -340,7 +351,7 @@ def explain(g: GroundTheory, c: TaggedConclusion) -> Derivation:
     order = prop.order
     # at[s]: the index in `order` of the packed step s, or len(order) when
     # the run never established it
-    at = [len(order)] * (4 * len(prop.literals))
+    at = [len(order)] * (4 * prop.size)
     for i, s in enumerate(order):
         at[s] = i
     needed = bytearray(len(at))
@@ -456,7 +467,7 @@ def check_derivation(g: GroundTheory, d: Iterable[TaggedConclusion]) -> CheckRes
     rule made here.  A non-ground literal is a `GroundingError`, as in
     `prove` and `explain`."""
     steps = list(d)
-    n = len(g.literals)
+    n = g.table_size
     outside: dict[Atom, int] = {}  # atom -> the position of its pair after the table
     at = []
     for c in steps:
@@ -476,7 +487,7 @@ def check_derivation(g: GroundTheory, d: Iterable[TaggedConclusion]) -> CheckRes
     for f in positions.facts:
         fact[f] = 1
     rules_at = g.rules_at
-    kinds = [r.kind for r in g.rules]
+    kinds = g.kinds
     sup = positions.superiority
 
     def supported(r: int) -> bool:

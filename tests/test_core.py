@@ -188,6 +188,20 @@ def test_validate_ok_with_warning_on_nonconflicting_pairs():
     assert report.warnings == ["superiority r4 > r2 relates no instances with conflicting heads"]
 
 
+def test_validate_reads_labels_containing_hash():
+    # a theory built in code may use any label; a schema is named by its
+    # index, not recovered from an instance label, so "a#1" is not read as
+    # an instance of a schema "a"
+    theory = SourceTheory(
+        rules=(Rule("a#1", RuleKind.DEFEASIBLE, (), lit("p")), Rule("b", RuleKind.DEFEASIBLE, (), neg("p"))),
+        superiority=(("a#1", "b"),),
+    )
+    g = ground(theory)
+    assert TaggedConclusion(Tag.PLUS_PARTIAL, lit("p")) in engine.derive_all(g)
+    report = validate(g)
+    assert report.ok and report.warnings == []
+
+
 @pytest.mark.parametrize(
     "text",
     [

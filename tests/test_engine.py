@@ -21,7 +21,6 @@ from dlog.core import (
     ValidationError,
     ground,
     lit,
-    neg,
     validate,
 )
 from dlog.differential import generate_random_theory
@@ -384,13 +383,14 @@ def test_gc_state_is_restored(bird, enabled):
     # (here: a fact and a rule head at a position past the table)
     broken = GroundTheory(
         facts=frozenset({lit("q")}),
-        rules=(Rule("r", RuleKind.DEFEASIBLE, (), lit("q")),),
         constants=frozenset(),
-        literals=(lit("p"), neg("p")),
-        written_labels=("r",),
+        schemas=(Rule("r", RuleKind.DEFEASIBLE, (), lit("q")),),
         written_superiority=(),
         offsets={("p", 0): 0},
         positions=Positions(heads=(2,), bodies=((),), facts=(2,), superiority=frozenset()),
+        schema_of=(0,),
+        bindings=((),),
+        kinds=(RuleKind.DEFEASIBLE,),
     )
     calls = [lambda g, target: derive_all(g), prove, explain, lambda g, target: check_derivation(g, [target])]
     resume = gc.isenabled()

@@ -11,6 +11,7 @@ import itertools
 import random
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -39,7 +40,18 @@ def substitute(literal: Literal, binding: dict[str, str]) -> Literal:
     return lit(literal.atom.predicate, *(binding.get(t, t) for t in literal.atom.args), positive=literal.positive)
 
 
-def naive_ground(theory: SourceTheory) -> GroundTheory:
+class Reference(NamedTuple):
+    """The naive grounding written out: every instance as a `Rule` with the
+    label of its schema, the base sorted by text, and the ground theory whose
+    columns hold them."""
+
+    instances: tuple[Rule, ...]
+    schema_labels: tuple[str, ...]
+    table: tuple[Literal, ...]
+    theory: GroundTheory
+
+
+def naive_reference(theory: SourceTheory) -> Reference:
     """Every schema over `constants^vars`, superiority as the cross product of
     the instance indexes of each statement's two schemas, and the base of
     every written signature over the constants, sorted by text.  Positions
@@ -50,24 +62,25 @@ def naive_ground(theory: SourceTheory) -> GroundTheory:
         if not f.is_ground():
             raise GroundingError(f"fact {f} contains a variable")
     instances: list[Rule] = []
+    schema_of: list[int] = []
+    bindings: list[tuple[int, ...]] = []
     instances_of: dict[str, list[int]] = {}  # a schema label -> the indexes of its instances
-    for schema in theory.rules:
+    for s, schema in enumerate(theory.rules):
         variables = schema.variables
         if variables and not constants:
             raise GroundingError(
                 f"rule {schema.label} has variables but the theory has no constants"
             )
         indexes = instances_of.setdefault(schema.label, [])
-        if not variables:
-            indexes.append(len(instances))
-            instances.append(schema)
-            continue
-        for assignment in itertools.product(constants, repeat=len(variables)):
+        for values in itertools.product(range(len(constants)), repeat=len(variables)):
+            assignment = [constants[i] for i in values]
             binding = dict(zip(variables, assignment))
             indexes.append(len(instances))
+            schema_of.append(s)
+            bindings.append(values)
             instances.append(
                 Rule(
-                    label=f"{schema.label}#{','.join(assignment)}",
+                    label=f"{schema.label}#{','.join(assignment)}" if variables else schema.label,
                     kind=schema.kind,
                     body=tuple(substitute(l, binding) for l in schema.body),
                     head=substitute(schema.head, binding),
@@ -90,12 +103,10 @@ def naive_ground(theory: SourceTheory) -> GroundTheory:
     for i, q in enumerate(table):
         offsets.setdefault((q.atom.predicate, q.atom.arity), i)
     facts = frozenset(theory.facts)
-    return GroundTheory(
+    g = GroundTheory(
         facts=facts,
-        rules=tuple(instances),
         constants=frozenset(constants),
-        literals=table,
-        written_labels=tuple(r.label for r in theory.rules),
+        schemas=tuple(theory.rules),
         written_superiority=tuple(theory.superiority),
         offsets=offsets,
         positions=Positions(
@@ -104,7 +115,17 @@ def naive_ground(theory: SourceTheory) -> GroundTheory:
             tuple(index[f] for f in facts),
             frozenset(expanded),
         ),
+        schema_of=tuple(schema_of),
+        bindings=tuple(bindings),
+        kinds=tuple(r.kind for r in instances),
     )
+    labels = tuple(theory.rules[s].label for s in schema_of)
+    return Reference(tuple(instances), labels, table, g)
+
+
+def naive_ground(theory: SourceTheory) -> GroundTheory:
+    """The naive grounding as a ground theory (see `naive_reference`)."""
+    return naive_reference(theory).theory
 
 
 CONSTANTS = ("a", "b", "c")
@@ -170,13 +191,34 @@ def test_relevance_grounding_matches_naive_grounding():
         if error is not None:
             continue
         checked += 1
+        reference = naive_reference(theory)
+        # the columns build the written-out instances and table
+        assert naive.rules == reference.instances, context
+        assert naive.literals == reference.table, context
         pruned += len(naive.rules) - len(g.rules)
         assert is_subsequence(g.rules, naive.rules), context
         # exactly the instances whose body literals are all facts or heads of
-        # strict and defeasible instances
+        # strict and defeasible instances, column by column
         live = set(naive.facts) | {r.head for r in naive.rules if r.kind is not RuleKind.DEFEATER}
-        assert g.rules == tuple(r for r in naive.rules if all(b in live for b in r.body)), context
-        assert g.literals == naive.literals, context
+        kept = [i for i, r in enumerate(reference.instances) if all(b in live for b in r.body)]
+        assert g.rules == tuple(reference.instances[i] for i in kept), context
+        assert g.literals == reference.table, context
+        assert list(g.offsets.items()) == list(naive.offsets.items()), context
+        heads, bodies, facts, sup = g.positions
+        assert heads == tuple(naive.positions.heads[i] for i in kept), context
+        assert bodies == tuple(naive.positions.bodies[i] for i in kept), context
+        assert sorted(facts) == sorted(naive.positions.facts), context
+        assert g.kinds == tuple(reference.instances[i].kind for i in kept), context
+        assert g.bindings == tuple(naive.bindings[i] for i in kept), context
+        assert g.schemas == naive.schemas and g.schema_of == tuple(naive.schema_of[i] for i in kept), context
+        assert [g.schemas[s].label for s in g.schema_of] == [reference.schema_labels[i] for i in kept], context
+        # the pairs of the cross product whose instances are kept and whose heads conflict
+        kept_at = {i: k for k, i in enumerate(kept)}
+        assert sup == {
+            (kept_at[a], kept_at[b])
+            for a, b in naive.positions.superiority
+            if a in kept_at and b in kept_at and naive.positions.heads[a] ^ 1 == naive.positions.heads[b]
+        }, context
         heads = {r.label: r.head for r in g.rules}
         assert g.superiority == {
             (hi, lo)

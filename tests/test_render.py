@@ -6,6 +6,7 @@ it read the conclusion flags by table position: it tests membership in each
 tag's set, literal by literal, and asks `undefined_levels` of every base
 literal."""
 
+import gc
 import io
 import json
 
@@ -13,7 +14,7 @@ import pytest
 
 from dlog import engine, modelcheck
 from dlog.cli import _print_conclusions, main
-from dlog.core import Tag, ground
+from dlog.core import Tag, ground, validate
 from dlog.differential import generate_random_theory
 from dlog.parser import parse_theory, render_theory
 from test_grounding import benchmark_texts
@@ -111,3 +112,30 @@ def test_hand_built_conclusions_render_over_the_base(bird):
         out = io.StringIO()
         _print_conclusions(bird, rebuilt, out, as_json)
         assert out.getvalue() == reference(bird, cs, as_json)
+
+
+@pytest.mark.parametrize("name", ["bird", "reach-1"])
+def test_derive_path_reads_columns_only(bird_text, name):
+    # `ground`, `validate`, `derive_all` and both renders of `derive` read
+    # the columns: neither the rules as `Rule`s nor the literal table is
+    # built.  What they leave behind forms no reference cycle, which only a
+    # collection would free: with the GC paused, dropping the theory and its
+    # conclusions leaves nothing unreachable.  (`json.dumps` with an indent
+    # leaves cycles of its own, collected before the drop.)
+    theory = parse_theory(bird_text if name == "bird" else benchmark_texts()[name])
+    resume = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        g = ground(theory)
+        validate(g)
+        conclusions = engine.derive_all(g)
+        for as_json in (False, True):
+            _print_conclusions(g, conclusions, io.StringIO(), as_json)
+        assert "rules" not in vars(g) and "literals" not in vars(g)
+        gc.collect()
+        del g, conclusions
+        assert gc.collect() == 0
+    finally:
+        if resume:
+            gc.enable()
