@@ -849,8 +849,9 @@ class ConclusionSet:
     `Tag` order, where `flags[k][i]` says that the k-th tag holds of
     `table[i]`.  Coherence and containment are checked on construction, on
     the flags.  The per-tag sets, and the index from a literal to its
-    position, are built only when asked for; so is the table of a set made
-    over a ground theory's (`from_theory`)."""
+    position, are built only when asked for.  A set over a ground theory's
+    table (`from_theory`) finds a literal by the theory's arithmetic, and
+    builds its table only when it names a literal."""
 
     def __init__(self, conclusions: Iterable[TaggedConclusion]):
         held = dict.fromkeys(conclusions)
@@ -925,6 +926,17 @@ class ConclusionSet:
             return self._flags
         return self.over(g.literals)
 
+    def _position(self, literal: Literal) -> Optional[int]:
+        """The literal's position in this set's table, or None: by the
+        theory's arithmetic for a set over a ground theory's table, whose
+        literals need not be built to be found."""
+        if self._theory is None:
+            return self._positions().get(literal)
+        at = self._theory.position(literal)
+        if at is None and literal in self._extra:
+            at = self._theory.table_size + self._extra.index(literal)
+        return at
+
     def _positions(self) -> dict[Literal, int]:
         if self._index is None:
             self._index = {l: i for i, l in enumerate(self._table)}
@@ -935,7 +947,7 @@ class ConclusionSet:
 
     def undefined_levels(self, literal: Literal) -> list[str]:
         """Which of the two levels carry no conclusion for this literal."""
-        i = self._positions().get(literal)
+        i = self._position(literal)
         if i is None:
             return ["definite", "partial"]
         pd, md, pp, mp = self._flags
@@ -947,7 +959,7 @@ class ConclusionSet:
         return levels
 
     def __contains__(self, c: TaggedConclusion) -> bool:
-        i = self._positions().get(c.literal)
+        i = self._position(c.literal)
         return i is not None and self._flags[_CODE[c.tag]][i]
 
     def __iter__(self) -> Iterator[TaggedConclusion]:

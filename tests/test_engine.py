@@ -160,6 +160,13 @@ def test_prove_extends_base(bird):
     with pytest.raises(NoDerivationError):
         explain(bird, c("+d newpred"))
     assert lit("newpred") not in bird.literals  # the table is left as it was
+    # the run's set finds the queried pair past the table as well as the
+    # table's literals, and no other
+    conclusions = _Propagation(bird, lit("newpred")).conclusions
+    assert c("-d ~newpred") in conclusions and c("+d newpred") not in conclusions
+    assert c("+d flies(tweety)") in conclusions and c("-d flies(tweety)") not in conclusions
+    assert conclusions.undefined_levels(lit("newpred")) == []
+    assert conclusions.undefined_levels(lit("zebra")) == ["definite", "partial"]
     for query in (prove, explain):
         with pytest.raises(GroundingError):
             query(bird, TaggedConclusion(Tag.MINUS_DELTA, lit("flies", "X")))
