@@ -92,9 +92,12 @@ def _print_conclusions(g: GroundTheory, conclusions, out, as_json: bool, doc: di
     # conclusion set off collections that rescan the whole theory
     flags = conclusions.over_theory(g)
     constants = sorted(g.constants)
-    arguments = {0: [""]}  # arity -> "(c1,...,ck)" for each tuple of constants, in order
+    arguments = {}  # arity -> "(c1,...,ck)" for each tuple of constants, in order
     atoms = []
     for predicate, arity in g.offsets:
+        if not arity:  # a propositional theory has one signature per atom
+            atoms.append(predicate)
+            continue
         if arity not in arguments:
             arguments[arity] = [f"({','.join(args)})" for args in itertools.product(constants, repeat=arity)]
         atoms += [predicate + args for args in arguments[arity]]
