@@ -293,7 +293,7 @@ class GroundTheory(_GroundTheoryFields):
     rules by head position that `rules_at` reads, and the superiority
     relation as label pairs are built once per theory, on first use."""
 
-    @property
+    @cached_property
     def table_size(self) -> int:
         """The number of positions in the table, `len(literals)`, read off
         the layout without building the table."""
