@@ -23,9 +23,9 @@ hands the position of every rule head, body literal and fact over as
 columns beside them; from there on a ground literal is named by its position
 and a rule by its index.  The derive path (`validate`, the engine,
 `check_derivation` and the command line's render) reads these integers
-only.  `GroundTheory.literals`, the table as `Literal`s, and
-`GroundTheory.rules`, the rules as `Rule`s, are each built once, on first
-read, for `explain`'s output, the model checker and the metaprogram.
+only, as do both oracles.  `GroundTheory.literals`, the table as `Literal`s,
+and `GroundTheory.rules`, the rules as `Rule`s, are each built once, on first
+read, where text is made: `explain`'s output and the oracles' atom names.
 Superiority is handed over in `positions` too, as the index pairs `(t, s)`
 for which rule t beats rule s; the engine, `check_derivation`, the model
 checker and the metaprogram all test `(t, s) in positions.superiority`.
@@ -35,10 +35,10 @@ reads it.  R[q], the rules with head q, is one index by head position
 checker and the metaprogram share; each filters it by kind where its
 inference rule reads the strict rules R_s[q] or the supportive ones
 R_sd[q].  The engine, the model checker and the metaprogram each give
-four flags per position (one per `Tag`), and a `ConclusionSet` is that table
-and those flags, the one readout of every oracle; the engine's reads the
-table only when a literal is named, and the command line renders straight
-from the flags.  `herbrand_base` is a set view.  The model checker
+four flags per position (one per `Tag`) to `ConclusionSet.from_theory`, the
+one readout of every oracle, which reads the table only to name a literal;
+the command line renders straight from the flags, and two sets over one
+theory compare by them.  `herbrand_base` is a set view.  The model checker
 and the metaprogram read three-valued truth as the codes `F, U, T = 0, 1, 2`
 defined here.
 
@@ -96,13 +96,12 @@ class UsageError(Exception):
 
 
 class CapExceededError(Exception):
-    """Model enumeration would build more interpretations than the cap."""
+    """Model enumeration would build more interpretations than the cap:
+    `width` status pairs for each of `n` base literals, `required = (width, n)`."""
 
-    def __init__(self, required: int, cap: int):
-        super().__init__(
-            f"enumeration needs {required} interpretations, cap is {cap}"
-        )
-        self.required = required
+    def __init__(self, width: int, n: int, cap: int):
+        super().__init__(f"enumeration needs {width}^{n} interpretations, cap is {cap}")
+        self.required = (width, n)
         self.cap = cap
 
 
@@ -850,8 +849,9 @@ class ConclusionSet:
     `table[i]`.  Coherence and containment are checked on construction, on
     the flags.  The per-tag sets, and the index from a literal to its
     position, are built only when asked for.  A set over a ground theory's
-    table (`from_theory`) finds a literal by the theory's arithmetic, and
-    builds its table only when it names a literal."""
+    table (`from_theory`), as every oracle builds, finds a literal by the
+    theory's arithmetic and builds its table only when it names a literal;
+    two sets over one theory compare by flags, any others by tag."""
 
     def __init__(self, conclusions: Iterable[TaggedConclusion]):
         held = dict.fromkeys(conclusions)
@@ -863,21 +863,11 @@ class ConclusionSet:
         return cls(TaggedConclusion(tag, l) for tag, lits in by_tag.items() for l in lits)
 
     @classmethod
-    def from_table(cls, literals: Sequence[Literal], holds: Iterable[Iterable[bool]]) -> "ConclusionSet":
-        """The conclusions over a literal table: the k-th `Tag` holds of
-        `literals[i]` iff `holds[k][i]` is true, for one sequence of truth
-        values per tag, such as a row of flags or a numpy bool column."""
-        self = cls.__new__(cls)
-        self._set([list(flags) for flags in holds], len(literals), literals)
-        return self
-
-    @classmethod
     def from_theory(cls, g: GroundTheory, holds: list[list[bool]], extra: tuple[Literal, ...] = ()) -> "ConclusionSet":
-        """The conclusions over the table `g.literals + extra`, as
-        `from_table` gives them for the flag lists `holds`, which the set
-        keeps rather than copies.  The table is read from `g` only when a
-        literal is named: flags read by position (`over_theory`) do not
-        build it."""
+        """The conclusions over the table `g.literals + extra`: the k-th `Tag`
+        holds at position i iff `holds[k][i]`.  The set keeps the flag lists
+        rather than copies them, and reads the table from `g` only when a
+        literal is named."""
         self = cls.__new__(cls)
         self._set(list(holds), g.table_size + len(extra), None, g, extra)
         return self
@@ -973,7 +963,7 @@ class ConclusionSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConclusionSet):
             return NotImplemented
-        if self._table is other._table or self._table == other._table:
+        if self._theory is not None and self._theory is other._theory and self._extra == other._extra:
             return self._flags == other._flags
         return all(self.with_tag(tag) == other.with_tag(tag) for tag in Tag)
 

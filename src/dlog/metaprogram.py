@@ -5,13 +5,13 @@ from all-unknown, which for finite ground programs coincides with Kunen's
 semantics.
 
 Atoms are numbered by arithmetic, as `core` numbers ground literals by table
-position.  For a theory with n base literals and m rules, `definitely(q)` is
-atom q and `defeasibly(q)` is n + q, for q a position in
-`GroundTheory.literals`; `overruled(r, head r)` is 2n + r and
-`defeated(s, head s)` is 2n + m + s, for r and s indexes into
-`GroundTheory.rules`.  A clause is a `(head, body)` pair of such numbers, and
-a negated (negation-as-failure) body literal is `~atom`.  Only
-`GroundMetaProgram.name` turns a number back into text.  Rules sharing a
+position.  For a theory with n base literals (`table_size`) and m rules
+(`kinds`), `definitely(q)` is atom q and `defeasibly(q)` is n + q, for q a
+table position; `overruled(r, head r)` is 2n + r and `defeated(s, head s)`
+is 2n + m + s, for r and s rule indexes.  A clause is a `(head, body)` pair
+of such numbers, and a negated (negation-as-failure) body literal is `~atom`.
+Only `GroundMetaProgram.name` turns a number back into text, and only it
+reads `GroundTheory.literals` and `rules`.  Rules sharing a
 label and a head get an `overruled` atom each; their clauses are the same,
 so are their values, and `validate` rejects duplicate labels anyway.
 
@@ -20,7 +20,7 @@ indexed by atom, the codes the model checker reads too.  A negated body
 literal reads T - v, a clause body the least code of its literals (T when it
 has none), and an atom the greatest code of its clauses' bodies (F when it
 heads none).  The fixpoint's slices `[0:n]` and `[n:2n]` are the definite
-and the defeasible level of the base.
+and the defeasible level, which `to_conclusions` hands to `from_theory`.
 
 This is the first of the two independent oracles for the engine: reading the
 fixpoint off as tagged conclusions must reproduce `engine.derive_all` on
@@ -42,14 +42,13 @@ the cyclic GC paused (`core.gc_paused`), as the engine does.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .core import (
     ConclusionSet,
     F,
     GroundTheory,
     InternalError,
-    Literal,
     RuleKind,
     T,
     U,
@@ -77,7 +76,7 @@ class GroundMetaProgram(_GroundMetaProgramFields):
     @property
     def size(self) -> int:
         """The number of atoms, 2n + 2m."""
-        return 2 * (len(self.theory.literals) + len(self.theory.rules))
+        return 2 * (self.theory.table_size + len(self.theory.kinds))
 
     @cached_property
     def clauses_by_head(self) -> list[list[Clause]]:
@@ -126,16 +125,16 @@ def translate(g: GroundTheory) -> GroundMetaProgram:
     defeat it, are `g.rules_at(h ^ 1)`; t > s is `(t, s)` in
     `g.positions.superiority`, by rule index.
     """
-    rules, (heads, bodies, facts, sup) = g.rules, g.positions
-    n = len(g.literals)
-    overruled, defeated = 2 * n, 2 * n + len(rules)
+    kinds, (heads, bodies, facts, sup) = g.kinds, g.positions
+    n = g.table_size
+    overruled, defeated = 2 * n, 2 * n + len(kinds)
     clauses: list[Clause] = [(q, ()) for q in sorted(facts)]
-    for r, rule in enumerate(rules):
-        if rule.kind is RuleKind.STRICT:
+    for r, kind in enumerate(kinds):
+        if kind is RuleKind.STRICT:
             clauses.append((heads[r], bodies[r]))
     clauses += [(n + q, (q,)) for q in range(n)]
-    for r, rule in enumerate(rules):
-        if rule.kind is RuleKind.DEFEATER:
+    for r, kind in enumerate(kinds):
+        if kind is RuleKind.DEFEATER:
             continue
         h = heads[r]
         clauses.append((n + h, (~(h ^ 1), *[n + a for a in bodies[r]], ~(overruled + r))))
@@ -143,7 +142,7 @@ def translate(g: GroundTheory) -> GroundMetaProgram:
             clauses.append((overruled + r, (*[n + u for u in bodies[s]], ~(defeated + s))))
     for s, h in enumerate(heads):
         for t in g.rules_at(h ^ 1):
-            if rules[t].kind is not RuleKind.DEFEATER and (t, s) in sup:
+            if kinds[t] is not RuleKind.DEFEATER and (t, s) in sup:
                 clauses.append((defeated + s, tuple([n + v for v in bodies[t]])))
     return GroundMetaProgram(tuple(clauses), g)
 
@@ -235,20 +234,16 @@ def kunen_fixpoint(p: GroundMetaProgram) -> ThreeValuedInterpretation:
     return value
 
 
-def to_conclusions(
-    i: ThreeValuedInterpretation, base: Sequence[Literal]
-) -> ConclusionSet:
-    """Read tagged conclusions off a fixpoint over `base`, the theory's
-    literal table: definitely(q) true/false gives +D/-D, defeasibly(q)
-    true/false gives +d/-d, unknown gives nothing."""
-    n = len(base)
+def to_conclusions(i: ThreeValuedInterpretation, g: GroundTheory) -> ConclusionSet:
+    """Read tagged conclusions off a fixpoint of `translate(g)`, over `g`'s
+    table: definitely(q) true/false gives +D/-D, defeasibly(q) true/false
+    gives +d/-d, unknown gives nothing."""
+    n = g.table_size
     levels = (i[:n], i[n : 2 * n])
-    return ConclusionSet.from_table(
-        base, [[v == want for v in values] for values in levels for want in (T, F)]
-    )
+    return ConclusionSet.from_theory(g, [[v == want for v in values] for values in levels for want in (T, F)])
 
 
 def conclusions(g: GroundTheory) -> ConclusionSet:
     """Convenience pipeline: translate, run to fixpoint, read off."""
     program = translate(g)
-    return to_conclusions(kunen_fixpoint(program), g.literals)
+    return to_conclusions(kunen_fixpoint(program), g)

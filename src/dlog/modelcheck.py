@@ -7,10 +7,10 @@ This is the second independent oracle for the engine: on every theory with a
 small enough base, `logical_consequences` must equal `engine.derive_all`.
 
 An interpretation has one encoding: two sequences of status codes over the
-table positions of `GroundTheory.literals`, the definite level and the
-defeasible one.  The codes are `core`'s F, U, T = 0, 1, 2, in truth order, U
-where the partial function is undefined, so a Kleene conjunction is the least
-code of its conjuncts; the metaprogram reads its fixpoint in the same codes.
+table positions, the definite level and the defeasible one.  The codes are
+`core`'s F, U, T = 0, 1, 2, in truth order, U where the partial function is
+undefined, so a Kleene conjunction is the least code of its conjuncts; the
+metaprogram reads its fixpoint in the same codes.
 
 Two model routes read that encoding on purpose, each with its own encoding
 of the closure conditions: `enumerate_interpretations` plus `is_model` is the
@@ -18,12 +18,15 @@ plain reference, one interpretation at a time; `models` grows numpy status
 rows one base column at a time and drops rows as soon as a literal's closure
 conditions can be checked.  A `ModelSet` row pair is an interpretation that
 `is_model` accepts.  `DLOG_CAP` still bounds the candidate space 6^|base|,
-checked before enumeration.  The tests cross-check the routes against each
-other.
+checked before enumeration (`_check_cap`).  The tests cross-check the
+routes against each other.
 
 Both routes read R[q] as `GroundTheory.rules_at` of q's position, pick its
-strict and supportive rules by kind, and read a rule's body, the facts'
-positions and superiority by rule index from `GroundTheory.positions`.
+strict and supportive rules by `GroundTheory.kinds`, and read a rule's body,
+the facts' positions and superiority by rule index from
+`GroundTheory.positions`.  Only a violation that `is_model` records reads
+`GroundTheory.literals`, and `ModelSet.consequences` hands its flags to
+`ConclusionSet.from_theory`, which `dlog models` renders as `derive` does.
 
 numpy is imported inside `_model_mask`, after the cap check, and nowhere
 else: it is the only function that builds status rows, and every other
@@ -95,16 +98,16 @@ def is_model(g: GroundTheory, delta: Sequence[int], partial: Sequence[int]) -> M
     and in direction "only-if" when the status holds without the right-hand
     side (not abductively closed: a status with no reason for it).
     """
-    base = g.literals
+    size = g.table_size
     for level in (delta, partial):
-        if len(level) != len(base):
-            raise UsageError(f"expected {len(base)} status codes per level, got {len(level)}")
+        if len(level) != size:
+            raise UsageError(f"expected {size} status codes per level, got {len(level)}")
         bad = set(level) - {F, U, T}
         if bad:
             raise UsageError(f"status codes are F, U, T = 0, 1, 2; got {sorted(map(repr, bad))}")
-    rules, sup = g.rules, g.positions.superiority
+    kinds, sup = g.kinds, g.positions.superiority
     bodies = g.positions.bodies
-    fact = bytearray(len(base))
+    fact = bytearray(size)
     for f in g.positions.facts:
         fact[f] = 1
     violations: list[tuple[str, Literal, str]] = []
@@ -114,13 +117,13 @@ def is_model(g: GroundTheory, delta: Sequence[int], partial: Sequence[int]) -> M
 
     def check(condition: str, j: int, status: bool, rhs: bool) -> None:
         if rhs and not status:
-            violations.append((condition, base[j], "if"))
+            violations.append((condition, g.literals[j], "if"))
         elif status and not rhs:
-            violations.append((condition, base[j], "only-if"))
+            violations.append((condition, g.literals[j], "only-if"))
 
-    for j in range(len(base)):
-        sd = [r for r in g.rules_at(j) if rules[r].kind is not RuleKind.DEFEATER]
-        strict = [r for r in sd if rules[r].kind is RuleKind.STRICT]
+    for j in range(size):
+        sd = [r for r in g.rules_at(j) if kinds[r] is not RuleKind.DEFEATER]
+        strict = [r for r in sd if kinds[r] is RuleKind.STRICT]
         attackers = g.rules_at(j ^ 1)
         dq, pq, dcomp = delta[j], partial[j], delta[j ^ 1]
 
@@ -154,9 +157,9 @@ def is_model(g: GroundTheory, delta: Sequence[int], partial: Sequence[int]) -> M
         )
 
         if dq == T and pq != T:
-            violations.append(("epistemic-1", base[j], "if"))
+            violations.append(("epistemic-1", g.literals[j], "if"))
         if pq == F and dq != F:
-            violations.append(("epistemic-2", base[j], "if"))
+            violations.append(("epistemic-2", g.literals[j], "if"))
     return ModelReport(tuple(violations))
 
 
@@ -166,18 +169,23 @@ _WELL_FORMED_PAIRS = ((T, T), (F, T), (F, F), (F, U), (U, T), (U, U))
 _EXTRA_PAIRS = ((T, F), (T, U), (U, F))
 
 
+def _check_cap(width: int, n: int, cap: Optional[int]) -> None:
+    """Raise `CapExceededError` when `width ** n` exceeds the cap (`DLOG_CAP`
+    when None).  Past the cap's bit length `width ** n >= 2 ** n > cap`, so
+    the power, which may have thousands of digits, is not built there."""
+    cap = default_cap() if cap is None else cap
+    if n > cap.bit_length() or width**n > cap:
+        raise CapExceededError(width, n, cap)
+
+
 def enumerate_interpretations(
     g: GroundTheory, cap: Optional[int] = None
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Yield every interpretation over the base exactly once, as its
     `(delta, partial)` status codes in table order, using the 6
     epistemically admissible status pairs per literal."""
-    cap = default_cap() if cap is None else cap
-    n = len(g.literals)
-    required = len(_WELL_FORMED_PAIRS) ** n
-    if required > cap:
-        raise CapExceededError(required, cap)
-    for assignment in itertools.product(_WELL_FORMED_PAIRS, repeat=n):
+    _check_cap(len(_WELL_FORMED_PAIRS), g.table_size, cap)
+    for assignment in itertools.product(_WELL_FORMED_PAIRS, repeat=g.table_size):
         yield tuple(a[0] for a in assignment), tuple(a[1] for a in assignment)
 
 
@@ -192,20 +200,17 @@ def _conj_columns(values: np.ndarray, idx: list[int]) -> np.ndarray:
 
 def _model_mask(
     g: GroundTheory, cap: Optional[int], well_formed_only: bool = True
-) -> tuple[tuple[Literal, ...], np.ndarray, np.ndarray]:
-    """The base in table order, and every model as one row of status codes
-    per level."""
-    cap = default_cap() if cap is None else cap
-    base, rules = g.literals, g.rules
+) -> tuple[GroundTheory, np.ndarray, np.ndarray]:
+    """The theory, and every model of it as one row of status codes per
+    level, in table order."""
+    size, kinds = g.table_size, g.kinds
     body, sup = g.positions.bodies, g.positions.superiority  # a rule's body columns; t > s by index
-    fact = bytearray(len(base))
-    for f in g.positions.facts:
-        fact[f] = 1
     pairs = _WELL_FORMED_PAIRS if well_formed_only else _WELL_FORMED_PAIRS + _EXTRA_PAIRS
     width = len(pairs)
-    n = width ** len(base)
-    if n > cap:
-        raise CapExceededError(n, cap)
+    _check_cap(width, size, cap)
+    fact = bytearray(size)
+    for f in g.positions.facts:
+        fact[f] = 1
     try:
         import numpy as np
     except ImportError as e:
@@ -214,9 +219,9 @@ def _model_mask(
     partial_codes = np.array([p[1] for p in pairs], dtype=np.int8)
     # literal j's conditions read columns j and j ^ 1 and the bodies of its
     # supportive rules and attackers; they apply once all these are assigned
-    supportive = [r.kind is not RuleKind.DEFEATER for r in rules]
-    ready: list[list[int]] = [[] for _ in base]
-    for j in range(len(base)):
+    supportive = [kind is not RuleKind.DEFEATER for kind in kinds]
+    ready: list[list[int]] = [[] for _ in range(size)]
+    for j in range(size):
         read = [r for r in g.rules_at(j) if supportive[r]] + g.rules_at(j ^ 1)
         ready[max([j | 1, *(a for r in read for a in body[r])])].append(j)
     delta = partial = np.zeros((1, 0), dtype=np.int8)
@@ -226,7 +231,7 @@ def _model_mask(
         partial = np.column_stack((np.repeat(partial, width, axis=0), np.tile(partial_codes, rows)))
         for j in checked:
             sd = [r for r in g.rules_at(j) if supportive[r]]
-            strict = [r for r in sd if rules[r].kind is RuleKind.STRICT]
+            strict = [r for r in sd if kinds[r] is RuleKind.STRICT]
             attackers = g.rules_at(j ^ 1)
             conj_d = {r: _conj_columns(delta, list(body[r])) for r in strict}
             conj_p = {r: _conj_columns(partial, list(body[r])) for r in sd + attackers}
@@ -264,7 +269,7 @@ def _model_mask(
             rhs = (dq == F) & (all_supportive_fail | (dcomp == T) | some_attack_wins)
             mask &= (pq == F) == rhs
             delta, partial = delta[mask], partial[mask]
-    return base, delta, partial
+    return g, delta, partial
 
 
 def closure_forces_epistemic(g: GroundTheory, cap: Optional[int] = None) -> bool:
@@ -279,9 +284,10 @@ def closure_forces_epistemic(g: GroundTheory, cap: Optional[int] = None) -> bool
 
 class ModelSet(NamedTuple):
     """Every model of a theory: row i of `delta` and of `partial` holds the
-    status codes (F, U, T) of model i over `base`, in table order."""
+    status codes (F, U, T) of model i over `theory`'s table, in table
+    order."""
 
-    base: tuple[Literal, ...]
+    theory: GroundTheory
     delta: np.ndarray
     partial: np.ndarray
 
@@ -292,7 +298,7 @@ class ModelSet(NamedTuple):
             raise InternalError("theory has no models; the model conditions are broken")
         d, p = self.delta, self.partial
         holds = (d == T, d == F, p == T, p == F)
-        return ConclusionSet.from_table(self.base, [column.all(axis=0).tolist() for column in holds])
+        return ConclusionSet.from_theory(self.theory, [column.all(axis=0).tolist() for column in holds])
 
 
 def models(g: GroundTheory, cap: Optional[int] = None) -> ModelSet:

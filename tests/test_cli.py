@@ -21,7 +21,8 @@ from dlog.cli import (
 )
 from dlog.core import Tag, ground
 from dlog.engine import derive_all
-from dlog.parser import parse_theory
+from dlog.parser import parse_theory, render_theory
+from dlog.scaling import chain_theory
 from test_grounding import naive_ground
 
 
@@ -279,6 +280,18 @@ def test_models_cap_env(tmp_path, monkeypatch, capsys):
     code, _ = run(["models", str(f)])
     assert code == EXIT_CAP
     capsys.readouterr()
+
+
+def test_models_cap_on_a_large_base(tmp_path, monkeypatch, capsys):
+    # the 3,000-link chain's base has 6,002 literals: 6^6002 has more digits
+    # than an int may have to become a str, so the cap is checked without it
+    monkeypatch.delenv("DLOG_CAP", raising=False)
+    f = tmp_path / "chain.dl"
+    f.write_text(render_theory(chain_theory(3000)))
+    code, out = run(["models", str(f)])
+    assert code == EXIT_CAP and out == ""
+    err = capsys.readouterr().err
+    assert err == "error: enumeration needs 6^6002 interpretations, cap is 2000000\n"
 
 
 def test_validation_error_exit(tmp_path):

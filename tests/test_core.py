@@ -2,7 +2,6 @@
 
 import itertools
 
-import numpy as np
 import pytest
 
 from dlog import engine, metaprogram, modelcheck
@@ -314,12 +313,12 @@ def test_conclusion_set_equality():
     assert a != ConclusionSet([])
 
 
-def test_from_table_enforces_invariants():
-    table = (lit("p"), neg("p"))
+def test_from_theory_enforces_invariants():
+    g = ground(parse_theory("p."))  # its table is (p, ~p)
     with pytest.raises(InternalError, match="coherence"):  # +D and -D of p
-        ConclusionSet.from_table(table, [[True, False], [True, False], [True, False], [False, False]])
+        ConclusionSet.from_theory(g, [[True, False], [True, False], [True, False], [False, False]])
     with pytest.raises(InternalError, match="containment"):  # +D without +d
-        ConclusionSet.from_table(table, [[True, False], [False, False], [False, False], [False, False]])
+        ConclusionSet.from_theory(g, [[True, False], [False, False], [False, False], [False, False]])
 
 
 @pytest.mark.parametrize(
@@ -333,18 +332,24 @@ def test_from_table_enforces_invariants():
     ids=["definite-coherence", "defeasible-coherence", "plus-containment", "minus-containment"],
 )
 def test_flags_breaking_invariants_raise(flags, message):
-    # the checks run on the flags; each breach is an InternalError
-    table = (lit("p"), neg("p"))
+    # the checks run on the flags; each breach is an InternalError, which
+    # names the literals of the theory's table (p, ~p)
+    g = ground(parse_theory("p."))
     with pytest.raises(InternalError, match=f"^{message}$"):
-        ConclusionSet.from_table(table, [[bool(v) for v in row] for row in flags])
+        ConclusionSet.from_theory(g, [[bool(v) for v in row] for row in flags])
 
 
-def test_from_table_matches_conclusion_set(bird):
+def test_from_theory_matches_conclusion_set(bird, bird_text):
     cs = engine.derive_all(bird)
     flags = [[l in cs.with_tag(tag) for l in bird.literals] for tag in Tag]
-    assert ConclusionSet.from_table(bird.literals, flags) == ConclusionSet(list(cs)) == cs
-    # numpy bool columns, as the model checker passes them
-    assert ConclusionSet.from_table(bird.literals, list(np.array(flags, dtype=bool))) == cs
+    assert ConclusionSet.from_theory(bird, flags) == ConclusionSet(list(cs)) == cs
+    # over another grounding of the same text, the sets compare by tag
+    again = ground(parse_theory(bird_text))
+    assert ConclusionSet.from_theory(again, flags) == cs
+    # over the same theory, by flags: drop +d flies(tweety)
+    flags[2][bird.position(lit("flies", "tweety"))] = False
+    assert ConclusionSet.from_theory(bird, flags) != cs
+    assert ConclusionSet.from_theory(again, flags) != cs
 
 
 def test_herbrand_base_stays_lazy(bird_text):

@@ -1,15 +1,28 @@
 """Cross-semantics fuzzing and the chain-theory scaling family."""
 
+import io
 import random
 
 import pytest
 
-from dlog import engine, metaprogram
-from dlog.core import RuleKind, Tag, TaggedConclusion, ground, lit, neg, validate
+from dlog import engine, metaprogram, modelcheck
+from dlog.cli import _print_conclusions
+from dlog.core import (
+    GroundingError,
+    RuleKind,
+    Tag,
+    TaggedConclusion,
+    ValidationError,
+    ground,
+    lit,
+    neg,
+    validate,
+)
 from dlog import scaling
 from dlog.differential import compare_semantics, fuzz, generate_random_theory
 from dlog.parser import parse_theory, render_theory
 from dlog.scaling import bench_chain, chain_theory
+from test_grounding import random_first_order_theory
 
 
 def test_generator_is_deterministic():
@@ -86,6 +99,49 @@ def test_compare_semantics_witness_from_models(monkeypatch):
     assert w is not None
     assert [str(c) for c in w.disagreements] == ["+d p"]
     assert w.metaprogram_conclusions == w.engine_conclusions
+
+
+def test_oracles_read_columns_only(bird_text, monkeypatch):
+    # the metaprogram, the model set, the comparison of their sets with the
+    # engine's and the render of `models --consequences` read the columns:
+    # neither the rules as `Rule`s nor the literal table is built, on the
+    # bird fixture, 50 random propositional theories and 20 first-order ones
+    # (those that ground and validate)
+    import dlog.differential as d
+
+    theories = [parse_theory(bird_text)]
+    theories += [generate_random_theory(seed, 3, 10) for seed in range(50)]
+    theories += [random_first_order_theory(seed) for seed in range(20)]
+    cap = modelcheck.DEFAULT_CAP
+    checked = []  # (theory, whether its models are within the cap)
+    for theory in theories:
+        try:
+            g = ground(theory)
+            validate(g)
+        except (GroundingError, ValidationError):
+            continue
+        within = 6**g.table_size <= cap
+        from_engine = engine.derive_all(g)
+        assert metaprogram.conclusions(g) == from_engine
+        if within:
+            from_models = modelcheck.logical_consequences(g, cap)
+            assert from_models == from_engine
+            _print_conclusions(g, from_models, io.StringIO(), False)
+        assert "rules" not in vars(g) and "literals" not in vars(g), render_theory(theory)
+        checked.append((theory, within))
+    assert len(checked) >= 60 and sum(within for _, within in checked) >= 50
+    # and `compare_semantics` itself, on the theory it grounds
+    kept = []
+
+    def keep(theory):
+        kept.append(ground(theory))
+        return kept[-1]
+
+    monkeypatch.setattr(d, "ground", keep)
+    for theory, within in checked:
+        assert compare_semantics(theory, include_models=within, cap=cap) is None
+        assert "rules" not in vars(kept[-1]) and "literals" not in vars(kept[-1]), render_theory(theory)
+    assert len(kept) == len(checked)
 
 
 def test_fuzz_runs_clean():

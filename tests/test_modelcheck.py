@@ -288,7 +288,8 @@ def test_closure_forces_epistemic_enumerates_nine_pairs():
     # checked against all of them before anything is built
     with pytest.raises(CapExceededError) as e:
         closure_forces_epistemic(g("p."), cap=80)
-    assert e.value.required == 9 ** 2
+    assert e.value.required == (9, 2)
+    assert str(e.value) == "enumeration needs 9^2 interpretations, cap is 80"
     assert closure_forces_epistemic(g("p."), cap=81)
 
 
@@ -296,9 +297,24 @@ def test_cap_enforced():
     theory = g("p. q. r. s.")  # base of 8 literals: 6^8 > 1000
     with pytest.raises(CapExceededError) as e:
         count_models(theory, cap=1000)
-    assert e.value.required == 6 ** 8
+    assert e.value.required == (6, 8)
     with pytest.raises(CapExceededError):
         list(enumerate_interpretations(theory, cap=1000))
+
+
+def test_cap_check_builds_no_large_power():
+    # the message names the power: 6^6002 has 4,671 digits, past CPython's
+    # limit on converting an int to str, so it must not be formatted
+    with pytest.raises(CapExceededError) as e:
+        mc._check_cap(6, 6002, 2_000_000)
+    assert str(e.value) == "enumeration needs 6^6002 interpretations, cap is 2000000"
+    # at the bit-length boundary the power is compared exactly
+    mc._check_cap(6, 2, 36)
+    mc._check_cap(2, 6, 64)  # 64 has 7 bits
+    mc._check_cap(6, 0, 1)
+    for width, n, cap in ((6, 2, 35), (2, 7, 127), (6, 1, 1)):
+        with pytest.raises(CapExceededError):
+            mc._check_cap(width, n, cap)
 
 
 def test_cap_env_override(monkeypatch):

@@ -125,9 +125,9 @@ def measure_models(texts: list[str]) -> dict:
             seconds[f"{s}_s"] += b - a
         sizes["theories"] += 1
         sizes["input_bytes"] += len(text.encode())
-        sizes["rules"] += len(g.rules)
-        sizes["base"] += len(g.herbrand_base)
-        sizes["interpretations"] += 6 ** len(g.herbrand_base)
+        sizes["rules"] += len(g.kinds)
+        sizes["base"] += g.table_size
+        sizes["interpretations"] += 6**g.table_size
         sizes["conclusions"] += len(conclusions)
     seconds["total_s"] = sum(seconds.values())
     return {"seconds": seconds, "sizes": sizes, "numpy_loaded": numpy_loaded}
@@ -189,8 +189,8 @@ def measure(path: Path, kind: str, target: str) -> dict:
     seconds["total_s"] = clock[-1] - clock[0]
     sizes = {
         "input_bytes": len(text.encode()),
-        "rules": len(g.rules),
-        "base": len(g.herbrand_base),
+        "rules": len(g.kinds),
+        "base": g.table_size,
         "conclusions": len(conclusions),
         "output_bytes": len(out.getvalue().encode()),
     }
