@@ -79,6 +79,12 @@ def _load(path: str) -> GroundTheory:
     return g
 
 
+# the undefined levels of a literal by its code, 2 * definite + partial
+# where each is 1 when that level has a conclusion
+_LEVELS = (["definite", "partial"], ["definite"], ["partial"])
+_SUFFIXES = tuple(f" ({', '.join(levels)})" for levels in _LEVELS)
+
+
 def _print_conclusions(g: GroundTheory, conclusions, out, as_json: bool, doc: dict | None = None) -> None:
     """The conclusions by tag and the undefined literals, as text or as one
     JSON object, which extends `doc` when one is given."""
@@ -89,7 +95,10 @@ def _print_conclusions(g: GroundTheory, conclusions, out, as_json: bool, doc: di
     # names are made per signature, in table order, from the strings of the
     # constants' product, so the table itself is not built.  Each name is
     # made once, as a str, which the cyclic GC does not track: a tuple per
-    # conclusion set off collections that rescan the whole theory
+    # conclusion set off collections that rescan the whole theory.  Names,
+    # flags and level codes are read as whole columns (`map`, `compress`),
+    # and each tag's block and the undefined block are written by one
+    # `str.join`, so no Python frame runs per literal
     flags = conclusions.over_theory(g)
     constants = sorted(g.constants)
     arguments = {}  # arity -> "(c1,...,ck)" for each tuple of constants, in order
@@ -99,18 +108,18 @@ def _print_conclusions(g: GroundTheory, conclusions, out, as_json: bool, doc: di
             atoms.append(predicate)
             continue
         if arity not in arguments:
-            arguments[arity] = [f"({','.join(args)})" for args in itertools.product(constants, repeat=arity)]
-        atoms += [predicate + args for args in arguments[arity]]
-    names = atoms + [f"~{a}" for a in atoms]
+            arguments[arity] = list(map("({})".format, map(",".join, itertools.product(constants, repeat=arity))))
+        atoms += map(predicate.__add__, arguments[arity])
+    names = atoms + list(map("~".__add__, atoms))
     ordered = [held[0::2] + held[1::2] for held in flags]
     tagged = {tag.value: list(itertools.compress(names, held)) for tag, held in zip(Tag, ordered)}
     pd, md, pp, mp = ordered
-    definite, partial = list(map(operator.or_, pd, md)), list(map(operator.or_, pp, mp))
-    settled = map(operator.and_, definite, partial)
-    undefined = [
-        (names[i], ["definite"] * (not definite[i]) + ["partial"] * (not partial[i]))
-        for i in itertools.compress(range(len(names)), map(operator.not_, settled))
-    ]
+    definite = list(map(operator.or_, pd, md))
+    # each literal's settled levels coded 2 * definite + partial, 3 when both are
+    codes = list(map(operator.add, map(operator.add, definite, definite), map(operator.or_, pp, mp)))
+    at = list(itertools.compress(range(len(names)), map((3).__ne__, codes)))
+    undefined = list(map(names.__getitem__, at))
+    codes = list(map(codes.__getitem__, at))
     if as_json:
         import json
 
@@ -119,15 +128,15 @@ def _print_conclusions(g: GroundTheory, conclusions, out, as_json: bool, doc: di
             "conclusions": [
                 {"tag": tag, "literal": l} for tag, literals in tagged.items() for l in literals
             ],
-            "undefined": [{"literal": l, "levels": levels} for l, levels in undefined],
+            "undefined": [{"literal": l, "levels": _LEVELS[c]} for l, c in zip(undefined, codes)],
         }
         out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return
     for tag, literals in tagged.items():
-        out.writelines(f"{tag} {l}\n" for l in literals)
+        if literals:
+            out.write(f"{tag} " + f"\n{tag} ".join(literals) + "\n")
     if undefined:
-        out.write("undefined:\n")
-        out.writelines(f"  {l} ({', '.join(levels)})\n" for l, levels in undefined)
+        out.write("undefined:\n  " + "\n  ".join(map(operator.add, undefined, map(_SUFFIXES.__getitem__, codes))) + "\n")
 
 
 def cmd_check(args, out) -> int:

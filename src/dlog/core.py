@@ -9,7 +9,9 @@ an instance with a body literal that is no fact and no supportive head could
 never apply, so it is not built, and superiority keeps only the pairs whose
 heads conflict.  Neither changes a conclusion or a model (see `ground`).
 Grounding works on integers: which literals are live is one flag per table
-position, and instances are joined over the constants' indexes.
+position, facts are joined on their constants' indexes, and a schema's
+instances are found a column at a time, along one variable, over which
+every literal's position is an arithmetic progression.
 
 The Herbrand base is a table: the positive literals in text order, each
 followed by its complement, so position `i ^ 1` holds the complement of
@@ -373,23 +375,27 @@ def ground(theory: SourceTheory) -> GroundTheory:
     facts of the body literals that no supportive head can match, the other
     body variables range over the constants, an assignment stays when every
     body position is live, and variables occurring only in the head range
-    over the constants last.  Each body position is computed once, for the
-    live test, the dedupe and the instance.
+    over the constants last.  The last free body variable is one column:
+    along it each head and body position steps by a fixed stride, so the
+    live test, the survivors and their positions are read off whole columns
+    by C builtins, and Python loops only over the join's rows and the other
+    free variables.  The same position columns serve the live test, the
+    dedupe and the instance.
 
     Instances come in the order of the full grounding: schemas in written
     order, each one's assignments in sorted order of the constants.  Each is
-    handed over as columns: its head and body positions (`positions`), its
-    schema's index, its variables' constants as indexes into the sorted
-    constants (`bindings`, none for a variable-free schema) and its kind.  A
-    body position that an assignment repeats (`p(X), p(Y)` with X = Y) is
-    kept once.  No `Rule` and no `Literal` is built for an instance: the
-    table and the rules as `Rule`s are built on first read, and the derive
-    path reads neither (see `_instances`).  The superiority relation,
-    `positions.superiority`, holds the index pairs of instances of related
-    schemas whose heads conflict, the only pairs inference consults; with
-    duplicate labels, every schema of a label is related.  The written
-    schemas are kept, for `validate` and to build `rules`, and so are the
-    superiority statements, for `validate`.
+    handed over as columns, extended once per schema: its head and body
+    positions (`positions`), its schema's index, its variables' constants as
+    indexes into the sorted constants (`bindings`, none for a variable-free
+    schema) and its kind.  A body position that an assignment repeats
+    (`p(X), p(Y)` with X = Y) is kept once.  No `Rule` and no `Literal` is
+    built for an instance: the table and the rules as `Rule`s are built on
+    first read, and the derive path reads neither (see `_instances`).  The
+    superiority relation, `positions.superiority`, holds the index pairs of
+    instances of related schemas whose heads conflict, the only pairs
+    inference consults; with duplicate labels, every schema of a label is
+    related.  The written schemas are kept, for `validate` and to build
+    `rules`, and so are the superiority statements, for `validate`.
     """
     constants, signatures, variables_of = _scan(theory)
     if any(variables_of) and not constants:
@@ -398,13 +404,19 @@ def ground(theory: SourceTheory) -> GroundTheory:
     offsets = _layout(signatures, len(constants))
     index = {c: i for i, c in enumerate(constants)}
     facts = frozenset(theory.facts)
-    live = bytearray(_table_size(offsets, len(constants)))  # the facts and every instance of a supportive head
+    count = len(constants)
+    live = bytearray(_table_size(offsets, count))  # the facts and every instance of a supportive head
     fact_positions = []
-    fact_args: dict[tuple, list[tuple[str, ...]]] = {}
-    for f in facts:
-        fact_positions.append(at := _position(f, offsets, index))
+    # each fact's arguments as constant indexes, by signature, for the join
+    fact_args: dict[tuple[bool, str, int], list[tuple[int, ...]]] = {}
+    for positive, (predicate, args) in facts:
+        values = tuple(map(index.__getitem__, args))
+        atom = 0
+        for i in values:
+            atom = atom * count + i
+        fact_positions.append(at := offsets[predicate, len(args)] + 2 * atom + (not positive))
         live[at] = 1
-        fact_args.setdefault(_signature(f), []).append(f.atom.args)
+        fact_args.setdefault((positive, predicate, len(args)), []).append(values)
     # each schema's head position, by plain lookup; None while it has variables
     head_at = [_position(schema.head, offsets, index) for schema in theory.rules]
     for schema, at in zip(theory.rules, head_at):
@@ -414,7 +426,7 @@ def ground(theory: SourceTheory) -> GroundTheory:
             live[at] = 1
         else:
             slots = {v: k for k, v in enumerate(schema.head.variables)}
-            _mark(live, _template(schema.head, offsets, index, slots), len(constants))
+            _mark(live, *_template(schema.head, offsets, index, slots), count)
     # only the join of variable-bearing schemas reads the head signatures
     head_signatures = (
         {_signature(s.head) for s in theory.rules if s.kind is not RuleKind.DEFEATER} if any(variables_of) else set()
@@ -438,15 +450,15 @@ def ground(theory: SourceTheory) -> GroundTheory:
                 schema_of.append(s)
                 bindings.append(())
             continue
-        slots = {v: k for k, v in enumerate(variables)}
-        head = _template(schema.head, offsets, index, slots)
-        for values, body in _live_assignments(schema, slots, offsets, index, fact_args, head_signatures, live):
-            if related is not None:
-                related.append(len(heads))
-            heads.append(_instantiate(head, values))
-            bodies.append(body)
-            schema_of.append(s)
-            bindings.append(values)
+        found_heads, found_bodies, found_bindings = _live_assignments(
+            schema, variables, offsets, index, fact_args, head_signatures, live
+        )
+        if related is not None:
+            related += range(len(heads), len(heads) + len(found_heads))
+        heads += found_heads
+        bodies += found_bodies
+        schema_of += itertools.repeat(s, len(found_heads))
+        bindings += found_bindings
     kind_of = [schema.kind for schema in theory.rules]
     return GroundTheory(
         facts=facts,
@@ -457,7 +469,7 @@ def ground(theory: SourceTheory) -> GroundTheory:
         positions=Positions(tuple(heads), tuple(bodies), tuple(fact_positions), _conflicting_pairs(theory.superiority, members, heads)),
         schema_of=tuple(schema_of),
         bindings=tuple(bindings),
-        kinds=tuple([kind_of[s] for s in schema_of]),
+        kinds=tuple(map(kind_of.__getitem__, schema_of)),
     )
 
 
@@ -582,42 +594,30 @@ def _position(literal: Literal, offsets: dict[tuple[str, int], int], index: dict
 
 def _template(
     literal: Literal, offsets: dict[tuple[str, int], int], index: dict[str, int], slots: dict[str, int]
-) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """A schema literal compiled for `_instantiate`: the part of `_position`
-    its sign and constants fix, and a `(stride, variable slot)` term per
-    variable argument."""
+) -> tuple[int, list[int]]:
+    """A schema literal compiled to arithmetic: the part of `_position` its
+    sign and constants fix, and per variable slot the stride by which the
+    slot's constant index moves the position (0 for a slot the literal does
+    not hold; a repeated variable's strides add up)."""
     args = literal.atom.args
     fixed = offsets[literal.atom.predicate, len(args)] + (not literal.positive)
-    terms = []
+    strides = [0] * len(slots)
     stride = 2 * len(index) ** len(args)
     for t in args:
         stride //= len(index)
-        if is_variable(t):
-            terms.append((stride, slots[t]))
+        if t in slots:
+            strides[slots[t]] += stride
         else:
             fixed += stride * index[t]
-    return fixed, tuple(terms)
+    return fixed, strides
 
 
-def _instantiate(template: tuple[int, tuple[tuple[int, int], ...]], values: list[int]) -> int:
-    """The table position of a compiled schema literal under an assignment,
-    given as the constants' indexes in variable slot order."""
-    at, terms = template
-    for stride, slot in terms:
-        at += stride * values[slot]
-    return at
-
-
-def _mark(live: bytearray, template: tuple[int, tuple[tuple[int, int], ...]], count: int) -> None:
-    """Set `live` at every position that a compiled schema literal with
-    variables instantiates to, its variables ranging over `count` constants.
-    A repeated variable steps all of its arguments at once."""
-    at, terms = template
-    strides: dict[int, int] = {}
-    for stride, slot in terms:
-        strides[slot] = strides.get(slot, 0) + stride
-    *outer, inner = strides.values()
-    starts = [at]
+def _mark(live: bytearray, fixed: int, strides: list[int], count: int) -> None:
+    """Set `live` at every position that a compiled schema literal
+    instantiates to, each of its variables ranging over `count` constants;
+    the literal's slots are its own variables, so no stride is 0."""
+    *outer, inner = strides
+    starts = [fixed]
     for stride in outer:
         starts = [s + stride * i for s in starts for i in range(count)]
     ones = b"\1" * count
@@ -652,68 +652,124 @@ def _signature(literal: Literal) -> tuple[bool, str, int]:
     return literal.positive, literal.atom.predicate, len(literal.atom.args)
 
 
-def _match(pattern: tuple[str, ...], args: tuple[str, ...], binding: dict[str, str]) -> Optional[dict[str, str]]:
-    """`binding` extended so that `pattern` instantiates to the ground `args`,
-    or None when no extension does."""
-    extended = dict(binding)
-    for term, value in zip(pattern, args):
-        if is_variable(term):
-            if extended.setdefault(term, value) != value:
-                return None
-        elif term != value:
-            return None
-    return extended
+def _fact_join(schema, slots, index, fact_args, head_signatures) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The assignments to the variables of the schema's body literals that no
+    supportive head can match, under which each such literal is a fact: the
+    slots bound, and one row per assignment holding their constants' indexes
+    in that order.  A hash join over `fact_args`, literal by literal: a fact
+    matches a row where its arguments equal the literal's constants and the
+    row's values at the key, and a variable new to the literal takes one
+    value wherever it repeats."""
+    bound: list[int] = []
+    rows: list[tuple[int, ...]] = [()]
+    for l in schema.body:
+        signature = _signature(l)
+        if signature in head_signatures:
+            continue
+        args = l.atom.args
+        key_at, fixed, bound_at, new_at, new, repeat_at, first_at = [], [], [], [], [], [], []
+        for j, t in enumerate(args):
+            if t not in slots:
+                key_at.append(j)
+                fixed.append(index[t])
+            elif slots[t] in bound:
+                bound_at.append(j)
+            elif slots[t] in new:
+                repeat_at.append(j)
+                first_at.append(new_at[new.index(slots[t])])
+            else:
+                new_at.append(j)
+                new.append(slots[t])
+        fixed = tuple(fixed)
+        key_at += bound_at
+        from_row = [bound.index(slots[args[j]]) for j in bound_at]
+        matches: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for values in fact_args.get(signature, ()):
+            if list(map(values.__getitem__, repeat_at)) == list(map(values.__getitem__, first_at)):
+                matches.setdefault(tuple(map(values.__getitem__, key_at)), []).append(tuple(map(values.__getitem__, new_at)))
+        rows = [row + more for row in rows for more in matches.get(fixed + tuple(map(row.__getitem__, from_row)), ())]
+        bound += new
+    return bound, rows
 
 
-def _live_assignments(schema, slots, offsets, index, fact_args, head_signatures, live) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The assignments to the schema's variables under which no body literal
-    is dead, in sorted order, each with its body's positions: an assignment
-    is its constants' indexes in variable slot order (`slots`), and the
-    positions are distinct and in written order.
+def _live_assignments(
+    schema, variables, offsets, index, fact_args, head_signatures, live
+) -> tuple[list[int], list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The instances of a schema with variables under which no body literal
+    is dead, as three columns in sorted order of their assignments: head
+    positions, body positions (distinct, in written order) and bindings (the
+    constants' indexes in the order of `variables`).
 
     The variables of the body literals that no supportive head can match are
-    bound by a join over the facts; the other body variables range over the
-    constants, and an assignment whose body positions are all `live` stays.
-    Only then do the head-only variables, which come last in slot order,
-    range over the constants.
+    bound first (`_fact_join`); the other body variables are *free*.  The
+    last free one in slot order is the inner column: along it each compiled
+    literal's position is `range(base, base + step * |C|, step)`, its step
+    the literal's stride for that variable, or one constant position when
+    the step is 0.  Liveness is then a slice of `live`, and the survivors of
+    one column are taken by `itertools.compress` over rows zipped from the
+    value and position columns, so only the join's rows and the outer free
+    variables loop in Python; with no free variable a column has length 1.
+    The head position is one more column.  Variables occurring only in the
+    head come last in slot order and range over the constants after the
+    sort.
 
-    Until the sort, an assignment and its positions are one tuple, and an
-    instance's position tuple is cut from it only as it is handed out.  What
-    outlives `ground` is then allocated together: kept beside the sort's
-    temporaries, it made the first collection after `ground` take 1.3-1.6x
-    as long at 201 reach constants."""
-    fact_only = [l for l in schema.body if _signature(l) not in head_signatures]
-    bindings: list[dict[str, str]] = [{}]
-    for l in fact_only:
-        bindings = [
-            extended
-            for binding in bindings
-            for args in fact_args.get(_signature(l), ())
-            if (extended := _match(l.atom.args, args, binding)) is not None
-        ]
-    templates = [_template(l, offsets, index, slots) for l in schema.body]
-    # only literals of one signature can meet under an assignment (p(X), p(Y) with X = Y)
-    dedupe = len({_signature(l) for l in schema.body}) < len(schema.body)
-    in_body = len({v for l in schema.body for v in l.variables})
-    bound = {slots[v] for l in fact_only for v in l.variables}
+    Until the sort, an instance is one flat row of values and positions;
+    its bindings and body tuples are cut from the sorted rows afterwards, so
+    what outlives `ground` is allocated together.  Zipped into those tuples
+    during the join instead, beside the rows, they made the first full
+    collection after `ground` take 2.1-2.5x as long at 201 reach constants."""
+    count = len(index)
+    slots = {v: k for k, v in enumerate(variables)}
+    in_body = len({t for l in schema.body for t in l.atom.args if t in slots})  # the body's variables come first
+    bound, rows = _fact_join(schema, slots, index, fact_args, head_signatures)
     free = [k for k in range(in_body) if k not in bound]
-    values = [0] * len(slots)
+    width = count if free else 1
+    inner = free.pop() if free else None
+    head, head_strides = _template(schema.head, offsets, index, slots)
+    head_step = 0 if inner is None else head_strides[inner]
+    templates = [_template(l, offsets, index, slots) for l in schema.body]
+    steps = [0 if inner is None else strides[inner] for _, strides in templates]
+    ones = b"\1" * width
+    values = [0] * in_body  # the inner slot stays 0, so a position computed from it is its column's base
     found = []
-    for binding in bindings:
-        for v, c in binding.items():
-            values[slots[v]] = index[c]
-        for more in itertools.product(range(len(index)), repeat=len(free)):
-            for k, i in zip(free, more):
-                values[k] = i
-            body = [_instantiate(t, values) for t in templates]
-            if all(map(live.__getitem__, body)):
-                found.append(tuple(values[:in_body] + body))
+    for row in rows:
+        for k, v in zip(bound, row):
+            values[k] = v
+        for more in itertools.product(range(count), repeat=len(free)):
+            for k, v in zip(free, more):
+                values[k] = v
+            columns = list(map(itertools.repeat, values, itertools.repeat(width)))
+            if inner is not None:
+                columns[inner] = range(width)
+            at = head + sum(map(operator.mul, head_strides, values))
+            columns.append(range(at, at + head_step * width, head_step) if head_step else itertools.repeat(at, width))
+            selectors = []
+            for (fixed, strides), step in zip(templates, steps):
+                at = fixed + sum(map(operator.mul, strides, values))
+                if step:
+                    columns.append(range(at, at + step * width, step))
+                    selectors.append(live[at : at + step * width : step])
+                elif live[at]:
+                    columns.append(itertools.repeat(at, width))
+                else:
+                    break
+            else:
+                ok = selectors[0] if len(selectors) == 1 else bytes(map(min, *selectors)) if selectors else ones
+                found += itertools.compress(zip(*columns), ok)
     found.sort()
-    head_only = list(itertools.product(range(len(index)), repeat=len(slots) - in_body))
-    for entry in found:
-        body = tuple(dict.fromkeys(entry[in_body:])) if dedupe else entry[in_body:]
-        for more in head_only:
-            yield entry[:in_body] + more, body
+    heads = list(map(operator.itemgetter(in_body), found))
+    bodies = list(map(operator.itemgetter(slice(in_body + 1, None)), found))
+    bindings = list(map(operator.itemgetter(slice(in_body)), found))
+    # only literals of one signature can meet under an assignment (p(X), p(Y) with X = Y)
+    if len({_signature(l) for l in schema.body}) < len(schema.body):
+        bodies = list(map(tuple, map(dict.fromkeys, bodies)))
+    if in_body < len(variables):
+        more = list(itertools.product(range(count), repeat=len(variables) - in_body))
+        shift = [sum(map(operator.mul, head_strides[in_body:], m)) for m in more]
+        heads = [at + d for at in heads for d in shift]
+        bodies = [body for body in bodies for _ in more]
+        bindings = [binding + m for binding in bindings for m in more]
+    return heads, bodies, bindings
 
 
 class ValidationReport:

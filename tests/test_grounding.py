@@ -10,6 +10,7 @@ The two must agree on validation and on every conclusion.
 import itertools
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -26,6 +27,7 @@ from dlog.core import (
     SourceTheory,
     ValidationError,
     ground,
+    is_variable,
     lit,
     validate,
 )
@@ -128,19 +130,20 @@ def naive_ground(theory: SourceTheory) -> GroundTheory:
     return naive_reference(theory).theory
 
 
-CONSTANTS = ("a", "b", "c")
+CONSTANTS = ("a", "b", "c", "d", "e", "f")
 VARIABLES = ("X", "Y", "Z")
 PREDICATES = ("p", "q", "r", "s")
 
 
-def random_first_order_theory(seed: int) -> SourceTheory:
-    """A small theory with variables, fully determined by the seed: 1-3
-    constants, predicates of arity 0-2, both signs, all three rule kinds,
-    head-only variables, and superiority statements between random labels
-    (cycles included, so validation can fail)."""
+def random_first_order_theory(seed: int, constants: tuple[int, int] = (1, 3), max_arity: int = 2) -> SourceTheory:
+    """A small theory with variables, fully determined by the seed: between
+    `constants[0]` and `constants[1]` constants (at most 6), predicates of
+    arity 0 to `max_arity`, both signs, all three rule kinds, head-only
+    variables, and superiority statements between random labels (cycles
+    included, so validation can fail)."""
     rng = random.Random(seed)
-    constants = CONSTANTS[: rng.randint(1, 3)]
-    arity = {p: rng.randint(0, 2) for p in PREDICATES[: rng.randint(2, 4)]}
+    constants = CONSTANTS[: rng.randint(*constants)]
+    arity = {p: rng.randint(0, max_arity) for p in PREDICATES[: rng.randint(2, 4)]}
 
     def literal(terms):
         predicate = rng.choice(sorted(arity))
@@ -178,62 +181,107 @@ def is_subsequence(short, long) -> bool:
 
 
 THEORIES = 2000
+LARGE_THEORIES = 300  # 4-6 constants and arity up to 3, so a join column is up to 6 long
+
+
+def assert_matches_naive_grounding(theory: SourceTheory, seed: int) -> tuple[bool, int]:
+    """`ground` against `naive_ground` on one theory: the same validation
+    outcome and, when it validates, exactly the instances whose bodies can
+    hold, column by column, and the same conclusions.  Returns whether the
+    theory validated and how many naive instances were pruned."""
+    naive, naive_error = outcome(naive_ground, theory)
+    g, error = outcome(ground, theory)
+    context = render_theory(theory)
+    assert error == naive_error, context
+    if error is not None:
+        return False, 0
+    reference = naive_reference(theory)
+    # the columns build the written-out instances and table
+    assert naive.rules == reference.instances, context
+    assert naive.literals == reference.table, context
+    assert is_subsequence(g.rules, naive.rules), context
+    # exactly the instances whose body literals are all facts or heads of
+    # strict and defeasible instances, column by column
+    live = set(naive.facts) | {r.head for r in naive.rules if r.kind is not RuleKind.DEFEATER}
+    kept = [i for i, r in enumerate(reference.instances) if all(b in live for b in r.body)]
+    assert g.rules == tuple(reference.instances[i] for i in kept), context
+    assert g.literals == reference.table, context
+    assert list(g.offsets.items()) == list(naive.offsets.items()), context
+    heads, bodies, facts, sup = g.positions
+    assert heads == tuple(naive.positions.heads[i] for i in kept), context
+    assert bodies == tuple(naive.positions.bodies[i] for i in kept), context
+    assert sorted(facts) == sorted(naive.positions.facts), context
+    assert g.kinds == tuple(reference.instances[i].kind for i in kept), context
+    assert g.bindings == tuple(naive.bindings[i] for i in kept), context
+    assert g.schemas == naive.schemas and g.schema_of == tuple(naive.schema_of[i] for i in kept), context
+    assert [g.schemas[s].label for s in g.schema_of] == [reference.schema_labels[i] for i in kept], context
+    # the pairs of the cross product whose instances are kept and whose heads conflict
+    kept_at = {i: k for k, i in enumerate(kept)}
+    assert sup == {
+        (kept_at[a], kept_at[b])
+        for a, b in naive.positions.superiority
+        if a in kept_at and b in kept_at and naive.positions.heads[a] ^ 1 == naive.positions.heads[b]
+    }, context
+    heads = {r.label: r.head for r in g.rules}
+    assert g.superiority == {
+        (hi, lo)
+        for hi, lo in naive.superiority
+        if hi in heads and lo in heads and heads[hi] == heads[lo].complement()
+    }, context
+    conclusions = engine.derive_all(g)
+    assert conclusions == engine.derive_all(naive), context
+    assert metaprogram.conclusions(g) == conclusions, context
+    rng = random.Random(seed)
+    for c in rng.sample(list(conclusions), min(2, len(conclusions))):
+        assert engine.check_derivation(g, engine.explain(g, c)).valid, (context, c)
+    return True, len(naive.rules) - len(g.rules)
 
 
 def test_relevance_grounding_matches_naive_grounding():
     checked = pruned = 0
     for seed in range(THEORIES):
-        theory = random_first_order_theory(seed)
-        naive, naive_error = outcome(naive_ground, theory)
-        g, error = outcome(ground, theory)
-        context = render_theory(theory)
-        assert error == naive_error, context
-        if error is not None:
-            continue
-        checked += 1
-        reference = naive_reference(theory)
-        # the columns build the written-out instances and table
-        assert naive.rules == reference.instances, context
-        assert naive.literals == reference.table, context
-        pruned += len(naive.rules) - len(g.rules)
-        assert is_subsequence(g.rules, naive.rules), context
-        # exactly the instances whose body literals are all facts or heads of
-        # strict and defeasible instances, column by column
-        live = set(naive.facts) | {r.head for r in naive.rules if r.kind is not RuleKind.DEFEATER}
-        kept = [i for i, r in enumerate(reference.instances) if all(b in live for b in r.body)]
-        assert g.rules == tuple(reference.instances[i] for i in kept), context
-        assert g.literals == reference.table, context
-        assert list(g.offsets.items()) == list(naive.offsets.items()), context
-        heads, bodies, facts, sup = g.positions
-        assert heads == tuple(naive.positions.heads[i] for i in kept), context
-        assert bodies == tuple(naive.positions.bodies[i] for i in kept), context
-        assert sorted(facts) == sorted(naive.positions.facts), context
-        assert g.kinds == tuple(reference.instances[i].kind for i in kept), context
-        assert g.bindings == tuple(naive.bindings[i] for i in kept), context
-        assert g.schemas == naive.schemas and g.schema_of == tuple(naive.schema_of[i] for i in kept), context
-        assert [g.schemas[s].label for s in g.schema_of] == [reference.schema_labels[i] for i in kept], context
-        # the pairs of the cross product whose instances are kept and whose heads conflict
-        kept_at = {i: k for k, i in enumerate(kept)}
-        assert sup == {
-            (kept_at[a], kept_at[b])
-            for a, b in naive.positions.superiority
-            if a in kept_at and b in kept_at and naive.positions.heads[a] ^ 1 == naive.positions.heads[b]
-        }, context
-        heads = {r.label: r.head for r in g.rules}
-        assert g.superiority == {
-            (hi, lo)
-            for hi, lo in naive.superiority
-            if hi in heads and lo in heads and heads[hi] == heads[lo].complement()
-        }, context
-        conclusions = engine.derive_all(g)
-        assert conclusions == engine.derive_all(naive), context
-        assert metaprogram.conclusions(g) == conclusions, context
-        rng = random.Random(seed)
-        for c in rng.sample(list(conclusions), min(2, len(conclusions))):
-            assert engine.check_derivation(g, engine.explain(g, c)).valid, (context, c)
+        ok, dropped = assert_matches_naive_grounding(random_first_order_theory(seed), seed)
+        checked += ok
+        pruned += dropped
     # the corpus exercises both validation outcomes and the pruning
     assert 0 < checked < THEORIES
     assert pruned > 0
+
+
+def shapes(theory: SourceTheory) -> set[str]:
+    """The join shapes a theory's schemas hold: a variable repeated in one
+    literal, a head-only variable, a literal with constants and variables,
+    and two body literals of one signature."""
+    found = set()
+    for r in theory.rules:
+        literals = (*r.body, r.head)
+        if any(len(l.variables) < sum(map(is_variable, l.atom.args)) for l in literals):
+            found.add("repeated")
+        if set(r.head.variables) - {v for l in r.body for v in l.variables}:
+            found.add("head-only")
+        if any(l.variables and not all(map(is_variable, l.atom.args)) for l in literals):
+            found.add("mixed")
+        signatures = [(l.positive, l.atom.predicate, l.atom.arity) for l in r.body if l.variables]
+        if len(set(signatures)) < len(signatures):
+            found.add("same-signature")
+    return found
+
+
+def test_relevance_grounding_matches_naive_grounding_at_real_sizes():
+    # the join's columns run along 4-6 constants, over atoms of up to 3
+    # arguments, and every join shape occurs in theories that validate
+    checked = pruned = 0
+    seen: Counter = Counter()
+    for seed in range(LARGE_THEORIES):
+        theory = random_first_order_theory(seed, constants=(4, 6), max_arity=3)
+        ok, dropped = assert_matches_naive_grounding(theory, seed)
+        checked += ok
+        pruned += dropped
+        if ok:
+            seen.update(shapes(theory))
+    assert 0 < checked < LARGE_THEORIES
+    assert pruned > 0
+    assert set(seen) == {"repeated", "head-only", "mixed", "same-signature"}, seen
 
 
 def test_pruning_keeps_the_models():
@@ -260,12 +308,13 @@ def test_positive_loop_is_kept():
     "text, labels",
     [
         ("e: => q(X,X). r: q(a,b) => t. s: q(a,a) => u.", ["e#a", "e#b", "s"]),
+        ("q(a,a). q(a,b). q(b,a). r: q(X,X) => t(X).", ["r#a"]),
         ("h: => q(a). r: q(X) => t(X).", ["h", "r#a"]),
         ("h: => ~q. r: q => t. s: ~q => u.", ["h", "s"]),
         ("d: ~> p. r: p => q.", ["d"]),
         ("p(a). e(a,b). r: p(X), e(X,Y), s(Y) => s(X). f: => s(b).", ["r#a,b", "f"]),
     ],
-    ids=["repeated-variable", "constant", "sign", "defeater-head", "join"],
+    ids=["repeated-variable", "repeated-variable-fact", "constant", "sign", "defeater-head", "join"],
 )
 def test_dead_body_literals_are_pruned(text, labels):
     # a body literal is live when it is a fact or matches a strict or
@@ -306,13 +355,46 @@ def test_reachability_instance_count(n):
     assert len(g.superiority) == n
 
 
-def benchmark_texts() -> dict[str, str]:
-    """The `families` and `reach` texts of the benchmark for its default and
-    hold-out seeds, by name."""
+def benchmark_workloads():
+    """The benchmark's input generators (`benchmark/workloads.py`)."""
     if str(ROOT / "benchmark") not in sys.path:
         sys.path.append(str(ROOT / "benchmark"))
     import workloads
 
+    return workloads
+
+
+def ground_calls(n: int) -> int:
+    """The Python frames `ground` runs on the benchmark's reachability theory
+    over n constants, 2n edges and n blocked pairs: the "call" events of
+    `sys.setprofile`, where a generator's every resumption is one."""
+    theory = parse_theory(benchmark_workloads().reach(random.Random(1), n, 2 * n, n)[0])
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        ground(theory)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_ground_frames_follow_bindings_not_assignments():
+    # doubling the constants doubles the edges, the fact join's rows and the
+    # columns, while r2's assignments grow 4x (|C| * |E|): no Python frame
+    # may run per assignment or per instance
+    small, large = ground_calls(16), ground_calls(32)
+    assert large <= 2.2 * small, (small, large)
+
+
+def benchmark_texts() -> dict[str, str]:
+    """The `families` and `reach` texts of the benchmark for its default and
+    hold-out seeds, by name."""
+    workloads = benchmark_workloads()
     texts = {}
     for seed in (1, 1009):
         for op in workloads.families(seed).ops:

@@ -14,10 +14,10 @@ import pytest
 
 from dlog import engine, modelcheck
 from dlog.cli import _print_conclusions, main
-from dlog.core import Tag, ground, validate
+from dlog.core import GroundingError, Tag, ValidationError, ground, validate
 from dlog.differential import generate_random_theory
 from dlog.parser import parse_theory, render_theory
-from test_grounding import benchmark_texts
+from test_grounding import benchmark_texts, random_first_order_theory
 
 
 def reference_print_conclusions(g, conclusions, out, as_json: bool, doc: dict | None = None) -> None:
@@ -90,18 +90,35 @@ def test_benchmark_texts_match_reference(tmp_path):
         assert_derive_matches(path, text)
 
 
+FIRST_ORDER_THEORIES = 100
+
+
 def test_random_theories_match_reference(tmp_path):
     # the `dlog fuzz` defaults: up to 3 atoms and 10 rules, so every theory's
     # models can be enumerated
     undefined = 0
+    path = tmp_path / "theory.dl"
     for seed in range(500):
         text = render_theory(generate_random_theory(seed, 3, 10))
-        path = tmp_path / "theory.dl"
         path.write_text(text)
         assert_derive_matches(path, text)
         assert_models_match(path, text)
         undefined += "undefined:" in run(["derive", str(path)])
     assert undefined > 0  # the undefined section is exercised too
+    # atom names with arguments: first-order theories over 1-6 constants and
+    # arities up to 3, the first that pass validation
+    rendered, seed = 0, 0
+    while rendered < FIRST_ORDER_THEORIES:
+        theory = random_first_order_theory(seed, constants=(1, 6), max_arity=3)
+        seed += 1
+        try:
+            validate(ground(theory))
+        except (GroundingError, ValidationError):
+            continue
+        text = render_theory(theory)
+        path.write_text(text)
+        assert_derive_matches(path, text)
+        rendered += 1
 
 
 def test_hand_built_conclusions_render_over_the_base(bird):
