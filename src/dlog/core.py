@@ -653,41 +653,31 @@ def _signature(literal: Literal) -> tuple[bool, str, int]:
 
 
 def _fact_join(schema, slots, index, fact_args, head_signatures) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The assignments to the variables of the schema's body literals that no
-    supportive head can match, under which each such literal is a fact: the
-    slots bound, and one row per assignment holding their constants' indexes
-    in that order.  A hash join over `fact_args`, literal by literal: a fact
-    matches a row where its arguments equal the literal's constants and the
-    row's values at the key, and a variable new to the literal takes one
-    value wherever it repeats."""
+    """Bindings for the variables of the schema's body literals that no
+    supportive head can match: the slots bound, and distinct rows holding
+    their constants' indexes in that order.  A hash join over `fact_args`,
+    literal by literal, that binds each variable at its first argument;
+    every assignment under which each such literal is a fact is among the
+    rows.  Constants and repeated variables are left to the live test,
+    since such a literal is live exactly where it is a fact."""
     bound: list[int] = []
     rows: list[tuple[int, ...]] = [()]
     for l in schema.body:
         signature = _signature(l)
         if signature in head_signatures:
             continue
-        args = l.atom.args
-        key_at, fixed, bound_at, new_at, new, repeat_at, first_at = [], [], [], [], [], [], []
-        for j, t in enumerate(args):
-            if t not in slots:
-                key_at.append(j)
-                fixed.append(index[t])
-            elif slots[t] in bound:
-                bound_at.append(j)
-            elif slots[t] in new:
-                repeat_at.append(j)
-                first_at.append(new_at[new.index(slots[t])])
-            else:
-                new_at.append(j)
-                new.append(slots[t])
-        fixed = tuple(fixed)
-        key_at += bound_at
-        from_row = [bound.index(slots[args[j]]) for j in bound_at]
+        first: dict[int, int] = {}  # slot -> its first argument position
+        for j, t in enumerate(l.atom.args):
+            if t in slots:
+                first.setdefault(slots[t], j)
+        key_at = [first[k] for k in bound if k in first]
+        from_row = [i for i, k in enumerate(bound) if k in first]
+        new = [k for k in first if k not in bound]
+        new_at = [first[k] for k in new]
         matches: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for values in fact_args.get(signature, ()):
-            if list(map(values.__getitem__, repeat_at)) == list(map(values.__getitem__, first_at)):
-                matches.setdefault(tuple(map(values.__getitem__, key_at)), []).append(tuple(map(values.__getitem__, new_at)))
-        rows = [row + more for row in rows for more in matches.get(fixed + tuple(map(row.__getitem__, from_row)), ())]
+            matches.setdefault(tuple(map(values.__getitem__, key_at)), []).append(tuple(map(values.__getitem__, new_at)))
+        rows = list(dict.fromkeys([row + more for row in rows for more in matches.get(tuple(map(row.__getitem__, from_row)), ())]))
         bound += new
     return bound, rows
 
