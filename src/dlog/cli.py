@@ -143,7 +143,7 @@ def cmd_check(args, out) -> int:
     g = ground(parse_theory(_read(args.file)))
     report = validate(g, allow_cyclic_superiority=args.allow_cycles)
     out.write(
-        f"ok: {len(g.facts)} facts, {len(g.kinds)} rules, "
+        f"ok: {len(g.positions.facts)} facts, {len(g.kinds)} rules, "
         f"{len(g.positions.superiority)} superiority pairs, "
         f"base {g.table_size}\n"
     )

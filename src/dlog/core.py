@@ -13,6 +13,12 @@ position, facts are joined on their constants' indexes, and a schema's
 instances are found a column at a time, along one variable, over which
 every literal's position is an arithmetic progression.
 
+A theory as written is a `SourceTheory` of integer columns: the parser and
+the constructor from objects number each distinct literal once
+(`_Interner`), and `ground` reads the columns only, computing one position
+per distinct literal.  The facts and rules as `Literal`s and `Rule`s are
+views, built on first read; the derive path reads neither.
+
 The Herbrand base is a table: the positive literals in text order, each
 followed by its complement, so position `i ^ 1` holds the complement of
 position `i`.  Each written `(predicate, arity)` has a block of it starting
@@ -44,17 +50,19 @@ theory compare by them.  `herbrand_base` is a set view.  The model checker
 and the metaprogram read three-valued truth as the codes `F, U, T = 0, 1, 2`
 defined here.
 
-Every record in dlog is a named tuple (`typing.NamedTuple`), here and in the
-other modules, so equality and hashing are those of the tuple of their
-fields: an instance also equals a plain tuple of its field values, and it
-can be iterated, indexed and unpacked.  A record holding a dict
+Every record in dlog but two is a named tuple (`typing.NamedTuple`), here
+and in the other modules, so equality and hashing are those of the tuple of
+their fields: an instance also equals a plain tuple of its field values, and
+it can be iterated, indexed and unpacked.  `SourceTheory` is a plain class:
+it equals another by its views, the facts, rules and superiority statements,
+not by its columns, whose ids follow the order literals were first met in.  A record holding a dict
 (`GroundTheory.offsets`, and so `metaprogram.GroundMetaProgram`) or numpy
 rows (`modelcheck.ModelSet`) is not hashable.  A record that caches a value
 on first use (`GroundTheory`, `GroundMetaProgram`) is a subclass without
 `__slots__`, so it keeps a `__dict__` for `cached_property`.  `Rule`'s
 constructor deduplicates the body; `GroundTheory.rules` builds its instances
 without it, their bodies already distinct.  The one mutable record,
-`ValidationReport`, is a plain class.
+`ValidationReport`, is the other plain class.
 
 `UsageError` and `CapExceededError`, which only the model oracle raises,
 are defined here too, so that the command line catches them without
@@ -62,7 +70,7 @@ importing that oracle.
 
 `parse_theory`, `ground`, the builds of `GroundTheory.literals` and
 `GroundTheory.rules`, and the engine's build and run hold the cyclic GC
-paused (`gc_paused`): each builds objects per rule and literal, none cyclic,
+paused (`gc_paused`): each builds objects per rule or literal, none cyclic,
 and every collection those allocations set off rescans everything live.
 """
 
@@ -232,27 +240,128 @@ class Rule(_RuleFields):
         return f"{self.label}: {lhs}{arrow} {self.head}."
 
 
-class SourceTheory(NamedTuple):
-    """A theory as written: facts, rule schemas, superiority over labels."""
+class _Interner:
+    """The ids of distinct written literals, keyed by `(positive, predicate,
+    args)` and numbered in first-occurrence order, with what numbering them
+    sees: the `(predicate, arity)` signatures, the constants, and the ids of
+    the literals that hold a variable.  The parser and `SourceTheory`'s
+    constructor both number literals with `number`."""
 
-    facts: tuple[Literal, ...] = ()
-    rules: tuple[Rule, ...] = ()
-    superiority: tuple[tuple[str, str], ...] = ()
+    def __init__(self) -> None:
+        self.ids: dict[tuple[bool, str, tuple[str, ...]], int] = {}
+        self.signatures: dict[tuple[str, int], None] = {}  # in first-occurrence order
+        self.constants: set[str] = set()
+        self.variable_ids: set[int] = set()
 
-    @property
-    def constants(self) -> frozenset[str]:
-        consts = set()
-        for literal in self._all_literals():
-            for t in literal.atom.args:
-                if not is_variable(t):
-                    consts.add(t)
-        return frozenset(consts)
+    def number(self, key: tuple[bool, str, tuple[str, ...]]) -> int:
+        """The id of a literal, the next one when it is new."""
+        ids = self.ids
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(ids)
+            _, predicate, args = key
+            self.signatures[predicate, len(args)] = None
+            if args:
+                constants = [t for t in args if not is_variable(t)]
+                self.constants.update(constants)
+                if len(constants) < len(args):
+                    self.variable_ids.add(i)
+        return i
 
-    def _all_literals(self) -> Iterator[Literal]:
-        yield from self.facts
-        for r in self.rules:
-            yield from r.body
-            yield r.head
+    def theory(self, fact_ids, labels, kinds, heads, bodies, superiority) -> "SourceTheory":
+        """The source theory of these columns over the literals numbered so
+        far, each body's ids deduplicated in written order, as `Rule` does."""
+        t = object.__new__(SourceTheory)
+        t.written = tuple(self.ids)
+        t.signatures = tuple(self.signatures)
+        t.constants = frozenset(self.constants)
+        t.variable_ids = frozenset(self.variable_ids)
+        t.fact_ids, t.labels, t.kinds, t.heads = tuple(fact_ids), tuple(labels), tuple(kinds), tuple(heads)
+        t.bodies = tuple([tuple(dict.fromkeys(body)) if len(body) > 1 else tuple(body) for body in bodies])
+        t.superiority = tuple(superiority)
+        return t
+
+
+class SourceTheory:
+    """A theory as written, as columns over its distinct literals.
+
+    `written[i]` is the i-th distinct literal, as `(positive, predicate,
+    args)`, in order of first occurrence; facts and rules name literals by
+    these ids.  The facts are `fact_ids`, as written, duplicates kept.  Rule
+    `r` has label `labels[r]`, kind `kinds[r]`, head `heads[r]` and body
+    `bodies[r]` (distinct ids, in written order, as `Rule` deduplicates a
+    body).  `superiority` holds the statements' label pairs as written.
+    `signatures` (the `(predicate, arity)` pairs, in first-occurrence order),
+    `constants` and `variable_ids` (the literals holding a variable) are what
+    numbering the literals saw.
+
+    `facts`, `rules` and `literals` give the same theory as objects, built on
+    first read, one `Literal` per id, so equal literals are one object; two
+    theories are equal when these values and `superiority` are.  The
+    constructor takes those objects and numbers their literals as the parser
+    does, facts first, then each rule's body and head."""
+
+    written: tuple[tuple[bool, str, tuple[str, ...]], ...]
+    signatures: tuple[tuple[str, int], ...]
+    constants: frozenset[str]
+    variable_ids: frozenset[int]
+    fact_ids: tuple[int, ...]
+    labels: tuple[str, ...]
+    kinds: tuple[RuleKind, ...]
+    heads: tuple[int, ...]
+    bodies: tuple[tuple[int, ...], ...]
+    superiority: tuple[tuple[str, str], ...]
+
+    def __new__(
+        cls, facts: Iterable[Literal] = (), rules: Iterable[Rule] = (), superiority: Iterable[tuple[str, str]] = ()
+    ) -> "SourceTheory":
+        interner = _Interner()
+
+        def number(literal: Literal) -> int:
+            positive, (predicate, args) = literal
+            return interner.number((positive, predicate, tuple(args)))
+
+        fact_ids = [number(f) for f in facts]
+        labels, kinds, heads, bodies = [], [], [], []
+        for label, kind, body, head in rules:
+            labels.append(label)
+            kinds.append(kind)
+            bodies.append(list(map(number, body)))
+            heads.append(number(head))
+        return interner.theory(fact_ids, labels, kinds, heads, bodies, superiority)
+
+    @cached_property
+    def literals(self) -> tuple[Literal, ...]:
+        """`written` as `Literal`s, built on first read."""
+        new = tuple.__new__
+        return tuple(new(Literal, (positive, new(Atom, (predicate, args)))) for positive, predicate, args in self.written)
+
+    @cached_property
+    def facts(self) -> tuple[Literal, ...]:
+        return tuple(map(self.literals.__getitem__, self.fact_ids))
+
+    @cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        """The rule schemas as `Rule`s, built on first read."""
+        literals, new = self.literals, tuple.__new__
+        return tuple(
+            new(Rule, (label, kind, tuple(map(literals.__getitem__, body)), literals[head]))
+            for label, kind, head, body in zip(self.labels, self.kinds, self.heads, self.bodies)
+        )
+
+    def _value(self) -> tuple:
+        return self.facts, self.rules, self.superiority
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SourceTheory):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
+
+    def __repr__(self) -> str:
+        return f"SourceTheory(facts={self.facts!r}, rules={self.rules!r}, superiority={self.superiority!r})"
 
 
 class Positions(NamedTuple):
@@ -266,10 +375,8 @@ class Positions(NamedTuple):
 
 
 class _GroundTheoryFields(NamedTuple):
-    facts: frozenset[Literal]
+    source: SourceTheory  # the theory as written, as columns
     constants: frozenset[str]
-    schemas: tuple[Rule, ...]  # the rule schemas as written
-    written_superiority: tuple[tuple[str, str], ...]  # statements as written
     offsets: dict[tuple[str, int], int]  # in table order
     positions: Positions
     # one entry per rule, beside `positions`: rule r instantiates
@@ -283,8 +390,7 @@ class _GroundTheoryFields(NamedTuple):
 
 class GroundTheory(_GroundTheoryFields):
     """A propositional theory instantiated from the written one, as columns
-    over its Herbrand base, with the written rule schemas and superiority
-    statements.
+    over its Herbrand base, with the written theory's columns (`source`).
 
     `offsets` says where each `(predicate, arity)`'s atoms start in the
     table, and `positions` where every rule's head and body and every fact
@@ -292,7 +398,22 @@ class GroundTheory(_GroundTheoryFields):
     rule's schema, bindings and kind.  The table itself (`literals`), the
     rules as `Rule`s (`rules`), the constant index that `position` reads, the
     rules by head position that `rules_at` reads, and the superiority
-    relation as label pairs are built once per theory, on first use."""
+    relation as label pairs are built once per theory, on first use, as are
+    the source's views: the facts as a set of `Literal`s (`facts`), the
+    schemas as `Rule`s (`schemas`) and the superiority statements as written
+    (`written_superiority`)."""
+
+    @cached_property
+    def facts(self) -> frozenset[Literal]:
+        return frozenset(self.source.facts)
+
+    @property
+    def schemas(self) -> tuple[Rule, ...]:
+        return self.source.rules
+
+    @property
+    def written_superiority(self) -> tuple[tuple[str, str], ...]:
+        return self.source.superiority
 
     @cached_property
     def table_size(self) -> int:
@@ -315,7 +436,8 @@ class GroundTheory(_GroundTheoryFields):
     def position(self, literal: Literal) -> Optional[int]:
         """The position of a ground literal in `literals`, or None when it is
         not in the base."""
-        return _position(literal, self.offsets, self._constant_index)
+        positive, (predicate, args) = literal
+        return _position((positive, predicate, args), self.offsets, self._constant_index)
 
     @cached_property
     def _constant_index(self) -> dict[str, int]:
@@ -366,6 +488,12 @@ def ground(theory: SourceTheory) -> GroundTheory:
     surviving rules: `r: p => p` keeps `r`, because `p` matches its own head,
     so `p` stays undefined.
 
+    `ground` reads the source's columns only.  Each distinct written literal
+    without a variable gets its position once, and the facts, the heads and
+    the bodies of the variable-free schemas are lists of ids mapped through
+    those positions; schemas with variables compile their literals from the
+    source's table of distinct literals (`_template`).
+
     Liveness is one flag per table position, all set before any schema is
     instantiated: at the facts, at the ground heads of the strict and
     defeasible schemas, and at every position that such a head with variables
@@ -375,129 +503,111 @@ def ground(theory: SourceTheory) -> GroundTheory:
     facts of the body literals that no supportive head can match, the other
     body variables range over the constants, an assignment stays when every
     body position is live, and variables occurring only in the head range
-    over the constants last.  The last free body variable is one column:
-    along it each head and body position steps by a fixed stride, so the
-    live test, the survivors and their positions are read off whole columns
-    by C builtins, and Python loops only over the join's rows and the other
-    free variables.  The same position columns serve the live test, the
-    dedupe and the instance.
+    over the constants last.  The join's rows, each crossed with the last
+    free body variable, are one column: along it each head and body position
+    is a sum of column terms, so the live test, the survivors and their
+    positions are read off whole columns by C builtins, and Python loops
+    only over the other free variables.
 
     Instances come in the order of the full grounding: schemas in written
     order, each one's assignments in sorted order of the constants.  Each is
-    handed over as columns, extended once per schema: its head and body
-    positions (`positions`), its schema's index, its variables' constants as
-    indexes into the sorted constants (`bindings`, none for a variable-free
-    schema) and its kind.  A body position that an assignment repeats
-    (`p(X), p(Y)` with X = Y) is kept once.  No `Rule` and no `Literal` is
-    built for an instance: the table and the rules as `Rule`s are built on
-    first read, and the derive path reads neither (see `_instances`).  The
-    superiority relation, `positions.superiority`, holds the index pairs of
-    instances of related schemas whose heads conflict, the only pairs
-    inference consults; with duplicate labels, every schema of a label is
-    related.  The written schemas are kept, for `validate` and to build
-    `rules`, and so are the superiority statements, for `validate`.
+    handed over as columns: its head and body positions (`positions`), its
+    schema's index, its variables' constants as indexes into the sorted
+    constants (`bindings`, none for a variable-free schema) and its kind.  A
+    body position that an assignment repeats (`p(X), p(Y)` with X = Y) is
+    kept once.  No `Rule` and no `Literal` is built: the table and the rules
+    as `Rule`s are built on first read, and the derive path reads neither
+    (see `_instances`).  The superiority relation, `positions.superiority`,
+    holds the index pairs of instances of related schemas whose heads
+    conflict, the only pairs inference consults; with duplicate labels,
+    every schema of a label is related.  The source is kept, for `validate`
+    and the views of what was written.
     """
-    constants, signatures, variables_of = _scan(theory)
-    if any(variables_of) and not constants:
-        schema = next(s for s, variables in zip(theory.rules, variables_of) if variables)
-        raise GroundingError(f"rule {schema.label} has variables but the theory has no constants")
-    offsets = _layout(signatures, len(constants))
+    written, variable_ids, kinds = theory.written, theory.variable_ids, theory.kinds
+    with_variables = []  # the schemas holding a variable, in order
+    if variable_ids:
+        for i in theory.fact_ids:
+            if i in variable_ids:
+                raise GroundingError(f"fact {theory.literals[i]} contains a variable")
+        with_variables = [
+            s for s, (head, body) in enumerate(zip(theory.heads, theory.bodies))
+            if head in variable_ids or not variable_ids.isdisjoint(body)
+        ]
+    constants = sorted(theory.constants)
+    if with_variables and not constants:
+        raise GroundingError(f"rule {theory.labels[with_variables[0]]} has variables but the theory has no constants")
+    offsets = _layout(sorted(theory.signatures), len(constants))
     index = {c: i for i, c in enumerate(constants)}
-    facts = frozenset(theory.facts)
     count = len(constants)
+    # the position of each distinct written literal, a propositional one by
+    # one lookup; None for one holding a variable
+    at = [
+        _position(key, offsets, index) if key[2] else offsets[key[1], 0] + (not key[0])
+        for key in written
+    ]
     live = bytearray(_table_size(offsets, count))  # the facts and every instance of a supportive head
-    fact_positions = []
-    # each fact's arguments as constant indexes, by signature, for the join
-    fact_args: dict[tuple[bool, str, int], list[tuple[int, ...]]] = {}
-    for positive, (predicate, args) in facts:
-        values = tuple(map(index.__getitem__, args))
-        atom = 0
-        for i in values:
-            atom = atom * count + i
-        fact_positions.append(at := offsets[predicate, len(args)] + 2 * atom + (not positive))
-        live[at] = 1
-        fact_args.setdefault((positive, predicate, len(args)), []).append(values)
-    # each schema's head position, by plain lookup; None while it has variables
-    head_at = [_position(schema.head, offsets, index) for schema in theory.rules]
-    for schema, at in zip(theory.rules, head_at):
-        if schema.kind is RuleKind.DEFEATER:
+    fact_ids = list(dict.fromkeys(theory.fact_ids))
+    fact_positions = list(map(at.__getitem__, fact_ids))
+    for f in fact_positions:
+        live[f] = 1
+    head_at = list(map(at.__getitem__, theory.heads))
+    for kind, h, head in zip(kinds, head_at, theory.heads):
+        if kind is RuleKind.DEFEATER:
             continue
-        if at is not None:
-            live[at] = 1
+        if h is not None:
+            live[h] = 1
         else:
-            slots = {v: k for k, v in enumerate(schema.head.variables)}
-            _mark(live, *_template(schema.head, offsets, index, slots), count)
-    # only the join of variable-bearing schemas reads the head signatures
-    head_signatures = (
-        {_signature(s.head) for s in theory.rules if s.kind is not RuleKind.DEFEATER} if any(variables_of) else set()
-    )
+            _mark(live, *_template(written[head], offsets, index, _slots((written[head],))), count)
+    # only the join of schemas with variables reads the facts' arguments and the head signatures
+    fact_args: dict[tuple[bool, str, int], list[tuple[int, ...]]] = {}
+    head_signatures: set[tuple[bool, str, int]] = set()
+    if with_variables:
+        for i in fact_ids:
+            key = written[i]
+            fact_args.setdefault(_signature(key), []).append(tuple(map(index.__getitem__, key[2])))
+        head_signatures = {_signature(written[h]) for h, kind in zip(theory.heads, kinds) if kind is not RuleKind.DEFEATER}
 
-    # the label of each schema that a superiority statement names -> the indexes of its instances
-    members: dict[str, list[int]] = {label: [] for statement in theory.superiority for label in statement}
     heads: list[int] = []
     bodies: list[tuple[int, ...]] = []
     schema_of: list[int] = []
     bindings: list[tuple[int, ...]] = []
-    for s, (schema, variables, head) in enumerate(zip(theory.rules, variables_of, head_at)):
-        related = members.get(schema.label)
-        if not variables:
-            body = tuple([_position(l, offsets, index) for l in schema.body])
-            if all(map(live.__getitem__, body)):
-                if related is not None:
-                    related.append(len(heads))
-                heads.append(head)
-                bodies.append(body)
-                schema_of.append(s)
-                bindings.append(())
-            continue
+    starts = [0]  # schema s's instances are those from starts[s] to starts[s + 1]
+    done = 0
+    for s in [*with_variables, len(kinds)]:
+        # the variable-free schemas before s, each its own instance when its body is live
+        body_at = [tuple(map(at.__getitem__, body)) for body in theory.bodies[done:s]]
+        keep = [all(map(live.__getitem__, body)) for body in body_at]
+        heads += itertools.compress(head_at[done:s], keep)
+        bodies += itertools.compress(body_at, keep)
+        schema_of += itertools.compress(range(done, s), keep)
+        bindings += itertools.repeat((), len(heads) - len(bindings))
+        starts += itertools.islice(itertools.accumulate(keep, initial=starts[-1]), 1, None)
+        if s == len(kinds):
+            break
+        body = [written[i] for i in theory.bodies[s]]
+        head = written[theory.heads[s]]
         found_heads, found_bodies, found_bindings = _live_assignments(
-            schema, variables, offsets, index, fact_args, head_signatures, live
+            body, head, offsets, index, fact_args, head_signatures, live
         )
-        if related is not None:
-            related += range(len(heads), len(heads) + len(found_heads))
         heads += found_heads
         bodies += found_bodies
         schema_of += itertools.repeat(s, len(found_heads))
         bindings += found_bindings
-    kind_of = [schema.kind for schema in theory.rules]
+        starts.append(len(heads))
+        done = s + 1
+    # the label of each schema that a superiority statement names -> the indexes of its instances
+    members: dict[str, list[int]] = {label: [] for statement in theory.superiority for label in statement}
+    for s in itertools.compress(range(len(kinds)), map(members.__contains__, theory.labels)):
+        members[theory.labels[s]] += range(starts[s], starts[s + 1])
     return GroundTheory(
-        facts=facts,
-        constants=frozenset(constants),
-        schemas=tuple(theory.rules),
-        written_superiority=tuple(theory.superiority),
+        source=theory,
+        constants=theory.constants,
         offsets=offsets,
         positions=Positions(tuple(heads), tuple(bodies), tuple(fact_positions), _conflicting_pairs(theory.superiority, members, heads)),
         schema_of=tuple(schema_of),
         bindings=tuple(bindings),
-        kinds=tuple(map(kind_of.__getitem__, schema_of)),
+        kinds=tuple(map(kinds.__getitem__, schema_of)),
     )
-
-
-def _scan(theory: SourceTheory) -> tuple[list[str], list[tuple[str, int]], list[tuple[str, ...]]]:
-    """The sorted constants and `(predicate, arity)` signatures written in the
-    theory, and each rule's variables in first occurrence order, from one
-    walk of its literals.  A fact with a variable is a `GroundingError`."""
-    constants: set[str] = set()
-    signatures: set[tuple[str, int]] = set()
-    for f in theory.facts:
-        predicate, args = f.atom
-        signatures.add((predicate, len(args)))
-        for t in args:
-            if is_variable(t):
-                raise GroundingError(f"fact {f} contains a variable")
-            constants.add(t)
-    variables_of = []
-    for r in theory.rules:
-        variables: tuple[str, ...] = ()
-        for _, (predicate, args) in (*r.body, r.head):
-            signatures.add((predicate, len(args)))
-            for t in args:
-                if not is_variable(t):
-                    constants.add(t)
-                elif t not in variables:
-                    variables += (t,)
-        variables_of.append(variables)
-    return sorted(constants), sorted(signatures), variables_of
 
 
 def _layout(signatures: list[tuple[str, int]], count: int) -> dict[tuple[str, int], int]:
@@ -553,31 +663,26 @@ def _literal_table(offsets: dict[tuple[str, int], int], constants: list[str]) ->
 
 @gc_paused
 def _instances(g: GroundTheory) -> tuple[Rule, ...]:
-    """Each rule of `g` as a `Rule`.  A variable-free schema is its own one
-    instance, as written, so its literals are the parser's objects: equal to
-    the table's, but not the same objects.  An instance of a schema with
-    variables is labelled `<schema>#<c1,...,ck>`, its constants in the order
-    of its bindings, and takes the table's own objects as literals, found by
-    position."""
-    literals, constants, schemas = g.literals, sorted(g.constants), g.schemas
+    """Each rule of `g` as a `Rule`, its literals the table's own objects,
+    found by position.  An instance of a variable-free schema has the
+    schema's label; one of a schema with variables is labelled
+    `<schema>#<c1,...,ck>`, its constants in the order of its bindings."""
+    literals, constants, labels = g.literals, sorted(g.constants), g.source.labels
     new = tuple.__new__  # the bodies are distinct positions: Rule's dedupe is done
     rules = []
-    for s, values, head, body in zip(g.schema_of, g.bindings, g.positions.heads, g.positions.bodies):
-        schema = schemas[s]
-        if not values:
-            rules.append(schema)
-            continue
-        label = f"{schema.label}#{','.join([constants[i] for i in values])}"
-        rules.append(new(Rule, (label, schema.kind, tuple(map(literals.__getitem__, body)), literals[head])))
+    for s, values, kind, head, body in zip(g.schema_of, g.bindings, g.kinds, g.positions.heads, g.positions.bodies):
+        label = f"{labels[s]}#{','.join([constants[i] for i in values])}" if values else labels[s]
+        rules.append(new(Rule, (label, kind, tuple(map(literals.__getitem__, body)), literals[head])))
     return tuple(rules)
 
 
-def _position(literal: Literal, offsets: dict[tuple[str, int], int], index: dict[str, int]) -> Optional[int]:
-    """The position of a ground literal in the table that `offsets` lays out
-    over the constants numbered by `index`, or None when it is not there:
-    its signature's offset, plus twice its arguments read as a number in
-    base |constants|, plus 1 when it is negative."""
-    positive, (predicate, args) = literal
+def _position(key: tuple[bool, str, tuple[str, ...]], offsets: dict[tuple[str, int], int], index: dict[str, int]) -> Optional[int]:
+    """The position of the ground literal `(positive, predicate, args)` in
+    the table that `offsets` lays out over the constants numbered by
+    `index`, or None when it is not there: its signature's offset, plus
+    twice its arguments read as a number in base |constants|, plus 1 when it
+    is negative."""
+    positive, predicate, args = key
     at = offsets.get((predicate, len(args)))
     if at is None:
         return None
@@ -592,15 +697,23 @@ def _position(literal: Literal, offsets: dict[tuple[str, int], int], index: dict
     return at if positive else at + 1
 
 
+def _slots(literals) -> dict[str, int]:
+    """The variables of `(positive, predicate, args)` literals, numbered in
+    first occurrence order."""
+    variables = dict.fromkeys(t for _, _, args in literals for t in args if is_variable(t))
+    return {v: k for k, v in enumerate(variables)}
+
+
 def _template(
-    literal: Literal, offsets: dict[tuple[str, int], int], index: dict[str, int], slots: dict[str, int]
+    key: tuple[bool, str, tuple[str, ...]], offsets: dict[tuple[str, int], int], index: dict[str, int], slots: dict[str, int]
 ) -> tuple[int, list[int]]:
-    """A schema literal compiled to arithmetic: the part of `_position` its
-    sign and constants fix, and per variable slot the stride by which the
-    slot's constant index moves the position (0 for a slot the literal does
-    not hold; a repeated variable's strides add up)."""
-    args = literal.atom.args
-    fixed = offsets[literal.atom.predicate, len(args)] + (not literal.positive)
+    """A schema literal `(positive, predicate, args)` compiled to
+    arithmetic: the part of `_position` its sign and constants fix, and per
+    variable slot the stride by which the slot's constant index moves the
+    position (0 for a slot the literal does not hold; a repeated variable's
+    strides add up)."""
+    positive, predicate, args = key
+    fixed = offsets[predicate, len(args)] + (not positive)
     strides = [0] * len(slots)
     stride = 2 * len(index) ** len(args)
     for t in args:
@@ -648,26 +761,27 @@ def _conflicting_pairs(statements, members, heads) -> frozenset[tuple[int, int]]
     return frozenset(pairs)
 
 
-def _signature(literal: Literal) -> tuple[bool, str, int]:
-    return literal.positive, literal.atom.predicate, len(literal.atom.args)
+def _signature(key: tuple[bool, str, tuple[str, ...]]) -> tuple[bool, str, int]:
+    positive, predicate, args = key
+    return positive, predicate, len(args)
 
 
-def _fact_join(schema, slots, index, fact_args, head_signatures) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Bindings for the variables of the schema's body literals that no
-    supportive head can match: the slots bound, and distinct rows holding
-    their constants' indexes in that order.  A hash join over `fact_args`,
-    literal by literal, that binds each variable at its first argument;
-    every assignment under which each such literal is a fact is among the
-    rows.  Constants and repeated variables are left to the live test,
-    since such a literal is live exactly where it is a fact."""
+def _fact_join(body, slots, fact_args, head_signatures) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Bindings for the variables of the body literals that no supportive
+    head can match: the slots bound, and distinct rows holding their
+    constants' indexes in that order.  A hash join over `fact_args`, literal
+    by literal, that binds each variable at its first argument; every
+    assignment under which each such literal is a fact is among the rows.
+    Constants and repeated variables are left to the live test, since such
+    a literal is live exactly where it is a fact."""
     bound: list[int] = []
     rows: list[tuple[int, ...]] = [()]
-    for l in schema.body:
+    for l in body:
         signature = _signature(l)
         if signature in head_signatures:
             continue
         first: dict[int, int] = {}  # slot -> its first argument position
-        for j, t in enumerate(l.atom.args):
+        for j, t in enumerate(l[2]):
             if t in slots:
                 first.setdefault(slots[t], j)
         key_at = [first[k] for k in bound if k in first]
@@ -682,23 +796,30 @@ def _fact_join(schema, slots, index, fact_args, head_signatures) -> tuple[list[i
     return bound, rows
 
 
+def _spread(column, width: int):
+    """Each item of `column` `width` times in a row."""
+    return column if width == 1 else itertools.chain.from_iterable(map(itertools.repeat, column, itertools.repeat(width)))
+
+
 def _live_assignments(
-    schema, variables, offsets, index, fact_args, head_signatures, live
+    body, head, offsets, index, fact_args, head_signatures, live
 ) -> tuple[list[int], list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The instances of a schema with variables under which no body literal
-    is dead, as three columns in sorted order of their assignments: head
-    positions, body positions (distinct, in written order) and bindings (the
-    constants' indexes in the order of `variables`).
+    """The instances of a schema with variables, its `body` and `head` as
+    `(positive, predicate, args)`, under which no body literal is dead, as
+    three columns in sorted order of their assignments: head positions, body
+    positions (distinct, in written order) and bindings (the constants'
+    indexes in first occurrence order of the variables, body then head).
 
     The variables of the body literals that no supportive head can match are
     bound first (`_fact_join`); the other body variables are *free*.  The
-    last free one in slot order is the inner column: along it each compiled
-    literal's position is `range(base, base + step * |C|, step)`, its step
-    the literal's stride for that variable, or one constant position when
-    the step is 0.  Liveness is then a slice of `live`, and the survivors of
-    one column are taken by `itertools.compress` over rows zipped from the
-    value and position columns, so only the join's rows and the outer free
-    variables loop in Python; with no free variable a column has length 1.
+    join's rows, each crossed with the constants of the last free variable
+    in slot order (or with nothing, when no variable is free), form one
+    column.  Along it each compiled literal's position is its row's base,
+    summed from the bound values' columns, plus the free variable's stride
+    times its constant index: per row a `range`, or one position when that
+    stride is 0.  Liveness is then slices of `live`, and the survivors are
+    taken by `itertools.compress` over rows zipped from the value and
+    position columns, so Python loops only over the other free variables.
     The head position is one more column.  Variables occurring only in the
     head come last in slot order and range over the constants after the
     sort.
@@ -708,54 +829,62 @@ def _live_assignments(
     what outlives `ground` is allocated together.  Zipped into those tuples
     during the join instead, beside the rows, they made the first full
     collection after `ground` take 2.1-2.5x as long at 201 reach constants."""
+    add, mul, repeat = operator.add, operator.mul, itertools.repeat
     count = len(index)
-    slots = {v: k for k, v in enumerate(variables)}
-    in_body = len({t for l in schema.body for t in l.atom.args if t in slots})  # the body's variables come first
-    bound, rows = _fact_join(schema, slots, index, fact_args, head_signatures)
+    slots = _slots((*body, head))
+    in_body = len(_slots(body))  # the body's variables come first
+    bound, rows = _fact_join(body, slots, fact_args, head_signatures)
+    if not rows:
+        return [], [], []
     free = [k for k in range(in_body) if k not in bound]
-    width = count if free else 1
     inner = free.pop() if free else None
-    head, head_strides = _template(schema.head, offsets, index, slots)
-    head_step = 0 if inner is None else head_strides[inner]
-    templates = [_template(l, offsets, index, slots) for l in schema.body]
-    steps = [0 if inner is None else strides[inner] for _, strides in templates]
-    ones = b"\1" * width
-    values = [0] * in_body  # the inner slot stays 0, so a position computed from it is its column's base
+    width = count if inner is not None else 1
+    size = len(rows) * width  # the column's length
+    by_slot = dict(zip(bound, zip(*rows)))  # a bound slot -> its values over the rows
+    templates = [_template(l, offsets, index, slots) for l in (head, *body)]
+    values = [0] * in_body  # only the outer free slots are set, so a sum over it is their share
     found = []
-    for row in rows:
-        for k, v in zip(bound, row):
+    for more in itertools.product(range(count), repeat=len(free)):
+        for k, v in zip(free, more):
             values[k] = v
-        for more in itertools.product(range(count), repeat=len(free)):
-            for k, v in zip(free, more):
-                values[k] = v
-            columns = list(map(itertools.repeat, values, itertools.repeat(width)))
-            if inner is not None:
-                columns[inner] = range(width)
-            at = head + sum(map(operator.mul, head_strides, values))
-            columns.append(range(at, at + head_step * width, head_step) if head_step else itertools.repeat(at, width))
-            selectors = []
-            for (fixed, strides), step in zip(templates, steps):
-                at = fixed + sum(map(operator.mul, strides, values))
-                if step:
-                    columns.append(range(at, at + step * width, step))
-                    selectors.append(live[at : at + step * width : step])
-                elif live[at]:
-                    columns.append(itertools.repeat(at, width))
-                else:
-                    break
+        columns = [
+            _spread(by_slot[k], width) if k in by_slot
+            else itertools.chain.from_iterable(repeat(range(width), len(rows))) if k == inner
+            else repeat(values[k], size)
+            for k in range(in_body)
+        ]
+        selectors = []
+        for j, (fixed, strides) in enumerate(templates):
+            bases = [fixed + sum(map(mul, strides, values))] * len(rows)
+            for k, column in by_slot.items():
+                if strides[k]:
+                    bases = list(map(add, bases, map(mul, column, repeat(strides[k]))))
+            step = 0 if inner is None else strides[inner]
+            if step:
+                ends = list(map(add, bases, repeat(step * width)))
+                columns.append(itertools.chain.from_iterable(map(range, bases, ends, repeat(step))))
+                if j:
+                    selectors.append(b"".join(map(live.__getitem__, map(slice, bases, ends, repeat(step)))))
             else:
-                ok = selectors[0] if len(selectors) == 1 else bytes(map(min, *selectors)) if selectors else ones
-                found += itertools.compress(zip(*columns), ok)
+                columns.append(_spread(bases, width))
+                if j:
+                    selectors.append(bytes(_spread(map(live.__getitem__, bases), width)))
+            if j and 1 not in selectors[-1]:
+                break
+        else:
+            ok = selectors[0] if len(selectors) == 1 else bytes(map(min, *selectors)) if selectors else repeat(1, size)
+            found += itertools.compress(zip(*columns), ok)
     found.sort()
     heads = list(map(operator.itemgetter(in_body), found))
     bodies = list(map(operator.itemgetter(slice(in_body + 1, None)), found))
     bindings = list(map(operator.itemgetter(slice(in_body)), found))
     # only literals of one signature can meet under an assignment (p(X), p(Y) with X = Y)
-    if len({_signature(l) for l in schema.body}) < len(schema.body):
+    if len(set(map(_signature, body))) < len(body):
         bodies = list(map(tuple, map(dict.fromkeys, bodies)))
-    if in_body < len(variables):
-        more = list(itertools.product(range(count), repeat=len(variables) - in_body))
-        shift = [sum(map(operator.mul, head_strides[in_body:], m)) for m in more]
+    if in_body < len(slots):
+        head_strides = templates[0][1]
+        more = list(itertools.product(range(count), repeat=len(slots) - in_body))
+        shift = [sum(map(mul, head_strides[in_body:], m)) for m in more]
         heads = [at + d for at in heads for d in shift]
         bodies = [body for body in bodies for _ in more]
         bindings = [binding + m for binding in bindings for m in more]
@@ -798,11 +927,11 @@ def validate(g: GroundTheory, allow_cyclic_superiority: bool = False) -> Validat
     so it has no effect.
     """
     report = ValidationReport()
-    schemas, of = g.schemas, g.schema_of
-    declared = Counter(r.label for r in schemas)
+    labels, of = g.source.labels, g.schema_of
+    declared = Counter(labels)
     report.errors += [f"duplicate rule label {l}" for l, k in declared.items() if k > 1]
-    effective = {(schemas[of[t]].label, schemas[of[s]].label) for t, s in g.positions.superiority}
-    statements = sorted(set(g.written_superiority))
+    effective = {(labels[of[t]], labels[of[s]]) for t, s in g.positions.superiority}
+    statements = sorted(set(g.source.superiority))
     undeclared = dict.fromkeys(l for pair in statements for l in pair if l not in declared)
     report.errors += [f"superiority references undeclared label {l}" for l in undeclared]
     for hi, lo in statements:

@@ -19,7 +19,16 @@ offsets.  The line and column of a `ParseError` are worked out only when one
 is raised, by lexing the text again up to the offending token.  A character
 no token starts with lexes as a token of its own that the parser never
 accepts; it is reported before any other error, as if the text had been
-checked for such characters first.  Equal literals are one object per parse.
+checked for such characters first.
+
+`parse_theory` builds no `Literal` and no `Rule`.  It numbers each distinct
+literal once, by `(positive, name, args)`, with the routine that
+`SourceTheory`'s constructor uses too (`core._Interner`), and hands over a
+`SourceTheory` of columns: the table of distinct literals in order of first
+occurrence, each rule's label, kind, head id and body ids (deduplicated in
+written order), the fact ids and the superiority statements as written.
+Its views build the facts and rules as objects on first read, equal
+literals one object.
 """
 
 from __future__ import annotations
@@ -30,11 +39,12 @@ import re
 from .core import (
     Atom,
     Literal,
-    Rule,
+    RuleKind,
     SourceTheory,
     Tag,
     TaggedConclusion,
     ARROWS,
+    _Interner,
     gc_paused,
 )
 
@@ -48,10 +58,11 @@ class ParseError(Exception):
         self.token = token
 
 
-_TOKEN = r"[-=~]>|[~().,:>]|[A-Za-z]\w*"
+_TOKEN = r"[-=~]>|[~().,:>]|[A-Za-z]\w*+"
 # group 1 is a token, a character no token starts with, or the end of input;
-# the whitespace and comments before it are skipped
-_TOKEN_RE = re.compile(rf"\s*(?:%[^\n]*\s*)*({_TOKEN}|.|\Z)")
+# the whitespace and comments before it are skipped; the quantifiers are
+# possessive, since none of them has anything to give back
+_TOKEN_RE = re.compile(rf"\s*+(?:%[^\n]*+\s*+)*+({_TOKEN}|.|\Z)")
 _WELL_FORMED = re.compile(_TOKEN)
 
 _ARROW_KIND = {arrow: kind for kind, arrow in ARROWS.items()}
@@ -61,8 +72,8 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _TOKEN_RE.findall(text)  # the last is '', the end of input
-        self.pos = 0
-        self.interned: dict[tuple, Literal] = {}  # (positive, name, args) -> literal
+        self.interner = _Interner()
+        self.ids = self.interner.ids  # (positive, name, args) -> literal id
         self.arities: dict[str, tuple[int, int]] = {}  # arity, token index of first use
         self.auto_label = 0
 
@@ -83,13 +94,21 @@ class _Parser:
     def expected(self, index: int, what: str):
         self.fail(index, f"expected {what}, found {self.tokens[index] or 'end of input'!r}")
 
+    def written(self, i: int) -> Literal:
+        """Literal `i` as an object, to name it in a message."""
+        positive, name, args = next(itertools.islice(self.ids, i, None))
+        return Literal(positive, Atom(name, args))
+
     def theory(self) -> SourceTheory:
-        facts: list[Literal] = []
-        rules: list[Rule] = []
+        fact_ids: list[int] = []
+        labels: list[str] = []
+        kinds: list[RuleKind] = []
+        heads: list[int] = []
+        bodies: list[list[int]] = []
         sup: list[tuple[str, str]] = []
-        tokens = self.tokens
-        while tokens[self.pos]:
-            start = self.pos
+        tokens, literal, pos = self.tokens, self.literal, 0
+        while tokens[pos]:
+            start = pos
             first, second = tokens[start], tokens[start + 1]
             label = None
             if "a" <= first < "{" and second == ">":
@@ -98,51 +117,46 @@ class _Parser:
                     self.expected(start + 2, "a rule label")
                 if tokens[start + 3] != ".":
                     self.expected(start + 3, "'.'")
-                self.pos = start + 4
+                pos = start + 4
                 sup.append((first, lo))
                 continue
             if "a" <= first < "{" and second == ":":
                 label = first
-                self.pos = start + 2
-                body = [] if tokens[self.pos] in _ARROW_KIND else self.body()
-            else:
-                body = [] if first in _ARROW_KIND else self.body()
-                if len(body) == 1 and tokens[self.pos] == ".":
-                    self.pos += 1
-                    if not body[0].is_ground():
-                        self.fail(start, f"fact {body[0]} contains a variable")
-                    facts.append(body[0])
+                pos = start + 2
+            body = []
+            if tokens[pos] not in _ARROW_KIND:  # one or more comma-separated literals
+                i, pos = literal(pos)
+                body.append(i)
+                while tokens[pos] == ",":
+                    i, pos = literal(pos + 1)
+                    body.append(i)
+                if label is None and len(body) == 1 and tokens[pos] == ".":
+                    pos += 1
+                    if i in self.interner.variable_ids:
+                        self.fail(start, f"fact {self.written(i)} contains a variable")
+                    fact_ids.append(i)
                     continue
-            rules.append(self.rule_tail(label, body))
-        return SourceTheory(tuple(facts), tuple(rules), tuple(sup))
+            kind = _ARROW_KIND.get(tokens[pos])
+            if kind is None:
+                self.expected(pos, "an arrow ('->', '=>' or '~>')")
+            i, pos = literal(pos + 1)
+            heads.append(i)
+            if tokens[pos] != ".":
+                self.expected(pos, "'.'")
+            pos += 1
+            if label is None:
+                self.auto_label += 1
+                label = f"_r{self.auto_label}"
+            labels.append(label)
+            kinds.append(kind)
+            bodies.append(body)
+        return self.interner.theory(fact_ids, labels, kinds, heads, bodies, sup)
 
-    def body(self) -> list[Literal]:
-        """One or more comma-separated literals."""
-        body = [self.literal()]
-        while self.tokens[self.pos] == ",":
-            self.pos += 1
-            body.append(self.literal())
-        return body
-
-    def rule_tail(self, label, body) -> Rule:
+    def literal(self, pos: int) -> tuple[int, int]:
+        """`[~]name` or `[~]name(term, ...)` at token `pos`: its id, and the
+        position after it.  The arity of a name is checked when a literal is
+        first seen, which a clash always is."""
         tokens = self.tokens
-        kind = _ARROW_KIND.get(tokens[self.pos])
-        if kind is None:
-            self.expected(self.pos, "an arrow ('->', '=>' or '~>')")
-        self.pos += 1
-        head = self.literal()
-        if tokens[self.pos] != ".":
-            self.expected(self.pos, "'.'")
-        self.pos += 1
-        if label is None:
-            self.auto_label += 1
-            label = f"_r{self.auto_label}"
-        return Rule(label, kind, tuple(body), head)
-
-    def literal(self) -> Literal:
-        """`[~]name` or `[~]name(term, ...)`.  The arity of a name is checked
-        when a literal is first seen, which a clash always is."""
-        tokens, pos = self.tokens, self.pos
         positive = tokens[pos] != "~"
         if not positive:
             pos += 1
@@ -164,16 +178,15 @@ class _Parser:
                 self.expected(pos, "')'")
             pos += 1
             args = tuple(terms)
-        self.pos = pos
         key = (positive, name, args)
-        literal = self.interned.get(key)
-        if literal is None:
+        i = self.ids.get(key)
+        if i is None:
             arity, first = self.arities.setdefault(name, (len(args), name_at))
             if arity != len(args):
                 line, column = self.where(first)
                 self.fail(name_at, f"arity clash for {name}: {len(args)} here, {arity} at {line}:{column}")
-            literal = self.interned[key] = Literal(positive, Atom(name, args))
-        return literal
+            i = self.interner.number(key)
+        return i, pos
 
 
 @gc_paused
@@ -192,10 +205,11 @@ def parse_conclusion(text: str) -> TaggedConclusion:
         raise ParseError(f"unknown tag in {stripped!r} (expected +D, -D, +d or -d)", 1, 1, stripped[:2])
     tag = _TAGS[stripped[:2]]
     p = _Parser(stripped[2:])
-    literal = p.literal()
-    if p.tokens[p.pos]:
-        p.fail(p.pos, f"unexpected {p.tokens[p.pos]!r} after literal")
-    if not literal.is_ground():
+    i, pos = p.literal(0)
+    literal = p.written(i)
+    if p.tokens[pos]:
+        p.fail(pos, f"unexpected {p.tokens[pos]!r} after literal")
+    if p.interner.variable_ids:
         raise ParseError(f"conclusion literal {literal} is not ground", 1, 3, str(literal))
     return TaggedConclusion(tag, literal)
 

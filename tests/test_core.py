@@ -1,10 +1,13 @@
 """Domain types, grounding, validation, and the conclusion-set invariants."""
 
+import gc
+import io
 import itertools
+import tracemalloc
 
 import pytest
 
-from dlog import engine, metaprogram, modelcheck
+from dlog import cli, engine, metaprogram, modelcheck
 from dlog.core import (
     ConclusionSet,
     GroundingError,
@@ -20,7 +23,8 @@ from dlog.core import (
     neg,
     validate,
 )
-from dlog.parser import parse_theory
+from dlog.parser import parse_theory, render_theory
+from dlog.scaling import chain_theory
 from test_grounding import naive_ground
 
 
@@ -404,3 +408,35 @@ def test_conclusion_set_over_another_table(bird):
     # a literal outside the set's table carries no flag
     assert [flags[0] for flags in rebuilt.over((lit("zebra"),))] == [False] * 4
     assert rebuilt.undefined_levels(lit("zebra")) == ["definite", "partial"]
+
+
+def test_front_end_grows_linearly_without_a_clock():
+    # from a 20k-link chain to a 40k-link one, the objects alive after
+    # `ground` and the peak of memory traced from parse to render may grow
+    # by at most 2.05x; counted with the GC off, so no collection untracks
+    # any of them
+    def measure(links: int) -> tuple[int, int]:
+        text = render_theory(chain_theory(links).source)
+        resume = gc.isenabled()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            g = ground(parse_theory(text))
+            tracked = len(gc.get_objects()) - before
+        finally:
+            if resume:
+                gc.enable()
+        del g
+        tracemalloc.start()
+        try:
+            g = ground(parse_theory(text))
+            validate(g)
+            cli._print_conclusions(g, engine.derive_all(g), io.StringIO(), False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return tracked, peak
+
+    (tracked_20k, peak_20k), (tracked_40k, peak_40k) = measure(20_000), measure(40_000)
+    assert tracked_40k <= 2.05 * tracked_20k, (tracked_20k, tracked_40k)
+    assert peak_40k <= 2.05 * peak_20k, (peak_20k, peak_40k)

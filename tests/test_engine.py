@@ -16,6 +16,7 @@ from dlog.core import (
     Positions,
     Rule,
     RuleKind,
+    SourceTheory,
     Tag,
     TaggedConclusion,
     ValidationError,
@@ -389,10 +390,8 @@ def test_gc_state_is_restored(bird, enabled):
     # indexes; each must leave it as it found it, also when the build raises
     # (here: a fact and a rule head at a position past the table)
     broken = GroundTheory(
-        facts=frozenset({lit("q")}),
+        source=SourceTheory(facts=(lit("q"),), rules=(Rule("r", RuleKind.DEFEASIBLE, (), lit("q")),)),
         constants=frozenset(),
-        schemas=(Rule("r", RuleKind.DEFEASIBLE, (), lit("q")),),
-        written_superiority=(),
         offsets={("p", 0): 0},
         positions=Positions(heads=(2,), bodies=((),), facts=(2,), superiority=frozenset()),
         schema_of=(0,),

@@ -7,8 +7,11 @@ body can hold and keeps only the superiority pairs with conflicting heads.
 The two must agree on validation and on every conclusion.
 """
 
+import gc
+import io
 import itertools
 import random
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -16,7 +19,7 @@ from typing import NamedTuple
 
 import pytest
 
-from dlog import engine, metaprogram, modelcheck
+from dlog import cli, engine, metaprogram, modelcheck
 from dlog.core import (
     GroundingError,
     GroundTheory,
@@ -94,7 +97,7 @@ def naive_reference(theory: SourceTheory) -> Reference:
         for a in instances_of.get(hi, ())
         for b in instances_of.get(lo, ())
     }
-    signatures = {(l.atom.predicate, l.atom.arity) for l in theory._all_literals()}
+    signatures = {(l.atom.predicate, l.atom.arity) for l in theory.literals}
     positives = sorted(
         (lit(predicate, *args) for predicate, arity in signatures for args in itertools.product(constants, repeat=arity)),
         key=str,
@@ -106,10 +109,8 @@ def naive_reference(theory: SourceTheory) -> Reference:
         offsets.setdefault((q.atom.predicate, q.atom.arity), i)
     facts = frozenset(theory.facts)
     g = GroundTheory(
-        facts=facts,
+        source=theory,
         constants=frozenset(constants),
-        schemas=tuple(theory.rules),
-        written_superiority=tuple(theory.superiority),
         offsets=offsets,
         positions=Positions(
             tuple(index[r.head] for r in instances),
@@ -471,3 +472,108 @@ def test_ground_positions_on_first_order_theories():
             if r.label.partition("#")[0] == schema.label
         )
     assert collapsed > 0
+
+
+_ARROW_KIND = {"->": RuleKind.STRICT, "=>": RuleKind.DEFEASIBLE, "~>": RuleKind.DEFEATER}
+_LITERAL = re.compile(r"(~?)([a-z]\w*)(?:\(([^)]*)\))?")
+
+
+def object_parse(text: str) -> tuple:
+    """The facts, rules and superiority statements of a well-formed text as
+    objects, statement by statement: a `Literal` per occurrence and a `Rule`
+    per rule, whose constructor deduplicates the body, and unlabeled rules
+    labelled `_r1`, `_r2`, ... in order.  A reference for the parser's views,
+    sharing none of its code."""
+    def literal(match) -> Literal:
+        sign, name, args = match.groups()
+        return lit(name, *(a.strip() for a in args.split(",")) if args else (), positive=not sign)
+
+    facts, rules, superiority = [], [], []
+    for statement in re.findall(r"([^.]*)\.", re.sub(r"%[^\n]*", "", text)):
+        if m := re.fullmatch(r"\s*([a-z]\w*)\s*>\s*([a-z]\w*)\s*", statement):
+            superiority.append(m.groups())
+        elif m := re.fullmatch(r"\s*(?:([a-z]\w*)\s*:)?(.*?)(->|=>|~>)(.*)", statement, re.S):
+            label, body, arrow, head = m.groups()
+            label = label or f"_r{sum(r.label.startswith('_r') for r in rules) + 1}"
+            body = [literal(b) for b in _LITERAL.finditer(body)]
+            rules.append(Rule(label, _ARROW_KIND[arrow], body, literal(_LITERAL.search(head))))
+        else:
+            facts.append(literal(_LITERAL.search(statement)))
+    return tuple(facts), tuple(rules), tuple(superiority)
+
+
+# written duplicates in bodies, comments, unlabeled rules and negation, which
+# no rendered theory holds
+HANDWRITTEN = """% a comment
+p. q(a). ~r.
+s: p, q(a), p => t.   % p twice
+p, ~r, p, ~r -> u(b).
+v: q(X), q(X), ~r ~> ~u(X).
+s > v.
+"""
+
+
+def producer_corpus() -> dict[str, SourceTheory]:
+    """Theories built in code, by name: the bird fixture, the benchmark
+    texts and a handwritten one as `object_parse` reads them, 500 random
+    propositional theories and 300 first-order ones over 1-6 constants."""
+    texts = {"bird": (ROOT / "tests" / "fixtures" / "bird.dl").read_text(), "handwritten": HANDWRITTEN}
+    texts.update(benchmark_texts())
+    theories = {name: SourceTheory(*object_parse(text)) for name, text in texts.items()}
+    theories.update((f"random-{seed}", generate_random_theory(seed, max_atoms=4, max_rules=8)) for seed in range(500))
+    theories.update(
+        (f"first-order-{seed}", random_first_order_theory(seed, constants=(1, 6), max_arity=3)) for seed in range(300)
+    )
+    return theories
+
+
+def test_code_built_and_parsed_theories_ground_alike():
+    # the constructor and the parser number literals with one routine; a
+    # theory built in code and its text parsed ground to identical columns
+    grounded = 0
+    for name, built in producer_corpus().items():
+        parsed = parse_theory(render_theory(built))
+        assert parsed == built, name
+        (a, error), (b, parsed_error) = outcome(ground, built), outcome(ground, parsed)
+        assert error == parsed_error, name
+        if a is None and b is None:
+            continue
+        for field in ("positions", "offsets", "schema_of", "bindings", "kinds", "constants"):
+            assert getattr(a, field) == getattr(b, field), (name, field)
+        grounded += 1
+    assert grounded > 600
+
+
+def test_source_views_are_the_objects_the_text_writes():
+    # the parser hands over columns; its views rebuild the objects that
+    # parsing statement by statement gives, with equal literals one object
+    texts = {name: render_theory(t) for name, t in producer_corpus().items() if name.startswith(("random", "first"))}
+    texts.update(benchmark_texts(), bird=(ROOT / "tests" / "fixtures" / "bird.dl").read_text(), handwritten=HANDWRITTEN)
+    for name, text in texts.items():
+        t = parse_theory(text)
+        assert (t.facts, t.rules, t.superiority) == object_parse(text), name
+        literals = [*t.facts, *(l for r in t.rules for l in (*r.body, r.head))]
+        assert len({id(l) for l in literals}) == len(set(literals)), name
+    g = ground(parse_theory(HANDWRITTEN))
+    assert [len(body) for body in g.positions.bodies] == [2, 2, 2]  # q(X), q(X) is one literal
+    assert len(g.positions.facts) == 3
+
+
+@pytest.mark.parametrize("name", ["bird", "chain-1", "circle-1", "teams-1", "reach-1"])
+def test_derive_path_builds_no_rule(bird_text, name):
+    # parse, ground, validate, derive and both renders read columns only:
+    # no `Rule` is built, and the source's `rules` view is never read
+    text = bird_text if name == "bird" else benchmark_texts()[name]
+
+    def rules_alive() -> int:
+        return sum(type(o) is Rule for o in gc.get_objects())
+
+    before = rules_alive()
+    theory = parse_theory(text)
+    g = ground(theory)
+    validate(g)
+    conclusions = engine.derive_all(g)
+    for as_json in (False, True):
+        cli._print_conclusions(g, conclusions, io.StringIO(), as_json)
+    assert rules_alive() == before
+    assert "rules" not in vars(theory) and "rules" not in vars(g)

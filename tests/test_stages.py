@@ -33,7 +33,8 @@ def test_stage_record(tmp_path):
     ]
     subprocess.run(argv, check=True, capture_output=True, timeout=300)
     record = json.loads(out.read_text())
-    assert {"python", "nproc", "trees"} <= set(record)
+    assert {"python", "nproc", "trees", "bytecode"} <= set(record)
+    assert "PYTHONPYCACHEPREFIX" in record["bytecode"]
     assert set(record["trees"]) == {"parent", "change"}
     workloads = record["workloads"]
     assert set(workloads) == {

@@ -16,9 +16,14 @@ runs alternate between the trees, and the record holds each stage's median
 over `--repeats` runs per tree, and the runs themselves.  A run's `import_s`
 is its first `import dlog.cli`, timed before any stage and after this
 script's own standard-library imports; `total_s` sums the stages without
-it.  Each run also notes whether numpy was loaded once the derive stages
-had run (`numpy_loaded`, per tree): only the model oracle needs it, so the
-model workload reads it after its first theory's derive stage.  Each run
+it.  Every run compiles dlog from source, as a fresh checkout under the
+benchmark does: its `PYTHONPYCACHEPREFIX` is a new empty directory, so a
+`__pycache__` left in either tree is never read (the record's `bytecode`).
+Once dlog is imported, the prefix is dropped, so that numpy, which the model
+oracle loads inside a timed stage, loads from its installed cache.
+Each run also notes whether numpy was loaded once the derive stages had run
+(`numpy_loaded`, per tree): only the model oracle needs it, so the model
+workload reads it after its first theory's derive stage.  Each run
 also takes 5 pace probes (`benchmark/pace.py`) before its stages and 5
 after, and records `scale`, `pace.REFERENCE_S` over their median;
 `median_scaled_s` is the median of each stage's seconds times its run's
@@ -199,11 +204,19 @@ def measure(path: Path, kind: str, target: str) -> dict:
     return {"seconds": seconds, "sizes": sizes, "numpy_loaded": numpy_loaded}
 
 
+BYTECODE = (
+    "dlog compiled from source in every run: PYTHONPYCACHEPREFIX names a fresh empty directory per run, "
+    "so no tree's __pycache__ is read; modules first loaded by a stage come from their installed caches"
+)
+
+
 def run_in(tree: Path, path: Path, kind: str, target: str) -> dict:
-    """`paced` in a fresh interpreter importing dlog from `tree/src`."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    argv = [sys.executable, __file__, "--measure", str(path), "--kind", kind, "--target", target]
-    done = subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True, check=True)
+    """`paced` in a fresh interpreter importing dlog from `tree/src`, its
+    bytecode cache an empty directory of its own (see `BYTECODE`)."""
+    with tempfile.TemporaryDirectory() as cache:
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONPYCACHEPREFIX=cache)
+        argv = [sys.executable, __file__, "--measure", str(path), "--kind", kind, "--target", target]
+        done = subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(done.stdout)
 
 
@@ -233,6 +246,9 @@ def main() -> int:
         start = perf_counter()
         import dlog.cli  # noqa: F401
         import_s = perf_counter() - start
+        import dlog.metaprogram, dlog.modelcheck  # noqa: E401, F401  # the rest of dlog, from source too
+        # what the stages load later (numpy) comes from its installed cache, as in the benchmark
+        sys.pycache_prefix = None
         result = paced(args.measure, args.kind, args.target)
         result["seconds"]["import_s"] = import_s
         print(json.dumps(result))
@@ -269,6 +285,7 @@ def main() -> int:
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "platform": platform.platform(),
         "repeats": args.repeats,
+        "bytecode": BYTECODE,
         "trees": {label: commit(tree) for label, tree in trees.items()},
         "workloads": {
             name: {
