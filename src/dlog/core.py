@@ -796,11 +796,6 @@ def _fact_join(body, slots, fact_args, head_signatures) -> tuple[list[int], list
     return bound, rows
 
 
-def _spread(column, width: int):
-    """Each item of `column` `width` times in a row."""
-    return column if width == 1 else itertools.chain.from_iterable(map(itertools.repeat, column, itertools.repeat(width)))
-
-
 def _live_assignments(
     body, head, offsets, index, fact_args, head_signatures, live
 ) -> tuple[list[int], list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -811,18 +806,19 @@ def _live_assignments(
     indexes in first occurrence order of the variables, body then head).
 
     The variables of the body literals that no supportive head can match are
-    bound first (`_fact_join`); the other body variables are *free*.  The
-    join's rows, each crossed with the constants of the last free variable
-    in slot order (or with nothing, when no variable is free), form one
-    column.  Along it each compiled literal's position is its row's base,
-    summed from the bound values' columns, plus the free variable's stride
-    times its constant index: per row a `range`, or one position when that
-    stride is 0.  Liveness is then slices of `live`, and the survivors are
+    bound first (`_fact_join`); the other body variables are *free*.  When
+    none is free, the join's rows are the one column: each compiled
+    literal's positions are sums over the bound values' columns, and
+    liveness is a read of `live` per position.  Otherwise the last free
+    variable in slot order is the inner column: along it each compiled
+    literal's position is `range(base, base + step * |C|, step)`, its step
+    the literal's stride for that variable, or one constant position when
+    the step is 0, and liveness is a slice of `live`; Python loops over the
+    join's rows and the other free variables.  Either way the survivors are
     taken by `itertools.compress` over rows zipped from the value and
-    position columns, so Python loops only over the other free variables.
-    The head position is one more column.  Variables occurring only in the
-    head come last in slot order and range over the constants after the
-    sort.
+    position columns, and the head position is one more column.  Variables
+    occurring only in the head come last in slot order and range over the
+    constants after the sort.
 
     Until the sort, an instance is one flat row of values and positions;
     its bindings and body tuples are cut from the sorted rows afterwards, so
@@ -837,43 +833,49 @@ def _live_assignments(
     if not rows:
         return [], [], []
     free = [k for k in range(in_body) if k not in bound]
-    inner = free.pop() if free else None
-    width = count if inner is not None else 1
-    size = len(rows) * width  # the column's length
-    by_slot = dict(zip(bound, zip(*rows)))  # a bound slot -> its values over the rows
     templates = [_template(l, offsets, index, slots) for l in (head, *body)]
-    values = [0] * in_body  # only the outer free slots are set, so a sum over it is their share
-    found = []
-    for more in itertools.product(range(count), repeat=len(free)):
-        for k, v in zip(free, more):
-            values[k] = v
-        columns = [
-            _spread(by_slot[k], width) if k in by_slot
-            else itertools.chain.from_iterable(repeat(range(width), len(rows))) if k == inner
-            else repeat(values[k], size)
-            for k in range(in_body)
-        ]
+    if not free:
+        by_slot = dict(zip(bound, zip(*rows)))  # a slot -> its values over the rows
+        columns = [by_slot[k] for k in range(in_body)]
         selectors = []
         for j, (fixed, strides) in enumerate(templates):
-            bases = [fixed + sum(map(mul, strides, values))] * len(rows)
-            for k, column in by_slot.items():
+            at = [fixed] * len(rows)
+            for k, values in by_slot.items():
                 if strides[k]:
-                    bases = list(map(add, bases, map(mul, column, repeat(strides[k]))))
-            step = 0 if inner is None else strides[inner]
-            if step:
-                ends = list(map(add, bases, repeat(step * width)))
-                columns.append(itertools.chain.from_iterable(map(range, bases, ends, repeat(step))))
-                if j:
-                    selectors.append(b"".join(map(live.__getitem__, map(slice, bases, ends, repeat(step)))))
-            else:
-                columns.append(_spread(bases, width))
-                if j:
-                    selectors.append(bytes(_spread(map(live.__getitem__, bases), width)))
-            if j and 1 not in selectors[-1]:
-                break
-        else:
-            ok = selectors[0] if len(selectors) == 1 else bytes(map(min, *selectors)) if selectors else repeat(1, size)
-            found += itertools.compress(zip(*columns), ok)
+                    at = list(map(add, at, map(mul, values, repeat(strides[k]))))
+            columns.append(at)
+            if j:  # a body literal
+                selectors.append(bytes(map(live.__getitem__, at)))
+        ok = selectors[0] if len(selectors) == 1 else bytes(map(min, *selectors)) if selectors else repeat(1)
+        found = list(itertools.compress(zip(*columns), ok))
+    else:
+        inner = free.pop()
+        steps = [strides[inner] for _, strides in templates]
+        ones = b"\1" * count
+        values = [0] * in_body  # the inner slot stays 0, so a position computed from it is its column's base
+        found = []
+        for row in rows:
+            for k, v in zip(bound, row):
+                values[k] = v
+            for more in itertools.product(range(count), repeat=len(free)):
+                for k, v in zip(free, more):
+                    values[k] = v
+                columns = list(map(repeat, values, repeat(count)))
+                columns[inner] = range(count)
+                selectors = []
+                for j, ((fixed, strides), step) in enumerate(zip(templates, steps)):
+                    at = fixed + sum(map(mul, strides, values))
+                    if step:
+                        columns.append(range(at, at + step * count, step))
+                        if j:
+                            selectors.append(live[at : at + step * count : step])
+                    elif not j or live[at]:
+                        columns.append(repeat(at, count))
+                    else:
+                        break
+                else:
+                    ok = selectors[0] if len(selectors) == 1 else bytes(map(min, *selectors)) if selectors else ones
+                    found += itertools.compress(zip(*columns), ok)
     found.sort()
     heads = list(map(operator.itemgetter(in_body), found))
     bodies = list(map(operator.itemgetter(slice(in_body + 1, None)), found))
