@@ -568,6 +568,7 @@ def test_derive_path_builds_no_rule(bird_text, name):
     def rules_alive() -> int:
         return sum(type(o) is Rule for o in gc.get_objects())
 
+    gc.collect()  # so that no garbage from earlier tests is freed while counting
     before = rules_alive()
     theory = parse_theory(text)
     g = ground(theory)
