@@ -10,8 +10,9 @@ never apply, so it is not built, and superiority keeps only the pairs whose
 heads conflict.  Neither changes a conclusion or a model (see `ground`).
 Grounding works on integers: which literals are live is one flag per table
 position, facts are joined on their constants' indexes, and a schema's
-instances are found a column at a time, along one variable, over which
-every literal's position is an arithmetic progression.
+instances are found a column at a time: along the fact join's rows, or
+along one variable, over which every literal's position is an arithmetic
+progression.
 
 A theory as written is a `SourceTheory` of integer columns: the parser and
 the constructor from objects number each distinct literal once
@@ -503,11 +504,12 @@ def ground(theory: SourceTheory) -> GroundTheory:
     facts of the body literals that no supportive head can match, the other
     body variables range over the constants, an assignment stays when every
     body position is live, and variables occurring only in the head range
-    over the constants last.  The join's rows, each crossed with the last
-    free body variable, are one column: along it each head and body position
-    is a sum of column terms, so the live test, the survivors and their
-    positions are read off whole columns by C builtins, and Python loops
-    only over the other free variables.
+    over the constants last.  When every body variable is bound by the
+    join, its rows are one column; otherwise the last free body variable
+    is, and along it each head and body position steps by a fixed stride.
+    Either way the live test, the survivors and their positions are read
+    off whole columns by C builtins, and Python loops only over the join's
+    rows and the other free variables when some variable is free.
 
     Instances come in the order of the full grounding: schemas in written
     order, each one's assignments in sorted order of the constants.  Each is
