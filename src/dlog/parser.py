@@ -58,11 +58,10 @@ class ParseError(Exception):
         self.token = token
 
 
-_TOKEN = r"[-=~]>|[~().,:>]|[A-Za-z]\w*+"
+_TOKEN = r"[-=~]>|[~().,:>]|[A-Za-z]\w*"
 # group 1 is a token, a character no token starts with, or the end of input;
-# the whitespace and comments before it are skipped; the quantifiers are
-# possessive, since none of them has anything to give back
-_TOKEN_RE = re.compile(rf"\s*+(?:%[^\n]*+\s*+)*+({_TOKEN}|.|\Z)")
+# the whitespace and comments before it are skipped
+_TOKEN_RE = re.compile(rf"\s*(?:%[^\n]*\s*)*({_TOKEN}|.|\Z)")
 _WELL_FORMED = re.compile(_TOKEN)
 
 _ARROW_KIND = {arrow: kind for kind, arrow in ARROWS.items()}
