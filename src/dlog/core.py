@@ -504,12 +504,11 @@ def ground(theory: SourceTheory) -> GroundTheory:
     facts of the body literals that no supportive head can match, the other
     body variables range over the constants, an assignment stays when every
     body position is live, and variables occurring only in the head range
-    over the constants last.  When every body variable is bound by the
-    join, its rows are one column; otherwise the last free body variable
-    is, and along it each head and body position steps by a fixed stride.
-    Either way the live test, the survivors and their positions are read
-    off whole columns by C builtins, and Python loops only over the join's
-    rows and the other free variables when some variable is free.
+    over the constants last.  The last free body variable is one column,
+    along which each head and body position steps by a fixed stride, so the
+    live test, the survivors and their positions are read off whole columns
+    by C builtins; Python loops over the join's rows and the other free
+    variables.
 
     Instances come in the order of the full grounding: schemas in written
     order, each one's assignments in sorted order of the constants.  Each is
@@ -808,15 +807,13 @@ def _live_assignments(
     indexes in first occurrence order of the variables, body then head).
 
     The variables of the body literals that no supportive head can match are
-    bound first (`_fact_join`); the other body variables are *free*.  When
-    none is free, the join's rows are the one column: each compiled
-    literal's positions are sums over the bound values' columns, and
-    liveness is a read of `live` per position.  Otherwise the last free
-    variable in slot order is the inner column: along it each compiled
-    literal's position is `range(base, base + step * |C|, step)`, its step
-    the literal's stride for that variable, or one constant position when
-    the step is 0, and liveness is a slice of `live`; Python loops over the
-    join's rows and the other free variables.  Either way the survivors are
+    bound first (`_fact_join`); the other body variables are *free*.  The
+    last free variable in slot order is the inner column: along it each
+    compiled literal's position is `range(base, base + step * |C|, step)`,
+    its step the literal's stride for that variable, or one constant
+    position when the step is 0, and liveness is a slice of `live`; Python
+    loops over the join's rows and the other free variables.  When no
+    variable is free, each row is a column of width 1.  The survivors are
     taken by `itertools.compress` over rows zipped from the value and
     position columns, and the head position is one more column.  Variables
     occurring only in the head come last in slot order and range over the
@@ -827,7 +824,7 @@ def _live_assignments(
     what outlives `ground` is allocated together.  Zipped into those tuples
     during the join instead, beside the rows, they made the first full
     collection after `ground` take 2.1-2.5x as long at 201 reach constants."""
-    add, mul, repeat = operator.add, operator.mul, itertools.repeat
+    mul, repeat = operator.mul, itertools.repeat
     count = len(index)
     slots = _slots((*body, head))
     in_body = len(_slots(body))  # the body's variables come first
@@ -835,49 +832,36 @@ def _live_assignments(
     if not rows:
         return [], [], []
     free = [k for k in range(in_body) if k not in bound]
+    width = count if free else 1
+    inner = free.pop() if free else None
     templates = [_template(l, offsets, index, slots) for l in (head, *body)]
-    if not free:
-        by_slot = dict(zip(bound, zip(*rows)))  # a slot -> its values over the rows
-        columns = [by_slot[k] for k in range(in_body)]
-        selectors = []
-        for j, (fixed, strides) in enumerate(templates):
-            at = [fixed] * len(rows)
-            for k, values in by_slot.items():
-                if strides[k]:
-                    at = list(map(add, at, map(mul, values, repeat(strides[k]))))
-            columns.append(at)
-            if j:  # a body literal
-                selectors.append(bytes(map(live.__getitem__, at)))
-        ok = selectors[0] if len(selectors) == 1 else bytes(map(min, *selectors)) if selectors else repeat(1)
-        found = list(itertools.compress(zip(*columns), ok))
-    else:
-        inner = free.pop()
-        steps = [strides[inner] for _, strides in templates]
-        ones = b"\1" * count
-        values = [0] * in_body  # the inner slot stays 0, so a position computed from it is its column's base
-        found = []
-        for row in rows:
-            for k, v in zip(bound, row):
+    steps = [0 if inner is None else strides[inner] for _, strides in templates]
+    ones = b"\1" * width
+    values = [0] * in_body  # the inner slot stays 0, so a position computed from it is its column's base
+    found = []
+    for row in rows:
+        for k, v in zip(bound, row):
+            values[k] = v
+        for more in itertools.product(range(count), repeat=len(free)):
+            for k, v in zip(free, more):
                 values[k] = v
-            for more in itertools.product(range(count), repeat=len(free)):
-                for k, v in zip(free, more):
-                    values[k] = v
-                columns = list(map(repeat, values, repeat(count)))
-                columns[inner] = range(count)
-                selectors = []
-                for j, ((fixed, strides), step) in enumerate(zip(templates, steps)):
-                    at = fixed + sum(map(mul, strides, values))
-                    if step:
-                        columns.append(range(at, at + step * count, step))
-                        if j:
-                            selectors.append(live[at : at + step * count : step])
-                    elif not j or live[at]:
-                        columns.append(repeat(at, count))
-                    else:
-                        break
+            columns = list(map(repeat, values, repeat(width)))
+            if inner is not None:
+                columns[inner] = range(width)
+            selectors = []
+            for j, ((fixed, strides), step) in enumerate(zip(templates, steps)):
+                at = fixed + sum(map(mul, strides, values))
+                if step:
+                    columns.append(range(at, at + step * width, step))
+                    if j:
+                        selectors.append(live[at : at + step * width : step])
+                elif not j or live[at]:
+                    columns.append(repeat(at, width))
                 else:
-                    ok = selectors[0] if len(selectors) == 1 else bytes(map(min, *selectors)) if selectors else ones
-                    found += itertools.compress(zip(*columns), ok)
+                    break
+            else:
+                ok = selectors[0] if len(selectors) == 1 else bytes(map(min, *selectors)) if selectors else ones
+                found += itertools.compress(zip(*columns), ok)
     found.sort()
     heads = list(map(operator.itemgetter(in_body), found))
     bodies = list(map(operator.itemgetter(slice(in_body + 1, None)), found))
