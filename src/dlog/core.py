@@ -10,9 +10,8 @@ never apply, so it is not built, and superiority keeps only the pairs whose
 heads conflict.  Neither changes a conclusion or a model (see `ground`).
 Grounding works on integers: which literals are live is one flag per table
 position, facts are joined on their constants' indexes, and a schema's
-instances are found a column at a time: along the fact join's rows, or
-along one variable, over which every literal's position is an arithmetic
-progression.
+instances are found a column at a time, along one variable, over which
+every literal's position is an arithmetic progression.
 
 A theory as written is a `SourceTheory` of integer columns: the parser and
 the constructor from objects number each distinct literal once
