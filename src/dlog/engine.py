@@ -39,11 +39,13 @@ the heads, bodies and facts come as positions from `ground`
 (`GroundTheory.position`).  The four status flag lists over the table are
 the result (`ConclusionSet.from_theory`), so a run builds the table only
 when something names a literal.  `explain` slices the run by packed steps,
-indexed in one flat list over `(position << 2) | code`, and names literals
-only to return the derivation.  `check_derivation` locates each
-step's literal once in the same way and replays the steps over four flag
-arrays by position.  Both find R[q] through `GroundTheory.rules_at` and test
-rule kinds in place, and both run with the cyclic GC paused.
+indexed in one flat list over `(position << 2) | code`, in one loop that
+writes the four inference rules out, so a sliced step costs no Python call;
+it names literals only to return the derivation.  `check_derivation`
+locates every step's literal in one call (`GroundTheory.locate`) and
+replays the steps over four sets of positions, a body tested by one set
+method.  Both read R[q] from `GroundTheory.rule_index`, the dict behind
+`rules_at`, test rule kinds in place, and run with the cyclic GC paused.
 
 Status codes used throughout: 0 = +D, 1 = -D, 2 = +d, 3 = -d, the position
 of each tag in `Tag`.
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import compress, count, islice, repeat
-from operator import not_, xor
+from operator import itemgetter, not_, xor
 from typing import Iterable, NamedTuple, Optional
 
 from .core import (
@@ -344,114 +346,129 @@ def prove(g: GroundTheory, c: TaggedConclusion) -> bool:
 def explain(g: GroundTheory, c: TaggedConclusion) -> Derivation:
     """A derivation ending with `c`, built by backward-slicing the worklist
     run to the justification cone of `c`.  Effort-minimal, not length-minimal;
-    always passes `check_derivation`."""
+    always passes `check_derivation`.  The slice is one loop over a stack of
+    packed steps, each step's inference rule written out in it; a premise s
+    of the step at index `limit` in `order` has `at[s] < limit`, and a
+    clause that fails takes the premises it pushed off the stack again."""
     prop = _Propagation(g, c.literal)
     if not prop.holds(c.tag):
         raise NoDerivationError(f"{c} is not derivable")
     order = prop.order
-    # at[s]: the index in `order` of the packed step s, or len(order) when
-    # the run never established it
     at = [len(order)] * (4 * prop.size)
     for i, s in enumerate(order):
         at[s] = i
-    needed = bytearray(len(at))
+    body, is_strict, is_sd, fact = prop.body, prop.is_strict, prop.is_sd, prop.fact
+    rules_of, sup = g.rule_index.get, g.positions.superiority
+    taken = bytearray(len(order))  # taken[i]: order[i] is in the derivation
     stack = [(prop.query << 2) | _CODE[c.tag]]
+    push, pop = stack.append, stack.pop
     while stack:
-        step = stack.pop()
-        if not needed[step]:
-            needed[step] = 1
-            stack.extend(_justify(g, prop, at, step))
+        step = pop()
+        limit = at[step]
+        if taken[limit]:
+            continue
+        taken[limit] = 1
+        q, code = step >> 2, step & 3
+        mark = len(stack)  # where this step's premises start
+        if code == _PD:
+            if fact[q]:
+                continue
+            for ri in rules_of(q, ()):
+                if is_strict[ri]:
+                    for a in body[ri]:
+                        if at[a << 2] >= limit:
+                            del stack[mark:]
+                            break
+                        push(a << 2)
+                    else:
+                        break
+            else:
+                raise InternalError(f"no justification for +D {prop.literals[q]}")
+        elif code == _MD:
+            for ri in rules_of(q, ()):
+                if is_strict[ri]:
+                    for a in body[ri]:
+                        if at[(a << 2) | _MD] < limit:
+                            push((a << 2) | _MD)
+                            break
+                    else:
+                        raise InternalError(f"no justification for -D {prop.literals[q]}")
+        elif code == _Pd:
+            if at[q << 2] < limit:
+                push(q << 2)
+                continue
+            for ri in rules_of(q, ()):
+                if is_sd[ri]:
+                    for a in body[ri]:
+                        if at[(a << 2) | _Pd] >= limit:
+                            del stack[mark:]
+                            break
+                        push((a << 2) | _Pd)
+                    else:
+                        break
+            else:
+                raise InternalError(f"no justification for +d {prop.literals[q]}")
+            push(((q ^ 1) << 2) | _MD)
+            for s in rules_of(q ^ 1, ()):
+                # each attacker is either discarded or counter-attacked by a
+                # superior supportive rule
+                for a in body[s]:
+                    if at[(a << 2) | _Md] < limit:
+                        push((a << 2) | _Md)
+                        break
+                else:
+                    mark = len(stack)
+                    for t in rules_of(q, ()):
+                        if is_sd[t] and (t, s) in sup:
+                            for a in body[t]:
+                                if at[(a << 2) | _Pd] >= limit:
+                                    del stack[mark:]
+                                    break
+                                push((a << 2) | _Pd)
+                            else:
+                                break
+                    else:
+                        raise InternalError(f"unneutralized attacker for +d {prop.literals[q]}")
+        else:
+            push(step ^ 2)  # -D q
+            if at[(q ^ 1) << 2] < limit:  # (2.2)
+                push((q ^ 1) << 2)
+                continue
+            mark += 1
+            for ri in rules_of(q, ()):  # (2.1)
+                if is_sd[ri]:
+                    for a in body[ri]:
+                        if at[(a << 2) | _Md] < limit:
+                            push((a << 2) | _Md)
+                            break
+                    else:
+                        del stack[mark:]
+                        break
+            else:  # every supportive rule for q is discarded
+                continue
+            for s in rules_of(q ^ 1, ()):  # (2.3)
+                for a in body[s]:
+                    if at[(a << 2) | _Pd] >= limit:
+                        del stack[mark:]
+                        break
+                    push((a << 2) | _Pd)
+                else:
+                    for t in rules_of(q, ()):
+                        if is_sd[t] and (t, s) in sup:  # a supportive rule superior to s
+                            for a in body[t]:
+                                if at[(a << 2) | _Md] < limit:
+                                    push((a << 2) | _Md)
+                                    break
+                            else:
+                                del stack[mark:]
+                                break
+                    else:
+                        break
+            else:
+                raise InternalError(f"no justification for -d {prop.literals[q]}")
     # `tuple.__new__` builds each step without the named tuple's Python-level `__new__`
     tags, literals, new = tuple(Tag), prop.literals, tuple.__new__
-    return tuple(new(TaggedConclusion, (tags[s & 3], literals[s >> 2])) for s in order if needed[s])
-
-
-def _justify(g: GroundTheory, prop: _Propagation, at: list[int], step: int) -> list[int]:
-    """Premises (earlier steps of the run, packed) justifying one established
-    step.  R[q] is `g.rules_at(q)`; the queried pair past the table has none."""
-    code, q = step & 3, step >> 2
-    limit = at[step]
-
-    def before(c: int, l: int) -> bool:
-        return at[(l << 2) | c] < limit
-
-    body, is_strict, is_sd, rules_at = prop.body, prop.is_strict, prop.is_sd, g.rules_at
-    sup = g.positions.superiority
-    if code == _PD:
-        if prop.fact[q]:
-            return []
-        for ri in rules_at(q):
-            if is_strict[ri] and all(before(_PD, a) for a in body[ri]):
-                return [(a << 2) | _PD for a in body[ri]]
-        raise InternalError(f"no justification for +D {prop.literals[q]}")
-    if code == _MD:
-        premises = []
-        for ri in rules_at(q):
-            if not is_strict[ri]:
-                continue
-            witness = next((a for a in body[ri] if before(_MD, a)), None)
-            if witness is None:
-                raise InternalError(f"no justification for -D {prop.literals[q]}")
-            premises.append((witness << 2) | _MD)
-        return premises
-    comp_q = q ^ 1
-    if code == _Pd:
-        if before(_PD, q):
-            return [(q << 2) | _PD]
-        for ri in rules_at(q):
-            if is_sd[ri] and all(before(_Pd, a) for a in body[ri]):
-                premises = [(a << 2) | _Pd for a in body[ri]]
-                break
-        else:
-            raise InternalError(f"no justification for +d {prop.literals[q]}")
-        premises.append((comp_q << 2) | _MD)
-        for s in rules_at(comp_q):
-            # each attacker is either discarded or counter-attacked by a
-            # superior supportive rule
-            w = next((a for a in body[s] if before(_Md, a)), None)
-            if w is not None:
-                premises.append((w << 2) | _Md)
-                continue
-            for t in rules_at(q):
-                if is_sd[t] and (t, s) in sup and all(before(_Pd, a) for a in body[t]):
-                    premises.extend((a << 2) | _Pd for a in body[t])
-                    break
-            else:
-                raise InternalError(
-                    f"unneutralized attacker for +d {prop.literals[q]}"
-                )
-        return premises
-    # code == _Md
-    premises = [(q << 2) | _MD]
-    if before(_PD, comp_q):  # (2.2)
-        premises.append((comp_q << 2) | _PD)
-        return premises
-    witnesses = []
-    for ri in rules_at(q):  # (2.1)
-        if not is_sd[ri]:
-            continue
-        w = next((a for a in body[ri] if before(_Md, a)), None)
-        if w is None:
-            witnesses = None
-            break
-        witnesses.append((w << 2) | _Md)
-    if witnesses is not None:
-        return premises + witnesses
-    for s in rules_at(comp_q):  # (2.3)
-        if not all(before(_Pd, a) for a in body[s]):
-            continue
-        counter = []
-        for t in rules_at(q):
-            if not (is_sd[t] and (t, s) in sup):
-                continue  # t is not a supportive rule superior to s
-            w = next((a for a in body[t] if before(_Md, a)), None)
-            if w is None:
-                counter = None
-                break
-            counter.append((w << 2) | _Md)
-        if counter is not None:
-            return premises + [(a << 2) | _Pd for a in body[s]] + counter
-    raise InternalError(f"no justification for -d {prop.literals[q]}")
+    return tuple(new(TaggedConclusion, (tags[s & 3], literals[s >> 2])) for s in compress(order, taken))
 
 
 @gc_paused
@@ -460,89 +477,74 @@ def check_derivation(g: GroundTheory, d: Iterable[TaggedConclusion]) -> CheckRes
     by one of the four inference rules applied to the strict prefix before it.
 
     The replay keeps its own encoding of the rules and shares no state with
-    the engine.  Each step's literal is located once (`GroundTheory.position`);
-    a literal outside the table gets one more pair after it.  The prefix is
-    four flag arrays over positions, one per `Tag`, and a position's rules
-    come from `GroundTheory.rules_at`, with the kind test of each inference
-    rule made here.  A non-ground literal is a `GroundingError`, as in
-    `prove` and `explain`."""
+    the engine.  Each step's literal is located once, all in one call
+    (`GroundTheory.locate`); a literal outside the table gets one more pair
+    after it.  The prefix is four sets of positions, one per `Tag`, and a
+    position's rules come from `GroundTheory.rule_index`, with the kind test
+    of each inference rule made here.  A non-ground literal is a
+    `GroundingError`, as in `prove` and `explain`."""
     steps = list(d)
     n = g.table_size
     outside: dict[Atom, int] = {}  # atom -> the position of its pair after the table
-    at = []
-    for c in steps:
-        q = g.position(c.literal)
-        if q is None:  # every table literal is ground
-            if not c.literal.is_ground():
-                raise GroundingError(f"derivation literal {c.literal} is not ground")
-            atom = c.literal.atom
-            q = outside.setdefault(atom, n + 2 * len(outside)) + (not c.literal.positive)
-        at.append(q)
-    size = n + 2 * len(outside)
-    pD, mD, pd, md = (bytearray(size) for _ in Tag)
-
-    positions = g.positions
-    body = positions.bodies
-    fact = bytearray(size)
-    for f in positions.facts:
+    at = g.locate(map(itemgetter(1), steps))  # each step's literal
+    if None in at:  # every table literal is ground
+        for k, (_, literal) in enumerate(steps):
+            if at[k] is None:
+                if not literal.is_ground():
+                    raise GroundingError(f"derivation literal {literal} is not ground")
+                at[k] = outside.setdefault(literal.atom, n + 2 * len(outside)) + (not literal.positive)
+    pD, mD, pd, md = set(), set(), set(), set()
+    # a body is supported when its +d literals are a subset of the prefix's,
+    # and discarded unless its -d literals are disjoint from them
+    D_proves, d_proves, D_open, d_open = pD.issuperset, pd.issuperset, mD.isdisjoint, md.isdisjoint
+    (_, body, facts, sup), kinds = g.positions, g.kinds
+    fact = bytearray(n + 2 * len(outside))
+    for f in facts:
         fact[f] = 1
-    rules_at = g.rules_at
-    kinds = g.kinds
-    sup = positions.superiority
-
-    def supported(r: int) -> bool:
-        return all(pd[a] for a in body[r])
-
-    def discarded(r: int) -> bool:
-        return any(md[a] for a in body[r])
-
-    for i, (c, q) in enumerate(zip(steps, at), start=1):
-        tag = c.tag
-        rules = rules_at(q)
-        if tag is Tag.PLUS_DELTA:
-            ok = fact[q] or any(
-                kinds[r] is RuleKind.STRICT and all(pD[a] for a in body[r]) for r in rules
-            )
-            reason = "literal is not a fact and no strict rule is established"
-            flags = pD
-        elif tag is Tag.MINUS_DELTA:
-            ok = not fact[q] and all(
-                any(mD[a] for a in body[r]) for r in rules if kinds[r] is RuleKind.STRICT
-            )
-            reason = "literal is a fact or some strict rule is unrefuted"
-            flags = mD
-        elif tag is Tag.PLUS_PARTIAL:
-            sd = [r for r in rules if kinds[r] is not RuleKind.DEFEATER]
-            ok = pD[q] or (
-                any(supported(r) for r in sd)
-                and mD[q ^ 1]
-                and all(
-                    discarded(s)
-                    or any(
-                        supported(t) and (t, s) in sup for t in sd
-                    )
-                    for s in rules_at(q ^ 1)
-                )
-            )
-            reason = "clause (1) and clause (2) both fail against the prefix"
-            flags = pd
+    rules_of = g.rule_index.get
+    plus_delta, minus_delta, plus_partial, _ = Tag  # told apart by identity: a tag hashes in Python
+    for i, (tag, _), q in zip(count(1), steps, at):
+        rules = rules_of(q, ())
+        if tag is plus_delta:
+            ok, flags, why = fact[q], pD, "literal is not a fact and no strict rule is established"
+            if not ok:
+                for r in rules:
+                    if kinds[r] is _STRICT and D_proves(body[r]):
+                        ok = True
+                        break
+        elif tag is minus_delta:
+            ok, flags, why = not fact[q], mD, "literal is a fact or some strict rule is unrefuted"
+            if ok:
+                for r in rules:
+                    if kinds[r] is _STRICT and D_open(body[r]):
+                        ok = False
+                        break
+        elif tag is plus_partial:
+            ok, flags, why = q in pD, pd, "clause (1) and clause (2) both fail against the prefix"
+            if not ok and q ^ 1 in mD:
+                won = []  # the supportive rules for q that the prefix supports
+                for r in rules:
+                    if kinds[r] is not _DEFEATER and d_proves(body[r]):
+                        won.append(r)
+                ok = bool(won)
+                for s in rules_of(q ^ 1, ()):  # each attacker discarded, or beaten by one of them
+                    if d_open(body[s]) and sup.isdisjoint(zip(won, repeat(s))):
+                        ok = False
+                        break
         else:
-            sd = [r for r in rules if kinds[r] is not RuleKind.DEFEATER]
-            ok = mD[q] and (
-                all(discarded(r) for r in sd)
-                or pD[q ^ 1]
-                or any(
-                    supported(s)
-                    and all(
-                        discarded(t) or (t, s) not in sup
-                        for t in sd
-                    )
-                    for s in rules_at(q ^ 1)
-                )
-            )
-            reason = "none of clauses (2.1)-(2.3) holds against the prefix"
-            flags = md
+            ok, flags, why = q in mD, md, "none of clauses (2.1)-(2.3) holds against the prefix"
+            if ok and q ^ 1 not in pD:
+                live = []  # the supportive rules for q that the prefix does not discard
+                for r in rules:
+                    if kinds[r] is not _DEFEATER and d_open(body[r]):
+                        live.append(r)
+                if live:  # else (2.1)
+                    ok = False
+                    for s in rules_of(q ^ 1, ()):  # (2.3): a supported attacker none of them beats
+                        if d_proves(body[s]) and sup.isdisjoint(zip(live, repeat(s))):
+                            ok = True
+                            break
         if not ok:
-            return CheckResult(index=i, reason=f"{c}: {reason}")
-        flags[q] = 1
+            return CheckResult(index=i, reason=f"{steps[i - 1]}: {why}")
+        flags.add(q)
     return CheckResult()

@@ -410,8 +410,8 @@ def assert_positions_are_table_lookups(theory: SourceTheory, context) -> None:
     head and body and of every fact.  Each rule is checked against its schema
     with the instance label's constants substituted, so that positions and
     literals cannot be wrong together; an instance's literals are the table's
-    own objects, `position` finds every base literal and no other, and
-    `rules_at` is R[q] at every position (`assert_rules_at_scans`)."""
+    own objects, `position` and `locate` find every base literal and no
+    other, and `rules_at` is R[q] at every position (`assert_rules_at_scans`)."""
     g = ground(theory)
     index = {l: i for i, l in enumerate(g.literals)}
     assert len(index) == len(g.literals), context
@@ -433,6 +433,7 @@ def assert_positions_are_table_lookups(theory: SourceTheory, context) -> None:
     outside = [lit("no_such_predicate"), lit("no_such_constant", "zz")]
     outside += [lit(q.atom.predicate, *q.atom.args, "a") for q in g.literals[:2]]  # one more argument
     assert [g.position(l) for l in outside] == [None] * len(outside), context
+    assert g.locate(outside + list(g.literals)) == [None] * len(outside) + list(range(len(g.literals))), context
     assert_rules_at_scans(g, context)
 
 

@@ -25,6 +25,14 @@ source, as a fresh checkout under the benchmark does: its
 either tree is never read (the record's `bytecode`).  Once dlog is
 imported, the prefix is dropped, so that numpy, which the model oracle
 loads inside a timed stage, loads from its installed cache.
+Before each stage a full collection runs, untimed (`gc.collect()`, the
+record's `gc`), so that no stage is charged for a collection that the
+allocations of the stages before it set off; the model workload collects
+once per theory instead, since a full collection there costs 3-4 ms, and
+one per stage would add 5 s to each of its runs.
+Records up to BENCH_28 ran none, so a stage there could carry the
+collector's schedule: BENCH_28's `validate_s` on the small texts read
+1.7-4.6x its parent's because its first collection was a generation-1 one.
 Each run also notes whether numpy was loaded once the derive stages had run
 (`numpy_loaded`, per tree): only the model oracle needs it, so the model
 workload reads it after its first theory's derive stage.  Each run
@@ -49,6 +57,7 @@ Without `--parent` only this tree is measured.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import os
@@ -62,10 +71,6 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-STAGES = ("parse", "ground", "validate", "derive", "render")
-EXPLAIN_STAGES = ("explain", "check")
-META_STAGES = ("translate", "fixpoint")
-MODEL_STAGES = STAGES[:-1] + META_STAGES + ("consequences",)  # compare_semantics: no render
 PROBES = 5  # pace probes before a run's stages, and as many after
 
 
@@ -102,6 +107,18 @@ def inputs(links: int, reach_constants: int, meta_links: int) -> dict[str, tuple
     return texts
 
 
+def timed(seconds: dict[str, float], stage: str, fn, *args, collect: bool = True):
+    """`fn(*args)`, its seconds added to `seconds[f"{stage}_s"]`, after a
+    full collection, untimed, when `collect`."""
+    if collect:
+        gc.collect()
+    start = perf_counter()
+    result = fn(*args)
+    key = f"{stage}_s"
+    seconds[key] = seconds.get(key, 0.0) + perf_counter() - start
+    return result
+
+
 def measure_models(texts: list[str]) -> dict:
     """Seconds per stage of `compare_semantics`, summed over the theories,
     and summed sizes, in this process."""
@@ -109,29 +126,22 @@ def measure_models(texts: list[str]) -> dict:
     from dlog.core import ground, validate
     from dlog.parser import parse_theory
 
-    seconds = dict.fromkeys((f"{s}_s" for s in MODEL_STAGES), 0.0)
+    seconds: dict[str, float] = {}
     numpy_loaded = None
     sizes = dict.fromkeys(("theories", "input_bytes", "rules", "base", "interpretations", "conclusions"), 0)
+
+    def stage(name, fn, *args):
+        return timed(seconds, name, fn, *args, collect=False)
+
     for text in texts:
-        clock = [perf_counter()]
-        theory = parse_theory(text)
-        clock.append(perf_counter())
-        g = ground(theory)
-        clock.append(perf_counter())
-        validate(g)
-        clock.append(perf_counter())
-        conclusions = engine.derive_all(g)
-        clock.append(perf_counter())
+        gc.collect()  # once per theory, untimed: one per stage would add 5 s to a run
+        g = stage("ground", ground, stage("parse", parse_theory, text))
+        stage("validate", validate, g)
+        conclusions = stage("derive", engine.derive_all, g)
         if numpy_loaded is None:
             numpy_loaded = "numpy" in sys.modules
-        program = metaprogram.translate(g)
-        clock.append(perf_counter())
-        metaprogram.kunen_fixpoint(program)
-        clock.append(perf_counter())
-        modelcheck.logical_consequences(g)
-        clock.append(perf_counter())
-        for s, a, b in zip(MODEL_STAGES, clock, clock[1:]):
-            seconds[f"{s}_s"] += b - a
+        stage("fixpoint", metaprogram.kunen_fixpoint, stage("translate", metaprogram.translate, g))
+        stage("consequences", modelcheck.logical_consequences, g)
         sizes["theories"] += 1
         sizes["input_bytes"] += len(text.encode())
         sizes["rules"] += len(g.kinds)
@@ -166,36 +176,21 @@ def measure(path: Path, kind: str, target: str) -> dict:
     from dlog.parser import parse_conclusion, parse_theory
 
     text = path.read_text()
-    clock = [perf_counter()]
-    theory = parse_theory(text)
-    clock.append(perf_counter())
-    g = ground(theory)
-    clock.append(perf_counter())
-    validate(g)
-    clock.append(perf_counter())
-    conclusions = engine.derive_all(g)
-    clock.append(perf_counter())
+    seconds: dict[str, float] = {}
+    g = timed(seconds, "ground", ground, timed(seconds, "parse", parse_theory, text))
+    timed(seconds, "validate", validate, g)
+    conclusions = timed(seconds, "derive", engine.derive_all, g)
     out = io.StringIO()
-    cli._print_conclusions(g, conclusions, out, False)
-    clock.append(perf_counter())
+    timed(seconds, "render", cli._print_conclusions, g, conclusions, out, False)
     numpy_loaded = "numpy" in sys.modules
-    stages = list(STAGES)
     if kind == "explain":
-        derivation = engine.explain(g, parse_conclusion(target))
-        clock.append(perf_counter())
-        verdict = engine.check_derivation(g, derivation)
-        clock.append(perf_counter())
+        derivation = timed(seconds, "explain", engine.explain, g, parse_conclusion(target))
+        verdict = timed(seconds, "check", engine.check_derivation, g, derivation)
         if not verdict:
             raise SystemExit(f"{path.name}: the derivation of {target} is rejected: {verdict.reason}")
-        stages += EXPLAIN_STAGES
     if kind == "meta":
-        program = metaprogram.translate(g)
-        clock.append(perf_counter())
-        metaprogram.kunen_fixpoint(program)
-        clock.append(perf_counter())
-        stages += META_STAGES
-    seconds = {f"{s}_s": b - a for s, a, b in zip(stages, clock, clock[1:])}
-    seconds["total_s"] = clock[-1] - clock[0]
+        timed(seconds, "fixpoint", metaprogram.kunen_fixpoint, timed(seconds, "translate", metaprogram.translate, g))
+    seconds["total_s"] = sum(seconds.values())
     sizes = {
         "input_bytes": len(text.encode()),
         "rules": len(g.kinds),
@@ -290,6 +285,7 @@ def main() -> int:
         "platform": platform.platform(),
         "repeats": args.repeats,
         "bytecode": BYTECODE,
+        "gc": "a full collection, untimed, before every stage, and before every theory of models-seed1",
         "trees": {label: commit(tree) for label, tree in trees.items()},
         "workloads": {
             name: {
