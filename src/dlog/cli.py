@@ -17,11 +17,15 @@ the cap is still refused with exit 4 first.
 
 `derive` (and `models --consequences`) lists the conclusions by tag, in the
 order +D, -D, +d, -d, and each tag's literals in text order, so every
-positive literal comes before every negated one.  An `undefined:` section
+positive literal comes before every negated one, read off the
+`ConclusionSet`'s flags over the theory's table.  An `undefined:` section
 follows, in the same literal order.  `--json` keeps both orders.  `models`
 prints `models: N` first; with `--json` it prints one JSON object instead,
 holding `"models": N` and, with `--consequences`, the `conclusions` and
 `undefined` keys of `derive --json`.
+
+`query` and `explain` accept a ground literal outside the theory's base: it
+is -D and -d (exit 0), and +D or +d of it is not derivable (exit 3).
 
 The environment variable DLOG_CAP overrides the default model-enumeration
 cap.
@@ -99,7 +103,7 @@ def _print_conclusions(g: GroundTheory, conclusions, out, as_json: bool, doc: di
     # flags and level codes are read as whole columns (`map`, `compress`),
     # and each tag's block and the undefined block are written by one
     # `str.join`, so no Python frame runs per literal
-    flags = conclusions.over_theory(g)
+    flags = conclusions.flags
     constants = sorted(g.constants)
     arguments = {}  # arity -> "(c1,...,ck)" for each tuple of constants, in order
     atoms = []

@@ -44,9 +44,9 @@ reads it.  R[q], the rules with head q, is one index by head position
 each filters it by kind where its inference rule reads the strict rules
 R_s[q] or the supportive ones R_sd[q].  The engine, the model checker and
 the metaprogram each give four flags per position (one per `Tag`) to
-`ConclusionSet.from_theory`, the one readout of every oracle, which reads
+`ConclusionSet(g, flags)`, the one readout of every oracle, which reads
 the table only to name a literal; the command line renders straight from
-the flags, and two sets over one theory compare by them.  `herbrand_base`
+its `flags`, and two sets over one theory compare by them.  `herbrand_base`
 is a set view.  The model checker and the metaprogram read three-valued
 truth as the codes `F, U, T = 0, 1, 2` defined here.
 
@@ -380,7 +380,7 @@ class _GroundTheoryFields(NamedTuple):
     offsets: dict[tuple[str, int], int]  # in table order
     positions: Positions
     # one entry per rule, beside `positions`: rule r instantiates
-    # schemas[schema_of[r]] with its variables, in first occurrence order,
+    # source.rules[schema_of[r]] with its variables, in first occurrence order,
     # bound to the constants at indexes bindings[r] of the sorted constants
     # (none for a variable-free schema), and its kind is kinds[r]
     schema_of: tuple[int, ...]
@@ -399,21 +399,11 @@ class GroundTheory(_GroundTheoryFields):
     rules as `Rule`s (`rules`), the constant index that `position` reads, the
     rules by head position that `rules_at` reads (`rule_index`), and the
     superiority relation as label pairs are built once per theory, on first
-    use, as are the source's views: the facts as a set of `Literal`s
-    (`facts`), the schemas as `Rule`s (`schemas`) and the superiority
-    statements as written (`written_superiority`)."""
+    use, as is the source's facts as a set of `Literal`s (`facts`)."""
 
     @cached_property
     def facts(self) -> frozenset[Literal]:
         return frozenset(self.source.facts)
-
-    @property
-    def schemas(self) -> tuple[Rule, ...]:
-        return self.source.rules
-
-    @property
-    def written_superiority(self) -> tuple[tuple[str, str], ...]:
-        return self.source.superiority
 
     @cached_property
     def table_size(self) -> int:
@@ -1018,103 +1008,56 @@ class TaggedConclusion(NamedTuple):
 
 
 class ConclusionSet:
-    """Tagged conclusions over a literal table: one flag list per `Tag`, in
-    `Tag` order, where `flags[k][i]` says that the k-th tag holds of
-    `table[i]`.  Coherence and containment are checked on construction, on
-    the flags.  The per-tag sets, and the index from a literal to its
-    position, are built only when asked for.  A set over a ground theory's
-    table (`from_theory`), as every oracle builds, finds a literal by the
-    theory's arithmetic and builds its table only when it names a literal;
-    two sets over one theory compare by flags, any others by tag."""
+    """Tagged conclusions over a ground theory's table, as the flag lists
+    it is built from, one per `Tag` in `Tag` order and kept rather than
+    copied: the k-th tag holds of `g.literals[i]` iff `flags[k][i]`.
+    Coherence and containment are checked on construction, on the flags.  A
+    literal is found by the theory's arithmetic (`GroundTheory.position`),
+    and the table is read only to name a literal; one outside it carries no
+    conclusion.  Two sets over one theory compare by flags, any others by
+    tag."""
 
-    def __init__(self, conclusions: Iterable[TaggedConclusion]):
-        held = dict.fromkeys(conclusions)
-        table = tuple(dict.fromkeys(c.literal for c in held))
-        self._set([[TaggedConclusion(tag, l) in held for l in table] for tag in Tag], len(table), table)
-
-    @classmethod
-    def from_tag_sets(cls, by_tag: dict[Tag, frozenset[Literal]]) -> "ConclusionSet":
-        return cls(TaggedConclusion(tag, l) for tag, lits in by_tag.items() for l in lits)
-
-    @classmethod
-    def from_theory(cls, g: GroundTheory, holds: list[list[bool]], extra: tuple[Literal, ...] = ()) -> "ConclusionSet":
-        """The conclusions over the table `g.literals + extra`: the k-th `Tag`
-        holds at position i iff `holds[k][i]`.  The set keeps the flag lists
-        rather than copies them, and reads the table from `g` only when a
-        literal is named."""
-        self = cls.__new__(cls)
-        self._set(list(holds), g.table_size + len(extra), None, g, extra)
-        return self
-
-    def _set(self, flags: list[list[bool]], size: int, table: Optional[Sequence[Literal]],
-             theory: Optional[GroundTheory] = None, extra: tuple[Literal, ...] = ()) -> None:
-        if [len(f) for f in flags] != [size] * len(Tag):
-            raise ValueError(f"expected {len(Tag)} flag sequences of length {size}")
-        self._literals = table
-        self._theory, self._extra = theory, extra
-        self._flags = flags
-        self._index: Optional[dict[Literal, int]] = None
+    def __init__(self, g: GroundTheory, flags: Sequence[list[bool]]):
+        if [len(f) for f in flags] != [g.table_size] * len(Tag):
+            raise ValueError(f"expected {len(Tag)} flag sequences of length {g.table_size}")
+        self._theory = g
+        self.flags = list(flags)
         self.verify_invariants()
 
-    @property
-    def _table(self) -> Sequence[Literal]:
-        if self._literals is None:
-            literals = self._theory.literals
-            self._literals = literals + self._extra if self._extra else literals
-        return self._literals
+    @classmethod
+    def from_tag_sets(cls, g: GroundTheory, by_tag: dict[Tag, Iterable[Literal]]) -> "ConclusionSet":
+        """The set over `g`'s table holding each tag of the literals given
+        for it; a literal outside the table is a `ValueError`."""
+        flags = [[False] * g.table_size for _ in Tag]
+        for tag, literals in by_tag.items():
+            literals = list(literals)
+            held = flags[_CODE[tag]]
+            for literal, i in zip(literals, g.locate(literals)):
+                if i is None:
+                    raise ValueError(f"{literal} is not in the theory's base")
+                held[i] = True
+        return cls(g, flags)
 
     def verify_invariants(self) -> None:
-        pd, md, pp, mp = self._flags
+        pd, md, pp, mp = self.flags
         for plus, minus in ((pd, md), (pp, mp)):
             if any(map(operator.and_, plus, minus)):
-                both = itertools.compress(self._table, map(operator.and_, plus, minus))
+                both = itertools.compress(self._theory.literals, map(operator.and_, plus, minus))
                 raise InternalError(f"coherence violated at {sorted(map(str, both))}")
         if any(map(operator.gt, pd, pp)):
             raise InternalError("containment violated: +D not within +d")
         if any(map(operator.gt, mp, md)):
             raise InternalError("containment violated: -d not within -D")
 
-    def over(self, literals: Sequence[Literal]) -> list[list[bool]]:
-        """The four flag lists over `literals` instead of this set's table:
-        the set's own lists when the tables are one."""
-        if literals is self._table:
-            return self._flags
-        index = self._positions()
-        at = [index.get(l) for l in literals]
-        return [[i is not None and flags[i] for i in at] for flags in self._flags]
-
-    def over_theory(self, g: GroundTheory) -> list[list[bool]]:
-        """`over(g.literals)`, without building that table when it is this
-        set's own (`from_theory`)."""
-        if self._theory is g and not self._extra:
-            return self._flags
-        return self.over(g.literals)
-
-    def _position(self, literal: Literal) -> Optional[int]:
-        """The literal's position in this set's table, or None: by the
-        theory's arithmetic for a set over a ground theory's table, whose
-        literals need not be built to be found."""
-        if self._theory is None:
-            return self._positions().get(literal)
-        at = self._theory.position(literal)
-        if at is None and literal in self._extra:
-            at = self._theory.table_size + self._extra.index(literal)
-        return at
-
-    def _positions(self) -> dict[Literal, int]:
-        if self._index is None:
-            self._index = {l: i for i, l in enumerate(self._table)}
-        return self._index
-
     def with_tag(self, tag: Tag) -> frozenset[Literal]:
-        return frozenset(itertools.compress(self._table, self._flags[_CODE[tag]]))
+        return frozenset(itertools.compress(self._theory.literals, self.flags[_CODE[tag]]))
 
     def undefined_levels(self, literal: Literal) -> list[str]:
         """Which of the two levels carry no conclusion for this literal."""
-        i = self._position(literal)
+        i = self._theory.position(literal)
         if i is None:
             return ["definite", "partial"]
-        pd, md, pp, mp = self._flags
+        pd, md, pp, mp = self.flags
         levels = []
         if not (pd[i] or md[i]):
             levels.append("definite")
@@ -1123,8 +1066,8 @@ class ConclusionSet:
         return levels
 
     def __contains__(self, c: TaggedConclusion) -> bool:
-        i = self._position(c.literal)
-        return i is not None and self._flags[_CODE[c.tag]][i]
+        i = self._theory.position(c.literal)
+        return i is not None and self.flags[_CODE[c.tag]][i]
 
     def __iter__(self) -> Iterator[TaggedConclusion]:
         for tag in Tag:
@@ -1132,13 +1075,13 @@ class ConclusionSet:
                 yield TaggedConclusion(tag, literal)
 
     def __len__(self) -> int:
-        return sum(map(sum, self._flags))
+        return sum(map(sum, self.flags))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConclusionSet):
             return NotImplemented
-        if self._theory is not None and self._theory is other._theory and self._extra == other._extra:
-            return self._flags == other._flags
+        if self._theory is other._theory:
+            return self.flags == other.flags
         return all(self.with_tag(tag) == other.with_tag(tag) for tag in Tag)
 
     def __hash__(self) -> int:

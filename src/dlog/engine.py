@@ -15,10 +15,11 @@ cyclic GC paused (`core.gc_paused`): they allocate lists over the rules and
 an occurrence list per body literal, none of them cyclic.
 
 Coherence and containment are checked once, when the run ends by building
-its `ConclusionSet` (`_Propagation.conclusions`), so `derive_all`, `prove`
-and `explain` all get the check.  One check suffices: a flag is only ever
-set, never cleared, so a breach anywhere in the run is still there at the
-end, and every append is guarded by its flag, so a breaching run still ends.
+its `ConclusionSet` (`_Propagation.conclusions`), so `derive_all`, and
+`prove` and `explain` of a literal in the table, all get the check.  One
+check suffices: a flag is only ever set, never cleared, so a breach anywhere
+in the run is still there at the end, and every append is guarded by its
+flag, so a breaching run still ends.
 
 The run's packed steps, `order`, are the worklist too, and they open with the
 *inert block*.  A literal is inert when it is not a fact, heads no rule, its
@@ -37,11 +38,14 @@ the heads, bodies and facts come as positions from `ground`
 (`GroundTheory.kinds`), the table's size from its layout
 (`GroundTheory.table_size`), and a query is located by position arithmetic
 (`GroundTheory.position`).  The four status flag lists over the table are
-the result (`ConclusionSet.from_theory`), so a run builds the table only
-when something names a literal.  `explain` slices the run by packed steps,
-indexed in one flat list over `(position << 2) | code`, in one loop that
-writes the four inference rules out, so a sliced step costs no Python call;
-it names literals only to return the derivation.  `check_derivation`
+the result (`ConclusionSet(g, flags)`), so a run builds the table only
+when something names a literal.  A queried literal outside the table is no
+fact and heads no rule, nor does its complement, so the inference rules
+make it -D and -d and nothing else: `prove` and `explain` answer it without
+a run.  `explain` slices the run by packed steps, indexed in one flat list
+over `(position << 2) | code`, in one loop that writes the four inference
+rules out, so a sliced step costs no Python call; it names literals, from
+`GroundTheory.literals`, only to return the derivation.  `check_derivation`
 locates every step's literal in one call (`GroundTheory.locate`) and
 replays the steps over four sets of positions, a body tested by one set
 method.  Both read R[q] from `GroundTheory.rule_index`, the dict behind
@@ -53,7 +57,6 @@ of each tag in `Tag`.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import compress, count, islice, repeat
 from operator import itemgetter, not_, xor
 from typing import Iterable, NamedTuple, Optional
@@ -73,6 +76,7 @@ from .core import (
 )
 
 _PD, _MD, _Pd, _Md = 0, 1, 2, 3
+_OUTSIDE = (Tag.MINUS_DELTA, Tag.MINUS_PARTIAL)  # the tags of a literal outside the table
 _STRICT, _DEFEATER = RuleKind.STRICT, RuleKind.DEFEATER
 
 
@@ -103,32 +107,14 @@ class _Propagation:
     """One worklist run over a ground theory.  Holds the interned state."""
 
     @gc_paused
-    def __init__(self, g: GroundTheory, query: Optional[Literal] = None):
-        self.g = g
-        self.size = g.table_size  # positions, the queried pair past the table included
-        self.query: Optional[int] = None  # the queried literal's position
-        self.outside: tuple[Literal, ...] = ()  # the queried pair, when it is past the table
-        if query is not None:
-            if not query.is_ground():
-                raise GroundingError(f"queried literal {query} is not ground")
-            self.query = g.position(query)
-            if self.query is None:  # one more pair, after the table
-                positive = Literal(True, query.atom)
-                self.outside = (positive, positive.complement())
-                self.query = self.size + (not query.positive)
-                self.size += 2
+    def __init__(self, g: GroundTheory):
         self._run(g)
-
-    @cached_property
-    def literals(self) -> tuple[Literal, ...]:
-        """The literal at each position, built on first read."""
-        return self.g.literals + self.outside if self.outside else self.g.literals
 
     def _run(self, g: GroundTheory) -> None:
         """Index the rules, settle the inert block, and propagate the four
         inference rules to their fixpoint, appending each step to `order`;
         then check the result as `conclusions`."""
-        n = self.size
+        n = g.table_size
         head, bodies, facts, sup = g.positions
         kinds = g.kinds
         nr = len(kinds)
@@ -320,11 +306,7 @@ class _Propagation:
                     append((c << 2) | _Md)
 
         # the one coherence and containment check of the run
-        self.conclusions = ConclusionSet.from_theory(g, self.status, self.outside)
-
-    def holds(self, tag: Tag) -> bool:
-        """Whether the run established `tag` of the queried literal."""
-        return self.status[_CODE[tag]][self.query]
+        self.conclusions = ConclusionSet(g, self.status)
 
 
 def derive_all(g: GroundTheory) -> ConclusionSet:
@@ -336,10 +318,21 @@ def derive_all(g: GroundTheory) -> ConclusionSet:
     return _Propagation(g).conclusions
 
 
+def _position(g: GroundTheory, literal: Literal) -> Optional[int]:
+    """The queried literal's table position, None when it is outside the
+    table; a non-ground literal is a `GroundingError`."""
+    if not literal.is_ground():
+        raise GroundingError(f"queried literal {literal} is not ground")
+    return g.position(literal)
+
+
 def prove(g: GroundTheory, c: TaggedConclusion) -> bool:
-    """Whether the conclusion is derivable; the base is extended with the
-    queried literal if it is not already covered."""
-    return _Propagation(g, c.literal).holds(c.tag)
+    """Whether the conclusion is derivable.  A literal outside the table is
+    -D and -d and nothing else, as the module docstring says."""
+    q = _position(g, c.literal)
+    if q is None:
+        return c.tag in _OUTSIDE
+    return _Propagation(g).status[_CODE[c.tag]][q]
 
 
 @gc_paused
@@ -349,18 +342,26 @@ def explain(g: GroundTheory, c: TaggedConclusion) -> Derivation:
     always passes `check_derivation`.  The slice is one loop over a stack of
     packed steps, each step's inference rule written out in it; a premise s
     of the step at index `limit` in `order` has `at[s] < limit`, and a
-    clause that fails takes the premises it pushed off the stack again."""
-    prop = _Propagation(g, c.literal)
-    if not prop.holds(c.tag):
+    clause that fails takes the premises it pushed off the stack again.  A
+    literal outside the table is -D outright, and -d by clause (2.1) after
+    that, as in `prove`."""
+    q = _position(g, c.literal)
+    if q is None:
+        if c.tag not in _OUTSIDE:
+            raise NoDerivationError(f"{c} is not derivable")
+        d = (TaggedConclusion(Tag.MINUS_DELTA, c.literal),)
+        return d if c.tag is Tag.MINUS_DELTA else d + (c,)
+    prop = _Propagation(g)
+    if not prop.status[_CODE[c.tag]][q]:
         raise NoDerivationError(f"{c} is not derivable")
     order = prop.order
-    at = [len(order)] * (4 * prop.size)
+    at = [len(order)] * (4 * g.table_size)
     for i, s in enumerate(order):
         at[s] = i
     body, is_strict, is_sd, fact = prop.body, prop.is_strict, prop.is_sd, prop.fact
     rules_of, sup = g.rule_index.get, g.positions.superiority
     taken = bytearray(len(order))  # taken[i]: order[i] is in the derivation
-    stack = [(prop.query << 2) | _CODE[c.tag]]
+    stack = [(q << 2) | _CODE[c.tag]]
     push, pop = stack.append, stack.pop
     while stack:
         step = pop()
@@ -383,7 +384,7 @@ def explain(g: GroundTheory, c: TaggedConclusion) -> Derivation:
                     else:
                         break
             else:
-                raise InternalError(f"no justification for +D {prop.literals[q]}")
+                raise InternalError(f"no justification for +D {g.literals[q]}")
         elif code == _MD:
             for ri in rules_of(q, ()):
                 if is_strict[ri]:
@@ -392,7 +393,7 @@ def explain(g: GroundTheory, c: TaggedConclusion) -> Derivation:
                             push((a << 2) | _MD)
                             break
                     else:
-                        raise InternalError(f"no justification for -D {prop.literals[q]}")
+                        raise InternalError(f"no justification for -D {g.literals[q]}")
         elif code == _Pd:
             if at[q << 2] < limit:
                 push(q << 2)
@@ -407,7 +408,7 @@ def explain(g: GroundTheory, c: TaggedConclusion) -> Derivation:
                     else:
                         break
             else:
-                raise InternalError(f"no justification for +d {prop.literals[q]}")
+                raise InternalError(f"no justification for +d {g.literals[q]}")
             push(((q ^ 1) << 2) | _MD)
             for s in rules_of(q ^ 1, ()):
                 # each attacker is either discarded or counter-attacked by a
@@ -428,7 +429,7 @@ def explain(g: GroundTheory, c: TaggedConclusion) -> Derivation:
                             else:
                                 break
                     else:
-                        raise InternalError(f"unneutralized attacker for +d {prop.literals[q]}")
+                        raise InternalError(f"unneutralized attacker for +d {g.literals[q]}")
         else:
             push(step ^ 2)  # -D q
             if at[(q ^ 1) << 2] < limit:  # (2.2)
@@ -465,9 +466,9 @@ def explain(g: GroundTheory, c: TaggedConclusion) -> Derivation:
                     else:
                         break
             else:
-                raise InternalError(f"no justification for -d {prop.literals[q]}")
+                raise InternalError(f"no justification for -d {g.literals[q]}")
     # `tuple.__new__` builds each step without the named tuple's Python-level `__new__`
-    tags, literals, new = tuple(Tag), prop.literals, tuple.__new__
+    tags, literals, new = tuple(Tag), g.literals, tuple.__new__
     return tuple(new(TaggedConclusion, (tags[s & 3], literals[s >> 2])) for s in compress(order, taken))
 
 

@@ -20,7 +20,8 @@ indexed by atom, the codes the model checker reads too.  A negated body
 literal reads T - v, a clause body the least code of its literals (T when it
 has none), and an atom the greatest code of its clauses' bodies (F when it
 heads none).  The fixpoint's slices `[0:n]` and `[n:2n]` are the definite
-and the defeasible level, which `to_conclusions` hands to `from_theory`.
+and the defeasible level, which `to_conclusions` hands to `ConclusionSet`
+as flags over `g`'s table.
 
 This is the first of the two independent oracles for the engine: reading the
 fixpoint off as tagged conclusions must reproduce `engine.derive_all` on
@@ -240,7 +241,7 @@ def to_conclusions(i: ThreeValuedInterpretation, g: GroundTheory) -> ConclusionS
     gives +d/-d, unknown gives nothing."""
     n = g.table_size
     levels = (i[:n], i[n : 2 * n])
-    return ConclusionSet.from_theory(g, [[v == want for v in values] for values in levels for want in (T, F)])
+    return ConclusionSet(g, [[v == want for v in values] for values in levels for want in (T, F)])
 
 
 def conclusions(g: GroundTheory) -> ConclusionSet:

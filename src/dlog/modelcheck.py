@@ -25,8 +25,8 @@ Both routes read R[q] as `GroundTheory.rules_at` of q's position, pick its
 strict and supportive rules by `GroundTheory.kinds`, and read a rule's body,
 the facts' positions and superiority by rule index from
 `GroundTheory.positions`.  Only a violation that `is_model` records reads
-`GroundTheory.literals`, and `ModelSet.consequences` hands its flags to
-`ConclusionSet.from_theory`, which `dlog models` renders as `derive` does.
+`GroundTheory.literals`, and `ModelSet.consequences` hands its flags over
+the table to `ConclusionSet`, which `dlog models` renders as `derive` does.
 
 numpy is imported inside `_model_mask`, after the cap check, and nowhere
 else: it is the only function that builds status rows, and every other
@@ -298,7 +298,7 @@ class ModelSet(NamedTuple):
             raise InternalError("theory has no models; the model conditions are broken")
         d, p = self.delta, self.partial
         holds = (d == T, d == F, p == T, p == F)
-        return ConclusionSet.from_theory(self.theory, [column.all(axis=0).tolist() for column in holds])
+        return ConclusionSet(self.theory, [column.all(axis=0).tolist() for column in holds])
 
 
 def models(g: GroundTheory, cap: Optional[int] = None) -> ModelSet:

@@ -378,7 +378,7 @@ def test_fuzz_divergence_is_internal_error(monkeypatch):
 
     real = d.metaprogram.conclusions
     monkeypatch.setattr(
-        d.metaprogram, "conclusions", lambda g: ConclusionSet([])
+        d.metaprogram, "conclusions", lambda g: ConclusionSet.from_tag_sets(g, {})
     )
     code, out = run(["fuzz", "--count", "5", "--seed", "0", "--no-models"])
     assert code == EXIT_INTERNAL

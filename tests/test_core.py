@@ -5,6 +5,7 @@ import graphlib
 import io
 import itertools
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -28,7 +29,7 @@ from dlog.core import (
 )
 from dlog.parser import parse_theory, render_theory
 from dlog.scaling import chain_theory
-from test_grounding import naive_ground
+from test_grounding import ROOT, naive_ground
 
 
 BIRD = """
@@ -338,13 +339,23 @@ def test_tag_opposites_and_display():
     assert Tag.PLUS_PARTIAL.display == "+∂"
 
 
+def conclusion_set(g, *conclusions: TaggedConclusion) -> ConclusionSet:
+    """The set over `g`'s table holding exactly `conclusions`."""
+    by_tag = {}
+    for c in conclusions:
+        by_tag.setdefault(c.tag, []).append(c.literal)
+    return ConclusionSet.from_tag_sets(g, by_tag)
+
+
+PQ = "p. q."  # its table is (p, ~p, q, ~q)
+
+
 def test_conclusion_set_membership_and_iteration():
-    cs = ConclusionSet(
-        [
-            TaggedConclusion(Tag.PLUS_DELTA, lit("p")),
-            TaggedConclusion(Tag.PLUS_PARTIAL, lit("p")),
-            TaggedConclusion(Tag.MINUS_DELTA, lit("q")),
-        ]
+    cs = conclusion_set(
+        ground(parse_theory(PQ)),
+        TaggedConclusion(Tag.PLUS_DELTA, lit("p")),
+        TaggedConclusion(Tag.PLUS_PARTIAL, lit("p")),
+        TaggedConclusion(Tag.MINUS_DELTA, lit("q")),
     )
     assert TaggedConclusion(Tag.PLUS_DELTA, lit("p")) in cs
     assert TaggedConclusion(Tag.MINUS_DELTA, lit("p")) not in cs
@@ -354,36 +365,45 @@ def test_conclusion_set_membership_and_iteration():
 
 def test_conclusion_set_coherence_enforced():
     with pytest.raises(InternalError, match="coherence"):
-        ConclusionSet(
-            [
-                TaggedConclusion(Tag.PLUS_PARTIAL, lit("p")),
-                TaggedConclusion(Tag.MINUS_PARTIAL, lit("p")),
-            ]
+        conclusion_set(
+            ground(parse_theory(PQ)),
+            TaggedConclusion(Tag.PLUS_PARTIAL, lit("p")),
+            TaggedConclusion(Tag.MINUS_PARTIAL, lit("p")),
         )
 
 
 def test_conclusion_set_containment_enforced():
+    g = ground(parse_theory(PQ))
     # +D without +d breaks "definite implies defeasible"
     with pytest.raises(InternalError, match="containment"):
-        ConclusionSet([TaggedConclusion(Tag.PLUS_DELTA, lit("p"))])
+        conclusion_set(g, TaggedConclusion(Tag.PLUS_DELTA, lit("p")))
     # -d without -D breaks the dual inclusion
     with pytest.raises(InternalError, match="containment"):
-        ConclusionSet([TaggedConclusion(Tag.MINUS_PARTIAL, lit("p"))])
+        conclusion_set(g, TaggedConclusion(Tag.MINUS_PARTIAL, lit("p")))
 
 
 def test_conclusion_set_equality():
-    a = ConclusionSet([TaggedConclusion(Tag.MINUS_DELTA, lit("p"))])
-    b = ConclusionSet([TaggedConclusion(Tag.MINUS_DELTA, lit("p"))])
+    g = ground(parse_theory(PQ))
+    a = conclusion_set(g, TaggedConclusion(Tag.MINUS_DELTA, lit("p")))
+    b = conclusion_set(g, TaggedConclusion(Tag.MINUS_DELTA, lit("p")))
     assert a == b and hash(a) == hash(b)
-    assert a != ConclusionSet([])
+    assert a != conclusion_set(g)
+    # over another grounding of the same text, by tag
+    again = conclusion_set(ground(parse_theory(PQ)), TaggedConclusion(Tag.MINUS_DELTA, lit("p")))
+    assert a == again and hash(a) == hash(again)
 
 
 def test_from_theory_enforces_invariants():
     g = ground(parse_theory("p."))  # its table is (p, ~p)
     with pytest.raises(InternalError, match="coherence"):  # +D and -D of p
-        ConclusionSet.from_theory(g, [[True, False], [True, False], [True, False], [False, False]])
+        ConclusionSet(g, [[True, False], [True, False], [True, False], [False, False]])
     with pytest.raises(InternalError, match="containment"):  # +D without +d
-        ConclusionSet.from_theory(g, [[True, False], [False, False], [False, False], [False, False]])
+        ConclusionSet(g, [[True, False], [False, False], [False, False], [False, False]])
+    # four flag lists, each as long as the table
+    with pytest.raises(ValueError, match="^expected 4 flag sequences of length 2$"):
+        ConclusionSet(g, [[False, False]] * 3)
+    with pytest.raises(ValueError, match="^expected 4 flag sequences of length 2$"):
+        ConclusionSet(g, [[False, False, False]] * 4)
 
 
 @pytest.mark.parametrize(
@@ -401,20 +421,43 @@ def test_flags_breaking_invariants_raise(flags, message):
     # names the literals of the theory's table (p, ~p)
     g = ground(parse_theory("p."))
     with pytest.raises(InternalError, match=f"^{message}$"):
-        ConclusionSet.from_theory(g, [[bool(v) for v in row] for row in flags])
+        ConclusionSet(g, [[bool(v) for v in row] for row in flags])
 
 
 def test_from_theory_matches_conclusion_set(bird, bird_text):
     cs = engine.derive_all(bird)
     flags = [[l in cs.with_tag(tag) for l in bird.literals] for tag in Tag]
-    assert ConclusionSet.from_theory(bird, flags) == ConclusionSet(list(cs)) == cs
+    assert ConclusionSet(bird, flags) == conclusion_set(bird, *cs) == cs
     # over another grounding of the same text, the sets compare by tag
     again = ground(parse_theory(bird_text))
-    assert ConclusionSet.from_theory(again, flags) == cs
+    assert ConclusionSet(again, flags) == cs
     # over the same theory, by flags: drop +d flies(tweety)
     flags[2][bird.position(lit("flies", "tweety"))] = False
-    assert ConclusionSet.from_theory(bird, flags) != cs
-    assert ConclusionSet.from_theory(again, flags) != cs
+    assert ConclusionSet(bird, flags) != cs
+    assert ConclusionSet(again, flags) != cs
+
+
+def test_benchmark_traces_conclusion_set_construction(bird):
+    # the benchmark times ConclusionSet construction (`core.conclusionset_s`)
+    # by wrapping the constructor, which every oracle's readout calls
+    if str(ROOT / "benchmark") not in sys.path:
+        sys.path.append(str(ROOT / "benchmark"))
+    import spans
+
+    import dlog.differential  # noqa: F401  (`instrument` wraps a function of every layer)
+
+    tracer = spans.Tracer()
+    oracles = (
+        engine.derive_all,
+        metaprogram.conclusions,
+        lambda g: modelcheck.logical_consequences(g, cap=6 ** len(g.literals)),
+    )
+    with spans.instrument(tracer):
+        for op, oracle in enumerate(oracles):
+            with tracer.operation(op):
+                oracle(bird)
+    built = [op for name, *_, op in tracer.spans if name == spans.CONCLUSION_SET]
+    assert sorted(built) == [0, 1, 2]
 
 
 def test_herbrand_base_stays_lazy(bird_text):
@@ -434,7 +477,7 @@ def test_herbrand_base_stays_lazy(bird_text):
 
 
 def test_undefined_levels():
-    cs = ConclusionSet([TaggedConclusion(Tag.MINUS_DELTA, lit("p"))])
+    cs = conclusion_set(ground(parse_theory("p.")), TaggedConclusion(Tag.MINUS_DELTA, lit("p")))
     assert cs.undefined_levels(lit("p")) == ["partial"]
     assert cs.undefined_levels(lit("q")) == ["definite", "partial"]
 
@@ -461,14 +504,18 @@ def test_rules_at():
     assert g.rules_at(len(g.literals)) == []
 
 
-def test_conclusion_set_over_another_table(bird):
+def test_conclusion_set_over_another_table(bird, bird_text):
+    # the same tag sets over another grounding of the same text
     cs = engine.derive_all(bird)
-    rebuilt = ConclusionSet.from_tag_sets({tag: cs.with_tag(tag) for tag in Tag})
+    again = ground(parse_theory(bird_text))
+    rebuilt = ConclusionSet.from_tag_sets(again, {tag: cs.with_tag(tag) for tag in Tag})
     assert rebuilt == cs and hash(rebuilt) == hash(cs)
-    assert rebuilt.over(bird.literals) == cs.over(bird.literals)
-    # a literal outside the set's table carries no flag
-    assert [flags[0] for flags in rebuilt.over((lit("zebra"),))] == [False] * 4
+    assert rebuilt.flags == cs.flags
+    # a literal outside the table carries no conclusion, and none can be given
+    assert not any(TaggedConclusion(tag, lit("zebra")) in rebuilt for tag in Tag)
     assert rebuilt.undefined_levels(lit("zebra")) == ["definite", "partial"]
+    with pytest.raises(ValueError, match="^zebra is not in the theory's base$"):
+        ConclusionSet.from_tag_sets(again, {Tag.MINUS_DELTA: [lit("zebra")]})
 
 
 def test_front_end_grows_linearly_without_a_clock():

@@ -8,6 +8,7 @@ import pytest
 from dlog import engine, metaprogram, modelcheck
 from dlog.cli import _print_conclusions
 from dlog.core import (
+    ConclusionSet,
     GroundingError,
     RuleKind,
     Tag,
@@ -58,6 +59,13 @@ def test_compare_semantics_accepts_agreement():
     assert compare_semantics(t) is None
 
 
+def without_plus_d_p(g, conclusions):
+    """`conclusions` over `g` with +d p taken out: a sabotaged oracle's."""
+    return ConclusionSet.from_tag_sets(
+        g, {tag: [c.literal for c in conclusions if c.tag is tag and str(c) != "+d p"] for tag in Tag}
+    )
+
+
 def test_compare_semantics_witness_is_rerunnable():
     # sabotage one oracle to prove a witness would actually surface
     import dlog.differential as d
@@ -66,12 +74,7 @@ def test_compare_semantics_witness_is_rerunnable():
     real = d.metaprogram.conclusions
 
     def wrong(g):
-        from dlog.core import ConclusionSet
-
-        full = real(g)
-        return ConclusionSet(
-            c for c in full if str(c) != "+d p"
-        )
+        return without_plus_d_p(g, real(g))
 
     d.metaprogram.conclusions = wrong
     try:
@@ -87,12 +90,11 @@ def test_compare_semantics_witness_is_rerunnable():
 def test_compare_semantics_witness_from_models(monkeypatch):
     # a model-side mismatch names exactly the conclusions that differ
     import dlog.differential as d
-    from dlog.core import ConclusionSet
 
     real = d.modelcheck.logical_consequences
 
     def wrong(g, cap=None):
-        return ConclusionSet(c for c in real(g, cap) if str(c) != "+d p")
+        return without_plus_d_p(g, real(g, cap))
 
     monkeypatch.setattr(d.modelcheck, "logical_consequences", wrong)
     w = d.compare_semantics(parse_theory("f. r: f => p."))

@@ -145,29 +145,37 @@ def test_prove_matches_derive_all(bird):
     assert not prove(bird, c("+d ~flies(ethel)"))
 
 
-def test_prove_extends_base(bird):
+def test_prove_extends_base(bird, bird_text):
     g = ground(parse_theory("p."))
-    # zebra is not in the theory's base; the query adds it
+    # zebra is not in the theory's base: no fact or rule has it or its
+    # complement, so it is -D and -d and nothing else
     assert prove(g, c("-D zebra"))
     assert prove(g, c("-d zebra"))
-    # the same for a literal outside the bird base, of either sign
-    for text in ("-D newpred", "-d newpred", "-D ~newpred", "-d ~newpred"):
-        target = c(text)
-        assert prove(bird, target)
-        d = explain(bird, target)
-        assert d[-1] == target
-        assert check_derivation(bird, d)
-    assert not prove(bird, c("+d newpred"))
-    with pytest.raises(NoDerivationError):
-        explain(bird, c("+d newpred"))
-    assert lit("newpred") not in bird.literals  # the table is left as it was
-    # the run's set finds the queried pair past the table as well as the
-    # table's literals, and no other
-    conclusions = _Propagation(bird, lit("newpred")).conclusions
-    assert c("-d ~newpred") in conclusions and c("+d newpred") not in conclusions
+    assert not prove(g, c("+d zebra"))
+    # the same outside the bird base, of either sign: an unwritten predicate,
+    # an unwritten constant and a wrong arity.  The answer, the derivation
+    # (-D, then -d by clause (2.1)) and its replay need no literal table
+    outside = [f"{sign}{atom}" for atom in ("newpred", "flies(zz)", "flies(a,b)") for sign in ("", "~")]
+    for text in outside:
+        fresh = ground(parse_theory(bird_text))
+        for tag in Tag:
+            target = c(f"{tag.value} {text}")
+            if tag in (Tag.MINUS_DELTA, Tag.MINUS_PARTIAL):
+                assert prove(fresh, target), target
+                d = explain(fresh, target)
+                assert [str(step) for step in d] == [f"-D {text}", f"-d {text}"][: 1 + (tag is Tag.MINUS_PARTIAL)]
+                assert check_derivation(fresh, d), d
+            else:
+                assert not prove(fresh, target), target
+                with pytest.raises(NoDerivationError):
+                    explain(fresh, target)
+        assert "literals" not in fresh.__dict__, text
+    # the engine's set holds no conclusion of a literal outside the table
+    conclusions = derive_all(bird)
     assert c("+d flies(tweety)") in conclusions and c("-d flies(tweety)") not in conclusions
-    assert conclusions.undefined_levels(lit("newpred")) == []
-    assert conclusions.undefined_levels(lit("zebra")) == ["definite", "partial"]
+    for text in outside:
+        assert not any(c(f"{tag.value} {text}") in conclusions for tag in Tag), text
+        assert conclusions.undefined_levels(c(f"-D {text}").literal) == ["definite", "partial"]
     for query in (prove, explain):
         with pytest.raises(GroundingError):
             query(bird, TaggedConclusion(Tag.MINUS_DELTA, lit("flies", "X")))
@@ -278,7 +286,7 @@ def test_checker_agrees_with_engine(family):
     accepted = rejected = 0
     for g in checker_corpus(family):
         prop = _Propagation(g)
-        run = [TaggedConclusion(tags[s & 3], prop.literals[s >> 2]) for s in prop.order]
+        run = [TaggedConclusion(tags[s & 3], g.literals[s >> 2]) for s in prop.order]
         assert check_derivation(g, run), run
         derived = derive_all(g)
         for conclusion in at_most(derived, 100):
@@ -371,7 +379,9 @@ def test_coherence_guard(bird, monkeypatch):
     cs = conclude("p. r: => ~p.")
     assert c("+D p") in cs and c("+d p") in cs
     with pytest.raises(InternalError):
-        ConclusionSet([c("+d q"), c("-d q"), c("-D q")])
+        ConclusionSet.from_tag_sets(
+            ground(parse_theory("q.")), {Tag.PLUS_PARTIAL: [lit("q")], Tag.MINUS_PARTIAL: [lit("q")], Tag.MINUS_DELTA: [lit("q")]}
+        )
     # every run ends by building its ConclusionSet, so derive_all, prove and
     # explain all raise what that construction's check raises
     def breach(self):

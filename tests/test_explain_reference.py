@@ -2,7 +2,8 @@
 each sliced step was a Python call.
 
 `reference_explain`, `reference_justify` and `reference_check_derivation`
-are those versions, kept as they were but for their names: the slice called
+are those versions, kept as they were but for their names and for reading
+the table and the target's position from the ground theory: the slice called
 `reference_justify` per step, which built a closure and looked R[q] up
 through `GroundTheory.rules_at`, and the replay located each literal with
 `GroundTheory.position` and tested rule kinds and bodies with generator
@@ -52,30 +53,31 @@ def reference_explain(g: GroundTheory, c: TaggedConclusion) -> Derivation:
     """A derivation ending with `c`, built by backward-slicing the worklist
     run to the justification cone of `c`.  Effort-minimal, not length-minimal;
     always passes `check_derivation`."""
-    prop = _Propagation(g, c.literal)
-    if not prop.holds(c.tag):
+    q = g.position(c.literal)
+    prop = _Propagation(g)
+    if not prop.status[_CODE[c.tag]][q]:
         raise NoDerivationError(f"{c} is not derivable")
     order = prop.order
     # at[s]: the index in `order` of the packed step s, or len(order) when
     # the run never established it
-    at = [len(order)] * (4 * prop.size)
+    at = [len(order)] * (4 * g.table_size)
     for i, s in enumerate(order):
         at[s] = i
     needed = bytearray(len(at))
-    stack = [(prop.query << 2) | _CODE[c.tag]]
+    stack = [(q << 2) | _CODE[c.tag]]
     while stack:
         step = stack.pop()
         if not needed[step]:
             needed[step] = 1
             stack.extend(reference_justify(g, prop, at, step))
     # `tuple.__new__` builds each step without the named tuple's Python-level `__new__`
-    tags, literals, new = tuple(Tag), prop.literals, tuple.__new__
+    tags, literals, new = tuple(Tag), g.literals, tuple.__new__
     return tuple(new(TaggedConclusion, (tags[s & 3], literals[s >> 2])) for s in order if needed[s])
 
 
 def reference_justify(g: GroundTheory, prop: _Propagation, at: list[int], step: int) -> list[int]:
     """Premises (earlier steps of the run, packed) justifying one established
-    step.  R[q] is `g.rules_at(q)`; the queried pair past the table has none."""
+    step.  R[q] is `g.rules_at(q)`."""
     code, q = step & 3, step >> 2
     limit = at[step]
 
@@ -90,7 +92,7 @@ def reference_justify(g: GroundTheory, prop: _Propagation, at: list[int], step: 
         for ri in rules_at(q):
             if is_strict[ri] and all(before(_PD, a) for a in body[ri]):
                 return [(a << 2) | _PD for a in body[ri]]
-        raise InternalError(f"no justification for +D {prop.literals[q]}")
+        raise InternalError(f"no justification for +D {g.literals[q]}")
     if code == _MD:
         premises = []
         for ri in rules_at(q):
@@ -98,7 +100,7 @@ def reference_justify(g: GroundTheory, prop: _Propagation, at: list[int], step: 
                 continue
             witness = next((a for a in body[ri] if before(_MD, a)), None)
             if witness is None:
-                raise InternalError(f"no justification for -D {prop.literals[q]}")
+                raise InternalError(f"no justification for -D {g.literals[q]}")
             premises.append((witness << 2) | _MD)
         return premises
     comp_q = q ^ 1
@@ -110,7 +112,7 @@ def reference_justify(g: GroundTheory, prop: _Propagation, at: list[int], step: 
                 premises = [(a << 2) | _Pd for a in body[ri]]
                 break
         else:
-            raise InternalError(f"no justification for +d {prop.literals[q]}")
+            raise InternalError(f"no justification for +d {g.literals[q]}")
         premises.append((comp_q << 2) | _MD)
         for s in rules_at(comp_q):
             # each attacker is either discarded or counter-attacked by a
@@ -125,7 +127,7 @@ def reference_justify(g: GroundTheory, prop: _Propagation, at: list[int], step: 
                     break
             else:
                 raise InternalError(
-                    f"unneutralized attacker for +d {prop.literals[q]}"
+                    f"unneutralized attacker for +d {g.literals[q]}"
                 )
         return premises
     # code == _Md
@@ -158,7 +160,7 @@ def reference_justify(g: GroundTheory, prop: _Propagation, at: list[int], step: 
             counter.append((w << 2) | _Md)
         if counter is not None:
             return premises + [(a << 2) | _Pd for a in body[s]] + counter
-    raise InternalError(f"no justification for -d {prop.literals[q]}")
+    raise InternalError(f"no justification for -d {g.literals[q]}")
 
 
 @gc_paused
@@ -282,7 +284,7 @@ def assert_same(g: GroundTheory, targets, k: int, extras: int, counts: Counter) 
             counts["accepted" if result else "rejected"] += 1
     tags = tuple(Tag)
     prop = _Propagation(g)
-    run = [TaggedConclusion(tags[s & 3], prop.literals[s >> 2]) for s in prop.order]
+    run = [TaggedConclusion(tags[s & 3], g.literals[s >> 2]) for s in prop.order]
     derived = prop.conclusions
     underived = (TaggedConclusion(tag, literal) for literal in g.literals for tag in Tag)
     for extra in at_most((x for x in underived if x not in derived), extras):

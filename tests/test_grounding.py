@@ -214,8 +214,8 @@ def assert_matches_naive_grounding(theory: SourceTheory, seed: int) -> tuple[boo
     assert sorted(facts) == sorted(naive.positions.facts), context
     assert g.kinds == tuple(reference.instances[i].kind for i in kept), context
     assert g.bindings == tuple(naive.bindings[i] for i in kept), context
-    assert g.schemas == naive.schemas and g.schema_of == tuple(naive.schema_of[i] for i in kept), context
-    assert [g.schemas[s].label for s in g.schema_of] == [reference.schema_labels[i] for i in kept], context
+    assert g.source.rules == naive.source.rules and g.schema_of == tuple(naive.schema_of[i] for i in kept), context
+    assert [g.source.rules[s].label for s in g.schema_of] == [reference.schema_labels[i] for i in kept], context
     # the pairs of the cross product whose instances are kept and whose heads conflict
     kept_at = {i: k for k, i in enumerate(kept)}
     assert sup == {

@@ -255,7 +255,7 @@ def test_consequences_match_engine_on_small_theories():
 def engine_interpretation(theory: GroundTheory):
     """`derive_all`'s conclusions as status codes per level: T where the
     level's + tag holds, F where its - tag holds, U where neither does."""
-    pd, md, pp, mp = engine.derive_all(theory).over(theory.literals)
+    pd, md, pp, mp = engine.derive_all(theory).flags
     delta = [T if plus else F if minus else U for plus, minus in zip(pd, md)]
     partial = [T if plus else F if minus else U for plus, minus in zip(pp, mp)]
     return delta, partial
