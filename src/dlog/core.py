@@ -13,11 +13,12 @@ position, facts are joined on their constants' indexes, and a schema's
 instances are found a column at a time, along one variable, over which
 every literal's position is an arithmetic progression.
 
-A theory as written is a `SourceTheory` of integer columns: the parser and
-the constructor from objects number each distinct literal once
-(`_Interner`), and `ground` reads the columns only, computing one position
-per distinct literal.  The facts and rules as `Literal`s and `Rule`s are
-views, built on first read; the derive path reads neither.
+A theory as written is a `SourceTheory` of integer columns, and only the
+parser (`parser.parse_theory`) makes one: it numbers each distinct literal
+once and enforces what the language requires, one arity per predicate and
+no variable in a fact.  `ground` reads the columns only, computing one
+position per distinct literal.  The facts and rules as `Literal`s and
+`Rule`s are views, built on first read; the derive path reads neither.
 
 The Herbrand base is a table: the positive literals in text order, each
 followed by its complement, so position `i ^ 1` holds the complement of
@@ -240,48 +241,6 @@ class Rule(_RuleFields):
         return f"{self.label}: {lhs}{arrow} {self.head}."
 
 
-class _Interner:
-    """The ids of distinct written literals, keyed by `(positive, predicate,
-    args)` and numbered in first-occurrence order, with what numbering them
-    sees: the `(predicate, arity)` signatures, the constants, and the ids of
-    the literals that hold a variable.  The parser and `SourceTheory`'s
-    constructor both number literals with `number`."""
-
-    def __init__(self) -> None:
-        self.ids: dict[tuple[bool, str, tuple[str, ...]], int] = {}
-        self.signatures: dict[tuple[str, int], None] = {}  # in first-occurrence order
-        self.constants: set[str] = set()
-        self.variable_ids: set[int] = set()
-
-    def number(self, key: tuple[bool, str, tuple[str, ...]]) -> int:
-        """The id of a literal, the next one when it is new."""
-        ids = self.ids
-        i = ids.get(key)
-        if i is None:
-            i = ids[key] = len(ids)
-            _, predicate, args = key
-            self.signatures[predicate, len(args)] = None
-            if args:
-                constants = [t for t in args if not is_variable(t)]
-                self.constants.update(constants)
-                if len(constants) < len(args):
-                    self.variable_ids.add(i)
-        return i
-
-    def theory(self, fact_ids, labels, kinds, heads, bodies, superiority) -> "SourceTheory":
-        """The source theory of these columns over the literals numbered so
-        far, each body's ids deduplicated in written order, as `Rule` does."""
-        t = object.__new__(SourceTheory)
-        t.written = tuple(self.ids)
-        t.signatures = tuple(self.signatures)
-        t.constants = frozenset(self.constants)
-        t.variable_ids = frozenset(self.variable_ids)
-        t.fact_ids, t.labels, t.kinds, t.heads = tuple(fact_ids), tuple(labels), tuple(kinds), tuple(heads)
-        t.bodies = tuple([tuple(dict.fromkeys(body)) if len(body) > 1 else tuple(body) for body in bodies])
-        t.superiority = tuple(superiority)
-        return t
-
-
 class SourceTheory:
     """A theory as written, as columns over its distinct literals.
 
@@ -297,9 +256,10 @@ class SourceTheory:
 
     `facts`, `rules` and `literals` give the same theory as objects, built on
     first read, one `Literal` per id, so equal literals are one object; two
-    theories are equal when these values and `superiority` are.  The
-    constructor takes those objects and numbers their literals as the parser
-    does, facts first, then each rule's body and head."""
+    theories are equal when these values and `superiority` are.
+    `parser.parse_theory` is the one way to make a theory, so each has passed
+    the parser's checks; a theory made in code is written as text and parsed
+    (`scaling.chain_text`)."""
 
     written: tuple[tuple[bool, str, tuple[str, ...]], ...]
     signatures: tuple[tuple[str, int], ...]
@@ -311,24 +271,6 @@ class SourceTheory:
     heads: tuple[int, ...]
     bodies: tuple[tuple[int, ...], ...]
     superiority: tuple[tuple[str, str], ...]
-
-    def __new__(
-        cls, facts: Iterable[Literal] = (), rules: Iterable[Rule] = (), superiority: Iterable[tuple[str, str]] = ()
-    ) -> "SourceTheory":
-        interner = _Interner()
-
-        def number(literal: Literal) -> int:
-            positive, (predicate, args) = literal
-            return interner.number((positive, predicate, tuple(args)))
-
-        fact_ids = [number(f) for f in facts]
-        labels, kinds, heads, bodies = [], [], [], []
-        for label, kind, body, head in rules:
-            labels.append(label)
-            kinds.append(kind)
-            bodies.append(list(map(number, body)))
-            heads.append(number(head))
-        return interner.theory(fact_ids, labels, kinds, heads, bodies, superiority)
 
     @cached_property
     def literals(self) -> tuple[Literal, ...]:
@@ -399,11 +341,7 @@ class GroundTheory(_GroundTheoryFields):
     rules as `Rule`s (`rules`), the constant index that `position` reads, the
     rules by head position that `rules_at` reads (`rule_index`), and the
     superiority relation as label pairs are built once per theory, on first
-    use, as is the source's facts as a set of `Literal`s (`facts`)."""
-
-    @cached_property
-    def facts(self) -> frozenset[Literal]:
-        return frozenset(self.source.facts)
+    use; the facts as written are the source's (`source.facts`)."""
 
     @cached_property
     def table_size(self) -> int:
@@ -483,11 +421,13 @@ def ground(theory: SourceTheory) -> GroundTheory:
     surviving rules: `r: p => p` keeps `r`, because `p` matches its own head,
     so `p` stays undefined.
 
-    `ground` reads the source's columns only.  Each distinct written literal
-    without a variable gets its position once, and the facts, the heads and
-    the bodies of the variable-free schemas are lists of ids mapped through
-    those positions; schemas with variables compile their literals from the
-    source's table of distinct literals (`_template`).
+    `ground` reads the source's columns only, and relies on the parser's
+    checks: no fact holds a variable and each predicate has one arity.  Each
+    distinct written literal without a variable gets its position once, and
+    the facts, the heads and the bodies of the variable-free schemas are
+    lists of ids mapped through those positions; schemas with variables
+    compile their literals from the source's table of distinct literals
+    (`_template`).
 
     Liveness is one flag per table position, all set before any schema is
     instantiated: at the facts, at the ground heads of the strict and
@@ -521,9 +461,6 @@ def ground(theory: SourceTheory) -> GroundTheory:
     written, variable_ids, kinds = theory.written, theory.variable_ids, theory.kinds
     with_variables = []  # the schemas holding a variable, in order
     if variable_ids:
-        for i in theory.fact_ids:
-            if i in variable_ids:
-                raise GroundingError(f"fact {theory.literals[i]} contains a variable")
         with_variables = [
             s for s, (head, body) in enumerate(zip(theory.heads, theory.bodies))
             if head in variable_ids or not variable_ids.isdisjoint(body)

@@ -4,6 +4,7 @@ Any disagreement between the engine, the metaprogram fixpoint, and the
 all-models consequences on a theory is a falsifying witness for one of the
 soundness/completeness theorems the artifact rests on, so a witness is a
 hard failure: it carries the rendered theory and is re-runnable as-is.
+The random theories are written as text and parsed, as every theory is.
 """
 
 from __future__ import annotations
@@ -13,59 +14,61 @@ from typing import NamedTuple, Optional
 
 from . import engine, metaprogram, modelcheck
 from .core import (
+    ARROWS,
     ConclusionSet,
-    Literal,
-    Rule,
     RuleKind,
     SourceTheory,
     TaggedConclusion,
     ground,
-    lit,
-    neg,
     validate,
 )
-from .parser import render_theory
+from .parser import parse_theory, render_theory
 
 
 def generate_random_theory(
     seed: int, max_atoms: int, max_rules: int
 ) -> SourceTheory:
-    """A random ground propositional theory, fully determined by the seed.
+    """A random ground propositional theory, fully determined by the seed,
+    written as text and parsed.
 
     Atoms are drawn from a pool of at most `max_atoms` propositions; bodies
     use both signs; all three rule kinds occur.  Superiority pairs are drawn
     over conflicting-head rules only and oriented from lower to higher rule
-    index, which keeps the relation acyclic by construction.
+    index, which keeps the relation acyclic by construction.  A literal is
+    drawn as its text, `p<k>` or `~p<k>`; facts and bodies skip a literal
+    already drawn for them.
     """
     if max_atoms < 1:
         raise ValueError("max_atoms must be at least 1")
     rng = random.Random(seed)
     atoms = [f"p{i}" for i in range(rng.randint(1, max_atoms))]
 
-    def random_literal() -> Literal:
+    def random_literal() -> str:
         name = rng.choice(atoms)
-        return lit(name) if rng.random() < 0.5 else neg(name)
+        return name if rng.random() < 0.5 else f"~{name}"
 
     facts = []
     for _ in range(rng.randint(0, 2)):
         f = random_literal()
         if f not in facts:
             facts.append(f)
-    rules = []
+    lines = [f"{f}." for f in facts]
+    heads = []
     for i in range(rng.randint(0, max_rules)):
-        kind = rng.choice(list(RuleKind))
+        arrow = ARROWS[rng.choice(list(RuleKind))]
         body = []
         for _ in range(rng.randint(0, 2)):
             a = random_literal()
             if a not in body:
                 body.append(a)
-        rules.append(Rule(f"r{i}", kind, tuple(body), random_literal()))
-    superiority = []
-    for i, hi in enumerate(rules):
-        for lo in rules[i + 1:]:
-            if hi.head == lo.head.complement() and rng.random() < 0.4:
-                superiority.append((hi.label, lo.label))
-    return SourceTheory(tuple(facts), tuple(rules), tuple(superiority))
+        heads.append(random_literal())
+        lines.append(f"r{i}: {', '.join(body)} {arrow} {heads[i]}.")
+    for i, hi in enumerate(heads):
+        for j in range(i + 1, len(heads)):
+            # complementary heads: the same atom, one of them negated
+            if hi.lstrip("~") == heads[j].lstrip("~") and hi != heads[j] and rng.random() < 0.4:
+                lines.append(f"r{i} > r{j}.")
+    return parse_theory("\n".join(lines) + "\n")
 
 
 class DivergenceWitness(NamedTuple):

@@ -21,14 +21,16 @@ no token starts with lexes as a token of its own that the parser never
 accepts; it is reported before any other error, as if the text had been
 checked for such characters first.
 
-`parse_theory` builds no `Literal` and no `Rule`.  It numbers each distinct
-literal once, by `(positive, name, args)`, with the routine that
-`SourceTheory`'s constructor uses too (`core._Interner`), and hands over a
-`SourceTheory` of columns: the table of distinct literals in order of first
-occurrence, each rule's label, kind, head id and body ids (deduplicated in
-written order), the fact ids and the superiority statements as written.
-Its views build the facts and rules as objects on first read, equal
-literals one object.
+`parse_theory` is the only producer of a `SourceTheory`, so every theory
+has passed its checks: identifier names, one arity per predicate, no
+variable in a fact, and no label of the instance form `schema#c1,c2`.  It
+builds no `Literal` and no `Rule`: it numbers each distinct literal
+`(positive, name, args)` when first met, noting its constants and whether it
+holds a variable, and hands over a `SourceTheory` of columns: the table of
+distinct literals in order of first occurrence, each rule's label, kind,
+head id and body ids (deduplicated in written order), the fact ids and the
+superiority statements as written.  Its views build the facts and rules as
+objects on first read, equal literals one object.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from .core import (
     Tag,
     TaggedConclusion,
     ARROWS,
-    _Interner,
     gc_paused,
+    is_variable,
 )
 
 
@@ -71,9 +73,10 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _TOKEN_RE.findall(text)  # the last is '', the end of input
-        self.interner = _Interner()
-        self.ids = self.interner.ids  # (positive, name, args) -> literal id
-        self.arities: dict[str, tuple[int, int]] = {}  # arity, token index of first use
+        self.ids: dict[tuple[bool, str, tuple[str, ...]], int] = {}  # (positive, name, args) -> literal id
+        self.arities: dict[str, tuple[int, int]] = {}  # arity, token index of first use; in first-use order
+        self.constants: set[str] = set()
+        self.variable_ids: set[int] = set()  # the literals holding a variable
         self.auto_label = 0
 
     def where(self, index: int) -> tuple[int, int]:
@@ -131,7 +134,7 @@ class _Parser:
                     body.append(i)
                 if label is None and len(body) == 1 and tokens[pos] == ".":
                     pos += 1
-                    if i in self.interner.variable_ids:
+                    if i in self.variable_ids:
                         self.fail(start, f"fact {self.written(i)} contains a variable")
                     fact_ids.append(i)
                     continue
@@ -149,12 +152,21 @@ class _Parser:
             labels.append(label)
             kinds.append(kind)
             bodies.append(body)
-        return self.interner.theory(fact_ids, labels, kinds, heads, bodies, sup)
+        t = object.__new__(SourceTheory)
+        t.written = tuple(self.ids)
+        t.signatures = tuple((name, arity) for name, (arity, _) in self.arities.items())
+        t.constants = frozenset(self.constants)
+        t.variable_ids = frozenset(self.variable_ids)
+        t.fact_ids, t.labels, t.kinds, t.heads = tuple(fact_ids), tuple(labels), tuple(kinds), tuple(heads)
+        t.bodies = tuple([tuple(dict.fromkeys(body)) if len(body) > 1 else tuple(body) for body in bodies])
+        t.superiority = tuple(sup)
+        return t
 
     def literal(self, pos: int) -> tuple[int, int]:
         """`[~]name` or `[~]name(term, ...)` at token `pos`: its id, and the
-        position after it.  The arity of a name is checked when a literal is
-        first seen, which a clash always is."""
+        position after it.  A literal gets the next id when it is first
+        seen, and only then is its name's arity checked: a literal that
+        clashes is always new."""
         tokens = self.tokens
         positive = tokens[pos] != "~"
         if not positive:
@@ -184,7 +196,12 @@ class _Parser:
             if arity != len(args):
                 line, column = self.where(first)
                 self.fail(name_at, f"arity clash for {name}: {len(args)} here, {arity} at {line}:{column}")
-            i = self.interner.number(key)
+            i = self.ids[key] = len(self.ids)
+            if args:
+                constants = [t for t in args if not is_variable(t)]
+                self.constants.update(constants)
+                if len(constants) < len(args):
+                    self.variable_ids.add(i)
         return i, pos
 
 
@@ -208,7 +225,7 @@ def parse_conclusion(text: str) -> TaggedConclusion:
     literal = p.written(i)
     if p.tokens[pos]:
         p.fail(pos, f"unexpected {p.tokens[pos]!r} after literal")
-    if p.interner.variable_ids:
+    if p.variable_ids:
         raise ParseError(f"conclusion literal {literal} is not ground", 1, 3, str(literal))
     return TaggedConclusion(tag, literal)
 

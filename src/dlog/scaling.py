@@ -1,6 +1,7 @@
-"""The chain-theory family, and the one procedure that times how the engine
-scales on it: `dlog bench`, `demos/scaling.py` and acceptance criterion 6
-all read `bench_chain`'s points.
+"""The chain-theory family, written as text and parsed like any other
+theory, and the one procedure that times how the engine scales on it:
+`dlog bench`, `demos/scaling.py` and acceptance criterion 6 all read
+`bench_chain`'s points, and `tools/stages.py` times the chain's text.
 """
 
 from __future__ import annotations
@@ -11,30 +12,32 @@ import time
 from typing import NamedTuple
 
 from . import engine
-from .core import GroundTheory, Rule, RuleKind, SourceTheory, Tag, TaggedConclusion, ground, lit, neg
+from .core import GroundTheory, Tag, TaggedConclusion, ground, lit
+from .parser import parse_theory
 
 ROUNDS = 7
 
 
-def chain_theory(n: int, attack_every: int = 10) -> GroundTheory:
-    """A defeasible chain p0 => p1 => ... => pn with periodic attacks.
+def chain_text(n: int, attack_every: int = 10) -> str:
+    """A defeasible chain p0 => p1 => ... => pn with periodic attacks, as text.
 
-    The fact p0 starts the chain; every `attack_every` steps an empty-bodied
-    attacker for ~pi is added together with a superiority statement in favour
-    of the chain rule, so clause (2.3) is exercised along the way while
-    +d pn stays derivable.  Structure grows linearly with n.
+    The fact p0 starts the chain; every `attack_every` steps (none when it
+    is 0) an empty-bodied attacker for ~pi is added together with a
+    superiority statement in favour of the chain rule, so clause (2.3) is
+    exercised along the way while +d pn stays derivable.  Structure grows
+    linearly with n.
     """
-    facts = (lit("p0"),)
-    rules = []
-    superiority = []
+    lines = ["p0."]
     for i in range(1, n + 1):
-        label = f"c{i}"
-        rules.append(Rule(label, RuleKind.DEFEASIBLE, (lit(f"p{i-1}"),), lit(f"p{i}")))
+        lines.append(f"c{i}: p{i - 1} => p{i}.")
         if attack_every and i % attack_every == 0:
-            attacker = f"a{i}"
-            rules.append(Rule(attacker, RuleKind.DEFEASIBLE, (), neg(f"p{i}")))
-            superiority.append((label, attacker))
-    return ground(SourceTheory(facts, tuple(rules), tuple(superiority)))
+            lines += [f"a{i}: => ~p{i}.", f"c{i} > a{i}."]
+    return "\n".join(lines) + "\n"
+
+
+def chain_theory(n: int, attack_every: int = 10) -> GroundTheory:
+    """The grounding of `chain_text(n, attack_every)`."""
+    return ground(parse_theory(chain_text(n, attack_every)))
 
 
 class BenchPoint(NamedTuple):

@@ -21,8 +21,8 @@ from dlog.cli import (
 )
 from dlog.core import Tag, ground
 from dlog.engine import derive_all
-from dlog.parser import parse_theory, render_theory
-from dlog.scaling import chain_theory
+from dlog.parser import parse_theory
+from dlog.scaling import chain_text
 from test_grounding import naive_ground
 
 
@@ -35,7 +35,7 @@ def run(argv):
 def test_check(bird_path, bird_text):
     # the naive grounding's counts, which check printed before relevance grounding
     naive = naive_ground(parse_theory(bird_text))
-    counts = f"{len(naive.facts)} facts, {len(naive.rules)} rules, {len(naive.superiority)} superiority pairs"
+    counts = f"{len(naive.source.facts)} facts, {len(naive.rules)} rules, {len(naive.superiority)} superiority pairs"
     assert counts == "2 facts, 9 rules, 4 superiority pairs"
     code, out = run(["check", str(bird_path)])
     assert code == EXIT_OK
@@ -287,7 +287,7 @@ def test_models_cap_on_a_large_base(tmp_path, monkeypatch, capsys):
     # than an int may have to become a str, so the cap is checked without it
     monkeypatch.delenv("DLOG_CAP", raising=False)
     f = tmp_path / "chain.dl"
-    f.write_text(render_theory(chain_theory(3000)))
+    f.write_text(chain_text(3000))
     code, out = run(["models", str(f)])
     assert code == EXIT_CAP and out == ""
     err = capsys.readouterr().err

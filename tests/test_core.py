@@ -18,7 +18,6 @@ from dlog.core import (
     InternalError,
     Rule,
     RuleKind,
-    SourceTheory,
     Tag,
     TaggedConclusion,
     ValidationError,
@@ -116,14 +115,8 @@ def test_ground_instance_labels():
     assert g.rules == tuple(r for r in naive.rules if r in g.rules)
 
 
-def test_ground_requires_ground_facts():
-    t = SourceTheory(facts=(lit("p", "X"),))
-    with pytest.raises(GroundingError):
-        ground(t)
-
-
 def test_ground_requires_constants_for_schemas():
-    t = SourceTheory(rules=(Rule("r", RuleKind.STRICT, (), lit("p", "X")),))
+    t = parse_theory("r: -> p(X).")
     with pytest.raises(GroundingError):
         ground(t)
 
@@ -146,7 +139,7 @@ PROPOSITIONAL = "p. r1: p => q. r2: ~q ~> ~p. r3: q -> s."
 def reference_base(g):
     """Every fact and ground body/head literal, closed under complement,
     plus both signs of every atom over the constants, per predicate."""
-    occurring = set(g.facts)
+    occurring = set(g.source.facts)
     for r in g.rules:
         occurring.update(r.body)
         occurring.add(r.head)
@@ -195,24 +188,10 @@ def test_validate_ok_with_warning_on_nonconflicting_pairs():
     assert report.warnings == ["superiority r4 > r2 relates no instances with conflicting heads"]
 
 
-def test_validate_reads_labels_containing_hash():
-    # a theory built in code may use any label; a schema is named by its
-    # index, not recovered from an instance label, so "a#1" is not read as
-    # an instance of a schema "a"
-    theory = SourceTheory(
-        rules=(Rule("a#1", RuleKind.DEFEASIBLE, (), lit("p")), Rule("b", RuleKind.DEFEASIBLE, (), neg("p"))),
-        superiority=(("a#1", "b"),),
-    )
-    g = ground(theory)
-    assert TaggedConclusion(Tag.PLUS_PARTIAL, lit("p")) in engine.derive_all(g)
-    report = validate(g)
-    assert report.ok and report.warnings == []
-
-
 @pytest.mark.parametrize(
     "text",
     [
-        None,
+        "r: -> p. r: => q.",
         "p(a). r: p(X) => q(X). r: => s.",
         "p(a). r: p(X), p(Y) => s(X,Y). r: => t.",
         "p(a). r: p(X) => q(X). r: p(Y) => s(Y).",
@@ -224,37 +203,19 @@ def test_validate_duplicate_labels(text):
     # written labels are checked, not instance labels: a schema r next to a
     # rule r is a duplicate, and two schemas r are reported as r, not r#a;
     # a label written three times is reported once
-    if text is None:
-        t = SourceTheory(
-            rules=(
-                Rule("r", RuleKind.STRICT, (), lit("p")),
-                Rule("r", RuleKind.DEFEASIBLE, (), lit("q")),
-            )
-        )
-    else:
-        t = parse_theory(text)
     with pytest.raises(ValidationError, match="^duplicate rule label r$"):
-        validate(ground(t))
+        validate(ground(parse_theory(text)))
 
 
 def test_validate_dangling_superiority():
     # a label missing from two statements is reported once
-    t = SourceTheory(
-        rules=(Rule("r1", RuleKind.DEFEASIBLE, (), lit("p")), Rule("r2", RuleKind.DEFEASIBLE, (), neg("p"))),
-        superiority=(("r1", "zz"), ("r2", "zz")),
-    )
+    t = parse_theory("r1: => p. r2: => ~p. r1 > zz. r2 > zz.")
     with pytest.raises(ValidationError, match="^superiority references undeclared label zz$"):
         validate(ground(t))
 
 
 def test_validate_superiority_cycle():
-    t = SourceTheory(
-        rules=(
-            Rule("r1", RuleKind.DEFEASIBLE, (), lit("p")),
-            Rule("r2", RuleKind.DEFEASIBLE, (), neg("p")),
-        ),
-        superiority=(("r1", "r2"), ("r2", "r1")),
-    )
+    t = parse_theory("r1: => p. r2: => ~p. r1 > r2. r2 > r1.")
     with pytest.raises(ValidationError, match="cycle"):
         validate(ground(t))
     report = validate(ground(t), allow_cyclic_superiority=True)

@@ -179,7 +179,7 @@ def test_duplicate_labels_agree_without_validate():
 
 def test_chain_theory_shape():
     g = chain_theory(20, attack_every=10)
-    assert len(g.facts) == 1
+    assert len(g.source.facts) == 1
     # 20 chain rules + 2 attackers
     assert len(g.rules) == 22
     assert len(g.superiority) == 2

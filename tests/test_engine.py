@@ -14,9 +14,7 @@ from dlog.core import (
     GroundingError,
     InternalError,
     Positions,
-    Rule,
     RuleKind,
-    SourceTheory,
     Tag,
     TaggedConclusion,
     ValidationError,
@@ -307,7 +305,7 @@ def inert_block(g: GroundTheory) -> list[int]:
     """The packed -D and -d steps of the inert literals, in table order.  A
     literal is inert when no fact and no rule head has its atom and no rule
     body mentions it."""
-    claimed = {l.atom for l in g.facts} | {r.head.atom for r in g.rules}
+    claimed = {l.atom for l in g.source.facts} | {r.head.atom for r in g.rules}
     in_body = {l for r in g.rules for l in r.body}
     return [
         (q << 2) | code
@@ -400,7 +398,7 @@ def test_gc_state_is_restored(bird, enabled):
     # indexes; each must leave it as it found it, also when the build raises
     # (here: a fact and a rule head at a position past the table)
     broken = GroundTheory(
-        source=SourceTheory(facts=(lit("q"),), rules=(Rule("r", RuleKind.DEFEASIBLE, (), lit("q")),)),
+        source=parse_theory("q. r: => q."),
         constants=frozenset(),
         offsets={("p", 0): 0},
         positions=Positions(heads=(2,), bodies=((),), facts=(2,), superiority=frozenset()),

@@ -71,12 +71,12 @@ def full_product_mask(g: GroundTheory, well_formed_only: bool = True):
         dq, pq = delta[:, j], partial[:, j]
         dcomp = delta[:, j ^ 1]
 
-        rhs = np.zeros(n, dtype=bool) if q not in g.facts else np.ones(n, dtype=bool)
+        rhs = np.zeros(n, dtype=bool) if q not in g.source.facts else np.ones(n, dtype=bool)
         for r in strict:
             rhs |= conj_d[r.label] == T
         mask &= (dq == T) == rhs
 
-        rhs = np.ones(n, dtype=bool) if q not in g.facts else np.zeros(n, dtype=bool)
+        rhs = np.ones(n, dtype=bool) if q not in g.source.facts else np.zeros(n, dtype=bool)
         for r in strict:
             rhs &= conj_d[r.label] == F
         mask &= (dq == F) == rhs

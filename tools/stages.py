@@ -43,7 +43,8 @@ scale, the stage's time with the machine's current speed divided out, so
 that stages can be compared between trees measured minutes apart.
 
 Workloads: the chain `p0 => p1 => ... => pN` with an overruled attacker on
-every tenth link (`--chain`, 100,000 links by default; explained at `+d pN`),
+every tenth link (`dlog.scaling.chain_text`, written by this tree's `src/`
+for both trees; `--chain`, 100,000 links by default; explained at `+d pN`),
 the three seed-1 `families` texts at their benchmark `explain` targets, the
 seed-1 `reach` text of the benchmark
 (`benchmark/workloads.py`), the same reachability theory at grounding scale
@@ -74,23 +75,14 @@ ROOT = Path(__file__).resolve().parent.parent
 PROBES = 5  # pace probes before a run's stages, and as many after
 
 
-def chain_text(links: int, attack_every: int = 10) -> str:
-    """The chain of `dlog.scaling.chain_theory` as written text."""
-    lines = ["p0."]
-    for i in range(1, links + 1):
-        lines.append(f"c{i}: p{i - 1} => p{i}.")
-        if i % attack_every == 0:
-            lines += [f"a{i}: => ~p{i}.", f"c{i} > a{i}."]
-    return "\n".join(lines) + "\n"
-
-
 def inputs(links: int, reach_constants: int, meta_links: int) -> dict[str, tuple[str, str, str]]:
     """Workload name -> (kind, file contents, target).  The kind is `derive`,
     `explain` (derive, then the explain stages of the target), `meta` (derive,
     then the metaprogram stages) or `models` (a JSON list of texts); the
     target is empty unless the kind is `explain`."""
-    sys.path.insert(0, str(ROOT / "benchmark"))
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
     import workloads
+    from dlog.scaling import chain_text
 
     texts = {f"chain-{links}": ("explain", chain_text(links), f"+d p{links}")}
     ops = workloads.families(1).ops
