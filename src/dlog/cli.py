@@ -87,22 +87,24 @@ def _load(path: str) -> GroundTheory:
 # where each is 1 when that level has a conclusion
 _LEVELS = (["definite", "partial"], ["definite"], ["partial"])
 _SUFFIXES = tuple(f" ({', '.join(levels)})" for levels in _LEVELS)
+_OPEN = bytes((1, 1, 1)) + bytes(253)  # a `bytes.translate` table: 1 for the codes with an open level
 
 
 def _print_conclusions(g: GroundTheory, conclusions, out, as_json: bool, doc: dict | None = None) -> None:
     """The conclusions by tag and the undefined literals, as text or as one
     JSON object, which extends `doc` when one is given."""
-    # the conclusions are four flag lists over the table, whose even positions
-    # hold the positive literals in text order and whose odd ones hold their
-    # complements (see GroundTheory.literals): a tag's literals in text order
-    # are the names at its even flags, then at its odd ones.  The atoms'
-    # names are made per signature, in table order, from the strings of the
-    # constants' product, so the table itself is not built.  Each name is
-    # made once, as a str, which the cyclic GC does not track: a tuple per
-    # conclusion set off collections that rescan the whole theory.  Names,
-    # flags and level codes are read as whole columns (`map`, `compress`),
-    # and each tag's block and the undefined block are written by one
-    # `str.join`, so no Python frame runs per literal
+    # the conclusions are four byte columns over the table, whose even
+    # positions hold the positive literals in text order and whose odd ones
+    # their complements (see GroundTheory.literals): a tag's literals in text
+    # order are the names at its even flags, then at its odd ones.  The
+    # atoms' names are made per signature, in table order, from the strings
+    # of the constants' product, so the table is not built.  Each name is a
+    # str, untracked by the cyclic GC (a tuple per conclusion set off
+    # collections that rescan the whole theory).  Names and flags are read as
+    # whole columns (`map`, `compress`), the level codes and the undefined
+    # positions come from int operations on the columns, and each tag's block
+    # and the undefined block are written by one `str.join`, so no Python
+    # frame runs per literal and no call per settled one
     flags = conclusions.flags
     constants = sorted(g.constants)
     arguments = {}  # arity -> "(c1,...,ck)" for each tuple of constants, in order
@@ -117,11 +119,12 @@ def _print_conclusions(g: GroundTheory, conclusions, out, as_json: bool, doc: di
     names = atoms + list(map("~".__add__, atoms))
     ordered = [held[0::2] + held[1::2] for held in flags]
     tagged = {tag.value: list(itertools.compress(names, held)) for tag, held in zip(Tag, ordered)}
-    pd, md, pp, mp = ordered
-    definite = list(map(operator.or_, pd, md))
-    # each literal's settled levels coded 2 * definite + partial, 3 when both are
-    codes = list(map(operator.add, map(operator.add, definite, definite), map(operator.or_, pp, mp)))
-    at = list(itertools.compress(range(len(names)), map((3).__ne__, codes)))
+    pd, md, pp, mp = map(int.from_bytes, ordered)
+    # each literal's settled levels coded 2 * definite + partial, 3 when both
+    # are, one byte per literal: each flag byte is 0 or 1, so a shift doubles
+    # it without a carry into the next
+    codes = (((pd | md) << 1) | pp | mp).to_bytes(len(names))
+    at = list(itertools.compress(range(len(names)), codes.translate(_OPEN)))
     undefined = list(map(names.__getitem__, at))
     codes = list(map(codes.__getitem__, at))
     if as_json:

@@ -10,7 +10,8 @@ never apply, so it is not built, and superiority keeps only the pairs whose
 heads conflict.  Neither changes a conclusion or a model (see `ground`).
 Grounding works on integers: which literals are live is one flag per table
 position, facts are joined on their constants' indexes, and a schema's
-instances are found a column at a time, along one variable, over which
+instances are found a column at a time: the join's rows as one column when
+they bind every body variable, else along one free variable, over which
 every literal's position is an arithmetic progression.
 
 A theory as written is a `SourceTheory` of integer columns, and only the
@@ -45,9 +46,11 @@ reads it.  R[q], the rules with head q, is one index by head position
 each filters it by kind where its inference rule reads the strict rules
 R_s[q] or the supportive ones R_sd[q].  The engine, the model checker and
 the metaprogram each give four flags per position (one per `Tag`) to
-`ConclusionSet(g, flags)`, the one readout of every oracle, which reads
-the table only to name a literal; the command line renders straight from
-its `flags`, and two sets over one theory compare by them.  `herbrand_base`
+`ConclusionSet(g, flags)`, the one readout of every oracle, which holds
+them as one byte per flag, a `bytearray` per tag, checks them as whole
+columns and reads the table only to name a literal; the command line
+renders straight from its `flags`, and two sets over one theory compare by
+them.  `herbrand_base`
 is a set view.  The model checker and the metaprogram read three-valued
 truth as the codes `F, U, T = 0, 1, 2` defined here.
 
@@ -258,8 +261,10 @@ class SourceTheory:
     first read, one `Literal` per id, so equal literals are one object; two
     theories are equal when these values and `superiority` are.
     `parser.parse_theory` is the one way to make a theory, so each has passed
-    the parser's checks; a theory made in code is written as text and parsed
-    (`scaling.chain_text`)."""
+    the parser's checks: calling the class is a `TypeError`, and the parser
+    builds one with `object.__new__`.  A theory made in code is written as
+    text and parsed (`scaling.chain_text`).  The repr counts the facts, rules
+    and statements as written."""
 
     written: tuple[tuple[bool, str, tuple[str, ...]], ...]
     signatures: tuple[tuple[str, int], ...]
@@ -302,8 +307,11 @@ class SourceTheory:
     def __hash__(self) -> int:
         return hash(self._value())
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a SourceTheory is made by parser.parse_theory, not by its constructor")
+
     def __repr__(self) -> str:
-        return f"SourceTheory(facts={self.facts!r}, rules={self.rules!r}, superiority={self.superiority!r})"
+        return f"<SourceTheory: {len(self.fact_ids)} facts, {len(self.labels)} rules, {len(self.superiority)} superiority statements>"
 
 
 class Positions(NamedTuple):
@@ -438,11 +446,12 @@ def ground(theory: SourceTheory) -> GroundTheory:
     facts of the body literals that no supportive head can match, the other
     body variables range over the constants, an assignment stays when every
     body position is live, and variables occurring only in the head range
-    over the constants last.  The last free body variable is one column,
-    along which each head and body position steps by a fixed stride, so the
-    live test, the survivors and their positions are read off whole columns
-    by C builtins; Python loops over the join's rows and the other free
-    variables.
+    over the constants last.  When the join binds every body variable, its
+    rows are one column; otherwise the last free body variable is one
+    column, along which each head and body position steps by a fixed stride.
+    Either way the live test, the survivors and their positions are read off
+    whole columns by C builtins; Python loops over the join's rows and the
+    other free variables only in the second case.
 
     Instances come in the order of the full grounding: schemas in written
     order, each one's assignments in sorted order of the constants.  Each is
@@ -743,13 +752,17 @@ def _live_assignments(
     indexes in first occurrence order of the variables, body then head).
 
     The variables of the body literals that no supportive head can match are
-    bound first (`_fact_join`); the other body variables are *free*.  The
-    last free variable in slot order is the inner column: along it each
-    compiled literal's position is `range(base, base + step * |C|, step)`,
-    its step the literal's stride for that variable, or one constant
-    position when the step is 0, and liveness is a slice of `live`; Python
-    loops over the join's rows and the other free variables.  When no
-    variable is free, each row is a column of width 1.  The survivors are
+    bound first (`_fact_join`); the other body variables are *free*.  When
+    none is free, the join's rows are the assignments, taken as one column:
+    each slot's values are a column, each compiled literal's positions are
+    the column `fixed + Σ stride · value`, liveness is one bytes column per
+    body literal, and the rows where all of them are 1 (an AND of the
+    columns read as ints) are the survivors.  Otherwise the last free
+    variable in slot order is the inner column: along it each compiled
+    literal's position is `range(base, base + step * |C|, step)`, its step
+    the literal's stride for that variable, or one constant position when
+    the step is 0, and liveness is a slice of `live`; Python loops over the
+    join's rows and the other free variables.  Either way the survivors are
     taken by `itertools.compress` over rows zipped from the value and
     position columns, and the head position is one more column.  Variables
     occurring only in the head come last in slot order and range over the
@@ -768,36 +781,47 @@ def _live_assignments(
     if not rows:
         return [], [], []
     free = [k for k in range(in_body) if k not in bound]
-    width = count if free else 1
-    inner = free.pop() if free else None
     templates = [_template(l, offsets, index, slots) for l in (head, *body)]
-    steps = [0 if inner is None else strides[inner] for _, strides in templates]
-    ones = b"\1" * width
-    values = [0] * in_body  # the inner slot stays 0, so a position computed from it is its column's base
-    found = []
-    for row in rows:
-        for k, v in zip(bound, row):
-            values[k] = v
-        for more in itertools.product(range(count), repeat=len(free)):
-            for k, v in zip(free, more):
+    if not free:  # the rows are the assignments: one column per slot, in slot order
+        values = [column for _, column in sorted(zip(bound, zip(*rows)))]
+        columns = values[:]
+        ok = int.from_bytes(b"\1" * len(rows))  # one byte per row, 1 while every body position is live
+        for j, (fixed, strides) in enumerate(templates):
+            at = repeat(fixed, len(rows))
+            for stride, column in zip(strides, values):
+                if stride:
+                    at = map(operator.add, at, map(stride.__mul__, column))
+            columns.append(at := list(at))
+            if j:
+                ok &= int.from_bytes(bytes(map(live.__getitem__, at)))
+        found = list(itertools.compress(zip(*columns), ok.to_bytes(len(rows))))
+    else:
+        inner = free.pop()
+        steps = [strides[inner] for _, strides in templates]
+        values = [0] * in_body  # the inner slot stays 0, so a position computed from it is its column's base
+        found = []
+        for row in rows:
+            for k, v in zip(bound, row):
                 values[k] = v
-            columns = list(map(repeat, values, repeat(width)))
-            if inner is not None:
-                columns[inner] = range(width)
-            selectors = []
-            for j, ((fixed, strides), step) in enumerate(zip(templates, steps)):
-                at = fixed + sum(map(mul, strides, values))
-                if step:
-                    columns.append(range(at, at + step * width, step))
-                    if j:
-                        selectors.append(live[at : at + step * width : step])
-                elif not j or live[at]:
-                    columns.append(repeat(at, width))
+            for more in itertools.product(range(count), repeat=len(free)):
+                for k, v in zip(free, more):
+                    values[k] = v
+                columns = list(map(repeat, values, repeat(count)))
+                columns[inner] = range(count)
+                selectors = []
+                for j, ((fixed, strides), step) in enumerate(zip(templates, steps)):
+                    at = fixed + sum(map(mul, strides, values))
+                    if step:
+                        columns.append(range(at, at + step * count, step))
+                        if j:
+                            selectors.append(live[at : at + step * count : step])
+                    elif not j or live[at]:
+                        columns.append(repeat(at, count))
+                    else:
+                        break
                 else:
-                    break
-            else:
-                ok = selectors[0] if len(selectors) == 1 else bytes(map(min, *selectors)) if selectors else ones
-                found += itertools.compress(zip(*columns), ok)
+                    ok = selectors[0] if len(selectors) == 1 else bytes(map(min, *selectors))
+                    found += itertools.compress(zip(*columns), ok)
     found.sort()
     heads = list(map(operator.itemgetter(in_body), found))
     bodies = list(map(operator.itemgetter(slice(in_body + 1, None)), found))
@@ -933,7 +957,7 @@ _DISPLAY = {
 }
 
 
-_CODE = {tag: code for code, tag in enumerate(Tag)}  # a tag's position in `Tag`, as flag lists are indexed
+_CODE = {tag: code for code, tag in enumerate(Tag)}  # a tag's position in `Tag`, as the flag columns are indexed
 
 
 class TaggedConclusion(NamedTuple):
@@ -945,45 +969,47 @@ class TaggedConclusion(NamedTuple):
 
 
 class ConclusionSet:
-    """Tagged conclusions over a ground theory's table, as the flag lists
-    it is built from, one per `Tag` in `Tag` order and kept rather than
-    copied: the k-th tag holds of `g.literals[i]` iff `flags[k][i]`.
-    Coherence and containment are checked on construction, on the flags.  A
-    literal is found by the theory's arithmetic (`GroundTheory.position`),
-    and the table is read only to name a literal; one outside it carries no
-    conclusion.  Two sets over one theory compare by flags, any others by
-    tag."""
+    """Tagged conclusions over a ground theory's table, as four flag columns,
+    one `bytearray` per `Tag` in `Tag` order: the k-th tag holds of
+    `g.literals[i]` iff `flags[k][i]` is 1.  A `bytearray` given (the
+    engine's) is kept rather than copied, and any other sequence of truth
+    values (the oracles' lists) is converted.  Coherence and containment are
+    checked on construction, as four ANDs of flag columns read as ints; the
+    positions are walked only to name a breach.  A literal is found by the
+    theory's arithmetic (`GroundTheory.position`), and the table is read only
+    to name a literal; one outside it carries no conclusion.  Two sets over
+    one theory compare by flags, any others by tag."""
 
-    def __init__(self, g: GroundTheory, flags: Sequence[list[bool]]):
+    def __init__(self, g: GroundTheory, flags: Sequence[Sequence[bool]]):
         if [len(f) for f in flags] != [g.table_size] * len(Tag):
             raise ValueError(f"expected {len(Tag)} flag sequences of length {g.table_size}")
         self._theory = g
-        self.flags = list(flags)
+        self.flags = [f if type(f) is bytearray else bytearray(f) for f in flags]
         self.verify_invariants()
 
     @classmethod
     def from_tag_sets(cls, g: GroundTheory, by_tag: dict[Tag, Iterable[Literal]]) -> "ConclusionSet":
         """The set over `g`'s table holding each tag of the literals given
         for it; a literal outside the table is a `ValueError`."""
-        flags = [[False] * g.table_size for _ in Tag]
+        flags = [bytearray(g.table_size) for _ in Tag]
         for tag, literals in by_tag.items():
             literals = list(literals)
             held = flags[_CODE[tag]]
             for literal, i in zip(literals, g.locate(literals)):
                 if i is None:
                     raise ValueError(f"{literal} is not in the theory's base")
-                held[i] = True
+                held[i] = 1
         return cls(g, flags)
 
     def verify_invariants(self) -> None:
-        pd, md, pp, mp = self.flags
-        for plus, minus in ((pd, md), (pp, mp)):
-            if any(map(operator.and_, plus, minus)):
-                both = itertools.compress(self._theory.literals, map(operator.and_, plus, minus))
+        pd, md, pp, mp = columns = list(map(int.from_bytes, self.flags))
+        for plus, minus in ((0, 1), (2, 3)):
+            if columns[plus] & columns[minus]:
+                both = itertools.compress(self._theory.literals, map(operator.and_, self.flags[plus], self.flags[minus]))
                 raise InternalError(f"coherence violated at {sorted(map(str, both))}")
-        if any(map(operator.gt, pd, pp)):
+        if pd & ~pp:
             raise InternalError("containment violated: +D not within +d")
-        if any(map(operator.gt, mp, md)):
+        if mp & ~md:
             raise InternalError("containment violated: -d not within -D")
 
     def with_tag(self, tag: Tag) -> frozenset[Literal]:

@@ -37,15 +37,16 @@ the heads, bodies and facts come as positions from `ground`
 (`GroundTheory.positions`), the rule kinds as its kind column
 (`GroundTheory.kinds`), the table's size from its layout
 (`GroundTheory.table_size`), and a query is located by position arithmetic
-(`GroundTheory.position`).  The four status flag lists over the table are
-the result (`ConclusionSet(g, flags)`), so a run builds the table only
-when something names a literal.  A queried literal outside the table is no
-fact and heads no rule, nor does its complement, so the inference rules
-make it -D and -d and nothing else: `prove` and `explain` answer it without
-a run.  `explain` slices the run by packed steps, indexed in one flat list
-over `(position << 2) | code`, in one loop that writes the four inference
-rules out, so a sliced step costs no Python call; it names literals, from
-`GroundTheory.literals`, only to return the derivation.  `check_derivation`
+(`GroundTheory.position`).  The four status flags over the table, one
+`bytearray` per tag, are the result (`ConclusionSet(g, flags)`, which keeps
+them), so a run builds the table only when something names a literal.  A
+queried literal outside the table is no fact and heads no rule, nor does
+its complement, so the inference rules make it -D and -d and nothing else:
+`prove` and `explain` answer it without a run.  `explain` slices the run
+by packed steps, indexed in one flat list over `(position << 2) | code`, in
+one loop that writes the four inference rules out, so a sliced step costs
+no Python call; it names literals, from `GroundTheory.literals`, only to
+return the derivation.  `check_derivation`
 locates every step's literal in one call (`GroundTheory.locate`) and
 replays the steps over four sets of positions, a body tested by one set
 method.  Both read R[q] from `GroundTheory.rule_index`, the dict behind
@@ -161,7 +162,7 @@ class _Propagation:
         discarded = [False] * nr
         neutralized = [False] * nr
 
-        self.status = pD, mD, pd, md = [False] * n, [False] * n, [False] * n, [False] * n
+        self.status = pD, mD, pd, md = bytearray(n), bytearray(n), bytearray(n), bytearray(n)
         self.order = order = []  # packed steps (q << 2) | code
         append = order.append
         occ_at, strict_occ_at, beats_of = occ.get, strict_occ.get, beats.get
@@ -177,7 +178,7 @@ class _Propagation:
         for high in [*touched, n]:
             if low < high:
                 order += range(4 * low + 1, 4 * high, 2)
-                mD[low:high] = md[low:high] = [True] * (high - low)
+                mD[low:high] = md[low:high] = b"\1" * (high - low)
             low = high + 1
         worklist = len(order)
 
@@ -332,7 +333,7 @@ def prove(g: GroundTheory, c: TaggedConclusion) -> bool:
     q = _position(g, c.literal)
     if q is None:
         return c.tag in _OUTSIDE
-    return _Propagation(g).status[_CODE[c.tag]][q]
+    return bool(_Propagation(g).status[_CODE[c.tag]][q])
 
 
 @gc_paused

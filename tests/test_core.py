@@ -5,6 +5,7 @@ import graphlib
 import io
 import itertools
 import random
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -368,21 +369,54 @@ def test_from_theory_enforces_invariants():
 
 
 @pytest.mark.parametrize(
-    "flags, message",
+    "held, message",
     [
-        ([[1, 0], [1, 0], [1, 0], [0, 0]], r"coherence violated at \['p'\]"),
-        ([[0, 0], [0, 1], [0, 1], [0, 1]], r"coherence violated at \['~p'\]"),
-        ([[0, 1], [0, 0], [0, 0], [0, 0]], "containment violated: \\+D not within \\+d"),
-        ([[0, 0], [0, 0], [0, 0], [1, 0]], "containment violated: -d not within -D"),
+        ((0, 1, 2), r"coherence violated at \['{}'\]"),  # +D, -D and +d
+        ((1, 2, 3), r"coherence violated at \['{}'\]"),  # -D, +d and -d
+        ((0,), "containment violated: \\+D not within \\+d"),
+        ((3,), "containment violated: -d not within -D"),
     ],
     ids=["definite-coherence", "defeasible-coherence", "plus-containment", "minus-containment"],
 )
-def test_flags_breaking_invariants_raise(flags, message):
-    # the checks run on the flags; each breach is an InternalError, which
-    # names the literals of the theory's table (p, ~p)
-    g = ground(parse_theory("p."))
-    with pytest.raises(InternalError, match=f"^{message}$"):
-        ConclusionSet(g, [[bool(v) for v in row] for row in flags])
+def test_flags_breaking_invariants_raise(held, message):
+    # the checks run on whole flag columns read as ints; each breach is an
+    # InternalError, which names the literal at the breach.  The tags `held`
+    # sit at the first and at the last position of a 2-position table (p,
+    # ~p) and of a 1,000-position one, so a check that loses an end of a
+    # column, or tests a containment the wrong way round, fails here; the
+    # flags come as lists and as bytearrays
+    for text in ("p.", " ".join(f"a{i:03d}." for i in range(500))):
+        g = ground(parse_theory(text))
+        n = g.table_size
+        for at in (0, n - 1):
+            flags = [[False] * n for _ in Tag]
+            for code in held:
+                flags[code][at] = True
+            expected = message.format(re.escape(str(g.literals[at])))
+            for given in (flags, [bytearray(f) for f in flags]):
+                with pytest.raises(InternalError, match=f"^{expected}$"):
+                    ConclusionSet(g, given)
+        assert n in (2, 1000)
+
+
+def test_flags_are_bytes_and_prove_is_a_bool(bird):
+    # one bytearray per tag, whichever oracle built the set
+    sets = [
+        engine.derive_all(bird),
+        metaprogram.conclusions(bird),
+        modelcheck.logical_consequences(bird, cap=6 ** len(bird.literals)),
+        ConclusionSet(bird, [[False] * bird.table_size for _ in Tag]),
+        ConclusionSet.from_tag_sets(bird, {}),
+    ]
+    for cs in sets:
+        assert [type(f) for f in cs.flags] == [bytearray] * len(Tag)
+    assert sets[0] == sets[1] == sets[2]
+    # `prove` answers a bool, inside the table and outside it
+    flies = lit("flies", "tweety")
+    assert engine.prove(bird, TaggedConclusion(Tag.PLUS_PARTIAL, flies)) is True
+    assert engine.prove(bird, TaggedConclusion(Tag.MINUS_PARTIAL, flies)) is False
+    assert engine.prove(bird, TaggedConclusion(Tag.MINUS_DELTA, lit("zebra"))) is True
+    assert engine.prove(bird, TaggedConclusion(Tag.PLUS_DELTA, lit("zebra"))) is False
 
 
 def test_from_theory_matches_conclusion_set(bird, bird_text):

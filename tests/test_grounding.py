@@ -310,8 +310,12 @@ def test_positive_loop_is_kept():
         ("h: => ~q. r: q => t. s: ~q => u.", ["h", "s"]),
         ("d: ~> p. r: p => q.", ["d"]),
         ("p(a). e(a,b). r: p(X), e(X,Y), s(Y) => s(X). f: => s(b).", ["r#a,b", "f"]),
+        # the join binds every body variable, so its rows are taken as one
+        # column: the dead h(a) drops the row (a,b), and Z, in the head only,
+        # ranges over the constants after
+        ("e(a,b). e(b,c). t: => h(b). r: e(X,Y), h(X) => s(X,Z).", ["t", "r#b,c,a", "r#b,c,b", "r#b,c,c"]),
     ],
-    ids=["repeated-variable", "repeated-variable-fact", "constant", "sign", "defeater-head", "join"],
+    ids=["repeated-variable", "repeated-variable-fact", "constant", "sign", "defeater-head", "join", "rows-as-column"],
 )
 def test_dead_body_literals_are_pruned(text, labels):
     # a body literal is live when it is a fact or matches a strict or

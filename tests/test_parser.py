@@ -2,7 +2,7 @@
 
 import pytest
 
-from dlog.core import RuleKind, lit, neg
+from dlog.core import RuleKind, SourceTheory, lit, neg
 from dlog.differential import generate_random_theory
 from dlog.parser import (
     ParseError,
@@ -247,3 +247,15 @@ def test_render_round_trip_first_order():
     for seed in range(300):
         t = random_first_order_theory(seed)
         assert parse_theory(render_theory(t)) == t, render_theory(t)
+
+
+def test_source_theory_is_made_by_the_parser_only():
+    # calling the class, with or without the removed constructor's
+    # arguments, names the one way in
+    for args, kwargs in (((), {}), (((), ()), {}), ((), {"facts": (), "rules": (), "superiority": ()})):
+        with pytest.raises(TypeError, match=r"^a SourceTheory is made by parser\.parse_theory"):
+            SourceTheory(*args, **kwargs)
+    # the repr counts what was written and reads as no call
+    t = parse_theory("p. p. q. r: p => s. t: q => ~s. r > t.")
+    assert repr(t) == "<SourceTheory: 3 facts, 2 rules, 1 superiority statements>"
+    assert repr(parse_theory("")) == "<SourceTheory: 0 facts, 0 rules, 0 superiority statements>"
