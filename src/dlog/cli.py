@@ -119,11 +119,11 @@ def _print_conclusions(g: GroundTheory, conclusions, out, as_json: bool, doc: di
     names = atoms + list(map("~".__add__, atoms))
     ordered = [held[0::2] + held[1::2] for held in flags]
     tagged = {tag.value: list(itertools.compress(names, held)) for tag, held in zip(Tag, ordered)}
-    pd, md, pp, mp = map(int.from_bytes, ordered)
+    pd, md, pp, mp = (int.from_bytes(held, "big") for held in ordered)
     # each literal's settled levels coded 2 * definite + partial, 3 when both
     # are, one byte per literal: each flag byte is 0 or 1, so a shift doubles
     # it without a carry into the next
-    codes = (((pd | md) << 1) | pp | mp).to_bytes(len(names))
+    codes = (((pd | md) << 1) | pp | mp).to_bytes(len(names), "big")
     at = list(itertools.compress(range(len(names)), codes.translate(_OPEN)))
     undefined = list(map(names.__getitem__, at))
     codes = list(map(codes.__getitem__, at))

@@ -785,7 +785,7 @@ def _live_assignments(
     if not free:  # the rows are the assignments: one column per slot, in slot order
         values = [column for _, column in sorted(zip(bound, zip(*rows)))]
         columns = values[:]
-        ok = int.from_bytes(b"\1" * len(rows))  # one byte per row, 1 while every body position is live
+        ok = int.from_bytes(b"\1" * len(rows), "big")  # one byte per row, 1 while every body position is live
         for j, (fixed, strides) in enumerate(templates):
             at = repeat(fixed, len(rows))
             for stride, column in zip(strides, values):
@@ -793,8 +793,8 @@ def _live_assignments(
                     at = map(operator.add, at, map(stride.__mul__, column))
             columns.append(at := list(at))
             if j:
-                ok &= int.from_bytes(bytes(map(live.__getitem__, at)))
-        found = list(itertools.compress(zip(*columns), ok.to_bytes(len(rows))))
+                ok &= int.from_bytes(bytes(map(live.__getitem__, at)), "big")
+        found = list(itertools.compress(zip(*columns), ok.to_bytes(len(rows), "big")))
     else:
         inner = free.pop()
         steps = [strides[inner] for _, strides in templates]
@@ -1002,7 +1002,7 @@ class ConclusionSet:
         return cls(g, flags)
 
     def verify_invariants(self) -> None:
-        pd, md, pp, mp = columns = list(map(int.from_bytes, self.flags))
+        pd, md, pp, mp = columns = [int.from_bytes(held, "big") for held in self.flags]
         for plus, minus in ((0, 1), (2, 3)):
             if columns[plus] & columns[minus]:
                 both = itertools.compress(self._theory.literals, map(operator.and_, self.flags[plus], self.flags[minus]))
@@ -1030,7 +1030,7 @@ class ConclusionSet:
 
     def __contains__(self, c: TaggedConclusion) -> bool:
         i = self._theory.position(c.literal)
-        return i is not None and self.flags[_CODE[c.tag]][i]
+        return i is not None and bool(self.flags[_CODE[c.tag]][i])
 
     def __iter__(self) -> Iterator[TaggedConclusion]:
         for tag in Tag:

@@ -1,5 +1,6 @@
 """Domain types, grounding, validation, and the conclusion-set invariants."""
 
+import ast
 import gc
 import graphlib
 import io
@@ -9,10 +10,11 @@ import re
 import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from dlog import cli, engine, metaprogram, modelcheck
+from dlog import cli, core, engine, metaprogram, modelcheck
 from dlog.core import (
     ConclusionSet,
     GroundingError,
@@ -417,6 +419,27 @@ def test_flags_are_bytes_and_prove_is_a_bool(bird):
     assert engine.prove(bird, TaggedConclusion(Tag.MINUS_PARTIAL, flies)) is False
     assert engine.prove(bird, TaggedConclusion(Tag.MINUS_DELTA, lit("zebra"))) is True
     assert engine.prove(bird, TaggedConclusion(Tag.PLUS_DELTA, lit("zebra"))) is False
+    # and so does membership, called directly
+    cs = sets[0]
+    assert cs.__contains__(TaggedConclusion(Tag.PLUS_PARTIAL, flies)) is True
+    assert cs.__contains__(TaggedConclusion(Tag.MINUS_PARTIAL, flies)) is False
+    assert cs.__contains__(TaggedConclusion(Tag.MINUS_DELTA, lit("zebra"))) is False
+
+
+def test_int_byte_conversions_name_their_byteorder():
+    # `int.from_bytes` and `int.to_bytes` default the byteorder only from
+    # Python 3.11, and the project supports 3.10
+    src = Path(core.__file__).parent
+    bare = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("from_bytes", "to_bytes")
+        and len(node.args) + len(node.keywords) < 2
+    ]
+    assert bare == []
 
 
 def test_from_theory_matches_conclusion_set(bird, bird_text):
